@@ -9,7 +9,8 @@ overrides are applied on top.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .noise import NoiseModelSpec, parse_noise_kind
@@ -18,6 +19,14 @@ from .wrptp import DEFAULT_TURNAROUND_NS
 
 class ConfigError(ValueError):
     """Invalid configuration key, value, or combination."""
+
+
+def _require_finite(config) -> None:
+    """Reject NaN and +-inf in every float field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,12 @@ class HopConfig:
     gain: float = 1.0
     turnaround_ns: float = DEFAULT_TURNAROUND_NS
     bias_ns: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if not 0 < self.gain < 2:
+            # the proportional servo diverges outside this range
+            raise ConfigError(f"servo gain must be in (0, 2), got {self.gain!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,7 @@ class ExperimentConfig:
     hop2: HopConfig = field(default_factory=HopConfig)  # encrypting site -> reference site
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.key_source not in ("mock", "file"):
             raise ConfigError(f"key.source must be 'mock' or 'file', got {self.key_source!r}")
         if self.key_source == "file" and not self.key_path:

@@ -63,7 +63,9 @@ class HexKeyStream:
         """Number of digits not yet consumed."""
         return len(self.digits) - self.cursor
 
-    def _take_chunks(self, size: int, n: int) -> list[tuple[int, ...]]:
+    def take_digits(self, n: int, size: int) -> np.ndarray:
+        """Consume size*n digits and return them as a read-only (n, size)
+        uint8 array, decoded straight from the digit buffer."""
         if n < 0:
             raise ValueError("chunk count must be >= 0")
         needed = size * n
@@ -73,16 +75,16 @@ class HexKeyStream:
             )
         start = self.cursor
         self.cursor = start + needed
-        block = self.digits[start : self.cursor]
-        return [tuple(block[i * size : (i + 1) * size]) for i in range(n)]
+        block = np.frombuffer(self.digits, dtype=np.uint8, count=needed, offset=start)
+        return block.reshape(n, size)
 
     def take_pairs(self, n: int) -> list[tuple[int, int]]:
         """Consume 2*n digits and return them as n ordered pairs."""
-        return self._take_chunks(2, n)
+        return list(map(tuple, self.take_digits(n, 2).tolist()))
 
     def take_triplets(self, n: int) -> list[tuple[int, int, int]]:
         """Consume 3*n digits and return them as n ordered triplets."""
-        return self._take_chunks(3, n)
+        return list(map(tuple, self.take_digits(n, 3).tolist()))
 
     def to_hex(self) -> str:
         """Lowercase hex text, one character per digit (canonical file form)."""

@@ -89,6 +89,10 @@ class NoiseModelSpec:
     bound_recursion: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("divisor", "bias_deg", "bound_deg"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.divisor > 0:
             raise ValueError("divisor must be > 0")
         if not 0 <= self.sign_threshold <= 15:
@@ -132,10 +136,9 @@ class PhaseSchedule:
 
     def write_csv(self, path) -> None:
         """CSV columns step_index, phase_deg, delay_ns."""
-        delays = self.delays_ns()
         lines = ["step_index,phase_deg,delay_ns"]
-        for i, (phase, delay) in enumerate(zip(self.phases_deg, delays)):
-            lines.append(f"{i},{float(phase)!r},{float(delay)!r}")
+        for i, (phase, delay) in enumerate(zip(self.phases_deg, self.delays_ns().tolist())):
+            lines.append(f"{i},{phase!r},{delay!r}")
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -277,21 +280,15 @@ def generate_schedule(
     if n_steps == 0:
         return PhaseSchedule((), dwell_s, carrier_hz)
 
-    bounded = model.bound_deg is not None
-    if model.kind is NoiseKind.WHITE:
-        raw = [white_phase(pair, model.divisor) for pair in stream.take_pairs(n_steps)]
-        emitted = [bound_phase(p, model.bound_deg) for p in raw] if bounded else raw
-        return PhaseSchedule(tuple(emitted), dwell_s, carrier_hz)
+    if model.kind in (NoiseKind.WHITE, NoiseKind.RANDOM_WALK):
+        return PhaseSchedule(_array_schedule(stream, model, n_steps), dwell_s, carrier_hz)
 
     _validate_window(model, n_steps)
-    triplets = stream.take_triplets(n_steps)
+    bound = model.bound_deg
     state: list[float] = []
     emitted = []
-    for i, triplet in enumerate(triplets):
-        if model.kind is NoiseKind.RANDOM_WALK:
-            prev = state[i - 1] if i > 0 else model.bias_deg
-            value = rw_step(prev, triplet, model.divisor, model.sign_threshold)
-        elif model.kind is NoiseKind.RW_LAG:
+    for i, triplet in enumerate(stream.take_triplets(n_steps)):
+        if model.kind is NoiseKind.RW_LAG:
             value = rw_lag_step(
                 state, i, triplet, model.lag, model.divisor, model.sign_threshold, model.bias_deg
             )
@@ -299,17 +296,47 @@ def generate_schedule(
             value = rw_mem_step(
                 state, i, triplet, model.memory, model.divisor, model.sign_threshold, model.bias_deg
             )
-        if not bounded:
+        if bound is None:
             state.append(value)
             emitted.append(value)
         elif model.bound_recursion:
-            b = bound_phase(value, model.bound_deg)
+            b = bound_phase(value, bound)
             state.append(b)
             emitted.append(b)
         else:
             state.append(value)
-            emitted.append(bound_phase(value, model.bound_deg))
+            emitted.append(bound_phase(value, bound))
     return PhaseSchedule(tuple(emitted), dwell_s, carrier_hz)
+
+
+def _array_schedule(stream: HexKeyStream, model: NoiseModelSpec, n_steps: int) -> list[float]:
+    """Emitted phases of the white and plain-walk models, built with array
+    operations on the decoded digits.
+
+    Each value equals what white_phase, rw_step and bound_phase give step
+    by step: magnitudes are exact integers divided once, and the walk is a
+    running sum seeded with the bias. Only a walk whose recursion runs on
+    the bounded state needs a step-by-step loop.
+    """
+    digits = stream.take_digits(n_steps, model.digits_per_step)
+    pairs = digits[:, -2:].astype(np.float64)
+    magnitudes = (16.0 * pairs[:, 0] + pairs[:, 1]) / model.divisor
+    bound = model.bound_deg
+    if model.kind is NoiseKind.WHITE:
+        raw = magnitudes
+    else:
+        steps = np.where(digits[:, 0] >= model.sign_threshold, magnitudes, -magnitudes)
+        if bound is not None and model.bound_recursion:
+            phase = model.bias_deg
+            emitted = []
+            for step in steps.tolist():
+                phase = bound_phase(phase + step, bound)
+                emitted.append(phase)
+            return emitted
+        raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
+    if bound is None:
+        return raw.tolist()
+    return [bound_phase(p, bound) for p in raw.tolist()]
 
 
 def phase_to_delay(phase_deg, carrier_hz: float = DEFAULT_CARRIER_HZ):

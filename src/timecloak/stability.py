@@ -84,8 +84,9 @@ class AdevCurve:
     def write_csv(self, path) -> None:
         """CSV columns tau_s, adev, sigma_adev (log-log plottable as-is)."""
         lines = ["tau_s,adev,sigma_adev"]
-        for tau, dev, sig in zip(self.taus_s, self.adev, self.sigma_adev):
-            lines.append(f"{float(tau)!r},{float(dev)!r},{float(sig)!r}")
+        columns = (self.taus_s.tolist(), self.adev.tolist(), self.sigma_adev.tolist())
+        for tau, dev, sig in zip(*columns):
+            lines.append(f"{tau!r},{dev!r},{sig!r}")
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -73,6 +73,29 @@ class TestRun:
         cfg = _write_config(tmp_path, SMALL_RUN)
         assert main(["run", "--config", cfg, "--out", str(blocker / "sub")]) == 4
 
+    def test_unstable_servo_gain_is_config_error(self, tmp_path, capsys):
+        # gain >= 2 makes the servo diverge until the timestamps overflow
+        overrides = [
+            "duration_s=50000",
+            "hop2.gain=2.5",
+            "hop2.delay_fwd_ns=60",
+            "hop2.delay_bwd_ns=40",
+        ]
+        argv = ["run", "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "gain" in err[0]
+
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "--set", "duration_s=inf", "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "duration_s" in err[0]
+
     def test_calibration_estimate_printed(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_RUN + "calib.window_steps = 20\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -227,6 +227,25 @@ class TestConfigValidation:
     def test_file_source_needs_path(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(key_source="file")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+    )
+    def test_non_finite_experiment_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            _config(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in fields(HopConfig) if f.type == "float"])
+    def test_non_finite_hop_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            HopConfig(**{field: value})
+
+    @pytest.mark.parametrize("gain", [0.0, -0.5, 2.0, 2.5])
+    def test_hop_gain_outside_stable_range_rejected(self, gain):
+        with pytest.raises(ConfigError, match="gain"):
+            HopConfig(gain=gain)
 
     def test_with_model_helper(self):
         cfg = with_model(_config(), kind=NoiseKind.RANDOM_WALK, bound_deg=360.0)

@@ -221,6 +221,58 @@ class TestGenerateSchedule:
         assert slope == pytest.approx(per_step, rel=0.3)
 
 
+def _reference_schedule(stream, model, n_steps):
+    """The white and plain-walk schedules built step by step from
+    white_phase, rw_step and bound_phase."""
+    bound = model.bound_deg
+    if model.kind is NoiseKind.WHITE:
+        raw = [white_phase(pair, model.divisor) for pair in stream.take_pairs(n_steps)]
+        return [bound_phase(p, bound) for p in raw] if bound else raw
+    prev = model.bias_deg
+    emitted = []
+    for triplet in stream.take_triplets(n_steps):
+        value = rw_step(prev, triplet, model.divisor, model.sign_threshold)
+        if bound is None:
+            prev = value
+            emitted.append(value)
+        elif model.bound_recursion:
+            prev = bound_phase(value, bound)
+            emitted.append(prev)
+        else:
+            prev = value
+            emitted.append(bound_phase(value, bound))
+    return emitted
+
+
+class TestArraySchedulesMatchStepwise:
+    @given(
+        kind=st.sampled_from([NoiseKind.WHITE, NoiseKind.RANDOM_WALK]),
+        digits=st.binary(max_size=300).map(lambda b: bytes(x % 16 for x in b)),
+        divisor=st.floats(min_value=0.01, max_value=1e3),
+        sign_threshold=st.integers(min_value=0, max_value=15),
+        bias_deg=st.floats(min_value=-1e4, max_value=1e4),
+        bound_deg=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=720.0)),
+        bound_recursion=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_stepwise_loop(
+        self, kind, digits, divisor, sign_threshold, bias_deg, bound_deg, bound_recursion
+    ):
+        model = NoiseModelSpec(
+            kind=kind,
+            divisor=divisor,
+            sign_threshold=sign_threshold,
+            bias_deg=bias_deg,
+            bound_deg=bound_deg,
+            bound_recursion=bound_recursion,
+        )
+        n_steps = len(digits) // model.digits_per_step
+        stream, reference = HexKeyStream(digits), HexKeyStream(digits)
+        schedule = generate_schedule(stream, model, n_steps)
+        assert schedule.phases_deg == tuple(_reference_schedule(reference, model, n_steps))
+        assert stream.cursor == reference.cursor == model.digits_per_step * n_steps
+
+
 class TestPhaseToDelay:
     def test_reference_full_scale(self):
         assert phase_to_delay(63.75, 10e6) == pytest.approx(17.7083333333, abs=1e-9)
@@ -341,6 +393,13 @@ class TestModelSpecValidation:
     def test_bound_positive(self):
         with pytest.raises(ValueError):
             NoiseModelSpec(bound_deg=-1.0)
+
+    @pytest.mark.parametrize("field", ["divisor", "bias_deg", "bound_deg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # an infinite divisor would silently zero every phase
+        with pytest.raises(ValueError, match=field):
+            NoiseModelSpec(**{field: value})
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import quartet_from_parameters
@@ -49,6 +50,14 @@ class TestExchange:
     def test_rejects_negative_epoch(self):
         with pytest.raises(ValueError):
             exchange(SimClock(), SimClock(), LinkModel(), epoch_ns=-1)
+
+    def test_noisy_exchange_requires_generator(self):
+        # a private generator would repeat the same draws on every call
+        link = LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=2.0)
+        with pytest.raises(ValueError, match="rng"):
+            exchange(SimClock(), SimClock(), link, 0)
+        with pytest.raises(ValueError, match="rng"):
+            exchange(SimClock(), SimClock(jitter_ns_rms=0.5), LinkModel(), 0)
 
     def test_noise_repeatable_with_shared_rng(self):
         link = LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=2.0)
@@ -205,6 +214,13 @@ class TestRunSyncSession:
         assert offsets(synce_locked=True) == [0.0] * 5
         assert offsets(synce_locked=False) == [0.0] + [1000.0] * 4
 
+    @pytest.mark.parametrize("gain", [0.0, -1.0, 2.0, 3.0, math.nan])
+    def test_gain_outside_stable_range_rejected(self, gain):
+        with pytest.raises(ValueError, match="gain"):
+            run_sync_session(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
+        with pytest.raises(ValueError, match="gain"):
+            iter_sync_rounds(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
+
     def test_round_count_validated(self):
         with pytest.raises(ValueError):
             run_sync_session(SimClock(), SimClock(), LinkModel(), 0, 1.0)
@@ -214,6 +230,77 @@ class TestRunSyncSession:
         assert isinstance(series, TimeErrorSeries)
         assert len(series) == 7
         assert series.tau0_s == 5.0
+
+
+def _reference_rounds(master, slave, link, n_rounds, round_interval_s, gain, turnaround_ns,
+                      calib_bias_ns, synce_locked, rng):
+    """The session as a loop over the single-step reference functions:
+    exchange, compute_delay_offset and servo_step on a shared generator."""
+    if synce_locked:
+        slave = replace(slave, drift_ppb=master.drift_ppb)
+    rounds = []
+    for i in range(n_rounds):
+        epoch_ns = int(round(i * round_interval_s * 1e9))
+        quartet = exchange(master, slave, link, epoch_ns, turnaround_ns, rng)
+        delay, offset = compute_delay_offset(quartet)
+        slave = servo_step(slave, offset, gain)
+        rounds.append((i, i * round_interval_s, quartet, delay, offset,
+                       slave.true_offset_ns + calib_bias_ns))
+        drift_rel = slave.drift_ppb - master.drift_ppb
+        if drift_rel != 0.0:
+            slave = replace(slave, true_offset_ns=slave.true_offset_ns + drift_rel * round_interval_s)
+    return rounds
+
+
+_jitter = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
+_ns = st.floats(min_value=0.0, max_value=1e5)
+
+
+class TestKernelMatchesSingleStepReference:
+    @given(
+        link=st.builds(
+            LinkModel,
+            delay_forward_ns=_ns,
+            delay_backward_ns=_ns,
+            jitter_ns_rms=_jitter,
+            quantization_ns=st.sampled_from([0, 0, 1, 3, 8]),
+        ),
+        master=st.builds(
+            SimClock,
+            true_offset_ns=st.floats(min_value=-1e4, max_value=1e4),
+            drift_ppb=st.floats(min_value=-500.0, max_value=500.0),
+            jitter_ns_rms=_jitter,
+        ),
+        slave=st.builds(
+            SimClock,
+            true_offset_ns=st.floats(min_value=-1e6, max_value=1e6),
+            drift_ppb=st.floats(min_value=-500.0, max_value=500.0),
+            jitter_ns_rms=_jitter,
+        ),
+        n_rounds=st.integers(min_value=1, max_value=40),
+        round_interval_s=st.sampled_from([0.1, 1.0, 5.0, 7.3]),
+        gain=st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
+        turnaround_ns=st.one_of(st.just(1000), st.floats(min_value=0.0, max_value=5e3)),
+        calib_bias_ns=st.floats(min_value=-1e3, max_value=1e3),
+        synce_locked=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, master, slave, link, n_rounds, seed, **kwargs):
+        reference_rng = np.random.default_rng(seed)
+        expected = _reference_rounds(
+            master, slave, link, n_rounds, rng=reference_rng, **kwargs
+        )
+        rng = np.random.default_rng(seed)
+        got = list(iter_sync_rounds(master, slave, link, n_rounds, rng=rng, **kwargs))
+        assert [tuple(r) for r in got] == expected
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+        rng = np.random.default_rng(seed)
+        series = run_sync_session(master, slave, link, n_rounds, rng=rng, **kwargs)
+        residuals = np.array([r[-1] for r in expected])
+        assert series.samples_ns.tobytes() == residuals.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestSessionCsv:
