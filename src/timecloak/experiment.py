@@ -185,7 +185,8 @@ def sweep_noise_models(
 def _write_series_csv(path: Path, series: TimeErrorSeries) -> None:
     lines = ["step_index,time_s,error_ns"]
     tau0 = series.tau0_s
-    for i, value in enumerate(series.samples_ns.tolist()):
+    # iterating the buffer yields Python floats without a full-length list
+    for i, value in enumerate(series.samples_ns.data):
         lines.append(f"{i},{i * tau0!r},{value!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

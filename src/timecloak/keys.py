@@ -80,11 +80,11 @@ class HexKeyStream:
 
     def take_pairs(self, n: int) -> list[tuple[int, int]]:
         """Consume 2*n digits and return them as n ordered pairs."""
-        return list(map(tuple, self.take_digits(n, 2).tolist()))
+        return list(zip(*self.take_digits(n, 2).T.tolist()))
 
     def take_triplets(self, n: int) -> list[tuple[int, int, int]]:
         """Consume 3*n digits and return them as n ordered triplets."""
-        return list(map(tuple, self.take_digits(n, 3).tolist()))
+        return list(zip(*self.take_digits(n, 3).T.tolist()))
 
     def to_hex(self) -> str:
         """Lowercase hex text, one character per digit (canonical file form)."""

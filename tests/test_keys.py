@@ -115,6 +115,17 @@ class TestTakeChunks:
         assert stream.take_triplets(0) == []
         assert stream.cursor == 0
 
+    def test_digit_array_is_a_read_only_view_in_order(self):
+        stream = HexKeyStream(bytes([9, 15, 15, 7, 0, 1, 4]))
+        block = stream.take_digits(2, 3)
+        assert block.shape == (2, 3)
+        assert block.tolist() == [[9, 15, 15], [7, 0, 1]]
+        assert not block.flags.writeable
+        assert stream.cursor == 6
+        with pytest.raises(KeyExhaustedError):
+            stream.take_digits(1, 2)
+        assert stream.cursor == 6
+
     def test_exhaustion_does_not_consume(self):
         stream = HexKeyStream(bytes([1, 2, 3]))
         with pytest.raises(KeyExhaustedError):
