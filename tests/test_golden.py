@@ -3,27 +3,35 @@ config matrix, compared with the digests stored in tests/golden/.
 
 The matrix covers the four noise kinds, each unbounded and bounded, a
 walk whose recursion runs on the bounded state, one config with noisy,
-quantized hops and one with a calibration window. A refactor that changes
-any emitted byte fails here. To re-record after a
+quantized hops and one with a calibration window. The `timecloak adev`
+cases hash the curve it writes to a file and to standard output for a
+fixed series, with tau0 inferred from its time_s column and given by
+--tau0; their digests are in tests/golden/adev_digests.json. A refactor
+that changes any emitted byte fails here. To re-record after a
 change that is meant to alter outputs (say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from timecloak.cli import main
 from timecloak.config import ExperimentConfig, HopConfig
 from timecloak.experiment import emit_outputs, run_experiment
 from timecloak.noise import NoiseKind, NoiseModelSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
+ADEV_GOLDEN_PATH = Path(__file__).parent / "golden" / "adev_digests.json"
 N_DWELLS = 2000
 DWELL_S = 5.0
 
@@ -89,11 +97,59 @@ def test_emitted_files_match_golden_digests(name, golden):
     assert emitted_digests(CASES[name]) == golden[name]
 
 
+ADEV_ROWS = 8192
+#: case name -> (write the curve with --out, --tau0 or None to infer it from time_s)
+ADEV_CASES = {
+    "out_inferred_tau0": (True, None),
+    "stdout_inferred_tau0": (False, None),
+    "stdout_tau0": (False, "2.5"),
+}
+
+
+def _adev_series_csv() -> str:
+    """A white-phase series whose amplitude spans six decades, plus a slow
+    walk, so the squared differences cover many binary exponents."""
+    rng = np.random.default_rng(21)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, ADEV_ROWS)
+    errors = rng.normal(0.0, 1.0, ADEV_ROWS) * scale + np.cumsum(rng.normal(0.0, 0.002, ADEV_ROWS))
+    times = np.arange(ADEV_ROWS) * 0.25
+    rows = [f"{t!r},{e!r}" for t, e in zip(times.tolist(), errors.tolist())]
+    return "time_s,error_ns\n" + "\n".join(rows) + "\n"
+
+
+def adev_digest(to_file: bool, tau0: str | None) -> str:
+    """SHA-256 of the curve `timecloak adev` writes to --out or to stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        series.write_text(_adev_series_csv(), encoding="ascii")
+        dest = Path(tmp) / "curve.csv"
+        argv = ["adev", "--input", str(series)]
+        argv += ["--out", str(dest)] if to_file else []
+        argv += ["--tau0", tau0] if tau0 is not None else []
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        data = dest.read_bytes() if to_file else stdout.getvalue().encode("ascii")
+        return hashlib.sha256(data).hexdigest()
+
+
+def test_adev_cases_match_recorded_cases():
+    assert sorted(json.loads(ADEV_GOLDEN_PATH.read_text())) == sorted(ADEV_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(ADEV_CASES))
+def test_adev_output_matches_golden_digest(name):
+    assert adev_digest(*ADEV_CASES[name]) == json.loads(ADEV_GOLDEN_PATH.read_text())[name]
+
+
 def _record() -> None:
     digests = {name: emitted_digests(config) for name, config in sorted(CASES.items())}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} cases in {GOLDEN_PATH}")
+    adev = {name: adev_digest(*case) for name, case in sorted(ADEV_CASES.items())}
+    ADEV_GOLDEN_PATH.write_text(json.dumps(adev, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(adev)} adev cases in {ADEV_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
