@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,24 +142,46 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_adev(args) -> int:
-    data = np.genfromtxt(args.input, delimiter=",", names=True)
-    if data.dtype.names is None:
-        raise ConfigError(f"{args.input}: expected a CSV header row")
-    if args.value_column not in data.dtype.names:
-        raise ConfigError(
-            f"{args.input}: no column {args.value_column!r} (has {', '.join(data.dtype.names)})"
-        )
-    values = np.atleast_1d(data[args.value_column])
-    tau0 = args.tau0
+def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorSeries:
+    """The value column of a CSV as a series; tau0 is inferred from time_s if None.
+
+    The header is the first non-blank line, with a leading '#' dropped (the
+    commented header np.savetxt writes). np.loadtxt parses only the needed
+    columns; it skips blank lines and '#' comments and rejects an empty or
+    non-numeric cell.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            header = line.strip().removeprefix("#").strip()
+            if header:
+                break
+        else:
+            raise ConfigError(f"{path}: expected a CSV header row")
+        names = [name.strip() for name in header.split(",")]
+        if value_column not in names:
+            raise ConfigError(f"{path}: no column {value_column!r} (has {', '.join(names)})")
+        columns = [names.index(value_column)]
+        if tau0 is None:
+            if "time_s" not in names:
+                raise ConfigError("--tau0 is required when the CSV has no time_s column")
+            columns.append(names.index("time_s"))
+        with warnings.catch_warnings():
+            # a table without rows is reported below, not as a warning
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                table = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
     if tau0 is None:
-        if "time_s" not in data.dtype.names:
-            raise ConfigError("--tau0 is required when the CSV has no time_s column")
-        times = np.atleast_1d(data["time_s"])
-        if len(times) < 2:
+        if len(table) < 2:
             raise ConfigError("need at least two rows to infer tau0")
-        tau0 = float(times[1] - times[0])
-    curve = overlapping_adev(TimeErrorSeries(values, tau0))
+        tau0 = float(table[1, 1] - table[0, 1])
+    return TimeErrorSeries(table[:, 0], tau0)
+
+
+def _cmd_adev(args) -> int:
+    series = _read_series(args.input, args.value_column, args.tau0)
+    curve = overlapping_adev(series)
     if args.out:
         curve.write_csv(args.out)
         print(f"wrote {len(curve)} points to {args.out}")

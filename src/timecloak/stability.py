@@ -6,9 +6,12 @@ The overlapping Allan deviation is computed from time-error (phase) data:
 
 with the sum running over i = 0 .. N-1-2m. Samples are converted from
 nanoseconds to seconds first, so the returned deviation is the usual
-dimensionless sigma_y. The squared second differences are accumulated with
-exact (compensated) summation, which keeps the result bit-identical to a
-literal evaluation of the defining sum at any series length.
+dimensionless sigma_y. The squared second differences are summed exactly
+and rounded once: their high and low mantissa halves are accumulated per
+binary exponent, where float addition is exact (see _exact_sum), which
+gives the same correctly rounded value as math.fsum. That keeps the result
+bit-identical to a literal evaluation of the defining sum at any series
+length.
 """
 from __future__ import annotations
 
@@ -26,6 +29,14 @@ RANDOM_WALK_PHASE_BAND = (-0.65, -0.35)
 
 DEFAULT_DECORRELATION_THRESHOLD = 1.0 / math.e
 
+#: terms per pass of _exact_sum: at most 2**26 keeps its bucket sums exact;
+#: small passes keep its temporaries small and in cache
+_SUM_CHUNK = 1 << 13
+#: int64 mask that clears the low 26 bits of a double's fraction
+_HIGH_MASK = -(1 << 26)
+#: bit pattern of +inf: finite non-negative doubles lie below it as unsigned ints
+_INF_BITS = 0x7FF0_0000_0000_0000
+
 
 @dataclass(frozen=True)
 class TimeErrorSeries:
@@ -42,10 +53,12 @@ class TimeErrorSeries:
         arr = np.array(self.samples_ns, dtype=np.float64, copy=True)
         if arr.ndim != 1:
             raise ValueError("samples_ns must be one-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples_ns must be finite (no NaN or inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "samples_ns", arr)
-        if not self.tau0_s > 0:
-            raise ValueError("tau0_s must be > 0")
+        if not (math.isfinite(self.tau0_s) and self.tau0_s > 0):
+            raise ValueError("tau0_s must be finite and > 0")
 
     def __len__(self) -> int:
         return len(self.samples_ns)
@@ -107,6 +120,35 @@ def default_m_values(n_samples: int) -> list[int]:
     return out
 
 
+def _exact_sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array; equals math.fsum(terms.tolist()).
+
+    A finite non-negative double with exponent field e is an integer
+    multiple of u = 2**(max(e, 1) - 1075) below 2**53 * u. Clearing the low
+    26 fraction bits splits it exactly into a high part, a multiple of
+    2**26 * u, and a low part below 2**26 * u. Summed per exponent with
+    np.bincount, up to 2**26 high or low parts stay below 2**53 of their
+    unit, so every bucket sum is exact in any order. math.fsum then rounds
+    the total of the bucket sums once. Arrays holding a negative or
+    non-finite term, and sums that overflow, are left to math.fsum.
+    """
+    if terms.size and terms.view(np.uint64).max() >= _INF_BITS:
+        return math.fsum(terms.tolist())
+    bits = terms.view(np.int64)
+    sums = [np.zeros(0)]
+    for start in range(0, terms.size, _SUM_CHUNK):
+        chunk = bits[start : start + _SUM_CHUNK]
+        exponents = chunk >> 52
+        high = (chunk & _HIGH_MASK).view(np.float64)
+        for part in (high, terms[start : start + _SUM_CHUNK] - high):
+            buckets = np.bincount(exponents, weights=part)
+            sums.append(buckets[buckets != 0])
+    total = np.concatenate(sums)
+    if np.isinf(total).any():
+        return math.fsum(terms.tolist())
+    return math.fsum(total.tolist())
+
+
 def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
     """Overlapping Allan deviation of a time-error series.
 
@@ -127,8 +169,11 @@ def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
         if not 1 <= m <= limit:
             raise ValueError(f"averaging factor m={m} outside 1 <= m <= (N-1)/2 = {limit}")
         # difference in ns first: exact cancellations survive the unit change
-        d = (x[2 * m :] - 2.0 * x[m : n - m] + x[: n - 2 * m]) * (1.0 / NS_PER_S)
-        total = math.fsum((d * d).tolist())
+        d = x[2 * m :] - 2.0 * x[m : n - m]
+        d += x[: n - 2 * m]
+        d *= 1.0 / NS_PER_S
+        d *= d
+        total = _exact_sum(d)
         tau = m * series.tau0_s
         avar = total / (2.0 * tau * tau * (n - 2 * m))
         dev = math.sqrt(avar)

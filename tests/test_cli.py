@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from timecloak.cli import main
 from timecloak.keys import load_keys
+from timecloak.stability import TimeErrorSeries, overlapping_adev
 
 
 def _write_config(tmp_path, text):
@@ -144,11 +146,14 @@ class TestAdev:
     def test_explicit_tau0_and_output_file(self, tmp_path):
         src = tmp_path / "series.csv"
         rng = np.random.default_rng(2)
-        rows = ["idx,error_ns"] + [f"{i},{v!r}" for i, v in enumerate(rng.normal(0, 1, 64))]
+        values = rng.normal(0, 1, 64).tolist()
+        rows = ["idx,error_ns"] + [f"{i},{v!r}" for i, v in enumerate(values)]
         src.write_text("\n".join(rows) + "\n")
         dest = tmp_path / "curve.csv"
         assert main(["adev", "--input", str(src), "--tau0", "5", "--out", str(dest)]) == 0
         assert dest.read_text().startswith("tau_s,adev,sigma_adev")
+        curve = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)
+        assert len(curve) == 5 and np.all(np.isfinite(curve))
 
     def test_missing_tau0_without_time_column(self, tmp_path):
         src = tmp_path / "series.csv"
@@ -159,6 +164,104 @@ class TestAdev:
         src = tmp_path / "series.csv"
         src.write_text("a,b\n1,2\n3,4\n5,6\n")
         assert main(["adev", "--input", str(src), "--tau0", "1"]) == 2
+
+
+def _series_rows(n=40):
+    """(time_s, error_ns) rows as Python float reprs."""
+    values = np.random.default_rng(5).normal(0, 3, n).tolist()
+    return [(repr(0.5 * i), repr(v)) for i, v in enumerate(values)]
+
+
+def _genfromtxt_curve(path, value_column="error_ns", tau0=None):
+    """The curve of the genfromtxt-based ingest `adev` used before np.loadtxt."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    values = np.atleast_1d(data[value_column])
+    if tau0 is None:
+        times = np.atleast_1d(data["time_s"])
+        tau0 = float(times[1] - times[0])
+    return overlapping_adev(TimeErrorSeries(values, tau0))
+
+
+def _curve_text(curve):
+    rows = zip(curve.taus_s.tolist(), curve.adev.tolist(), curve.sigma_adev.tolist())
+    return "tau_s,adev,sigma_adev\n" + "".join(f"{t!r},{d!r},{s!r}\n" for t, d, s in rows)
+
+
+def _assert_clean_failure(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+_ROWS = _series_rows()
+#: header-handling cases: name -> (file text, the CSV's newline)
+_PARITY_CASES = {
+    "whitespace_around_names": " time_s ,  error_ns \n"
+    + "".join(f"{t}, {v}\n" for t, v in _ROWS),
+    "comment_lines": "time_s,error_ns\n# calibrated counter\n"
+    + "".join(f"{t},{v}\n" + ("# mid-run note\n" if i == 7 else "") for i, (t, v) in enumerate(_ROWS)),
+    "commented_header": "# time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS),
+    "trailing_blank_line": "time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS) + "\n",
+    "crlf": "time_s,error_ns\r\n" + "".join(f"{t},{v}\r\n" for t, v in _ROWS),
+    "value_column_first": "error_ns,time_s\n" + "".join(f"{v},{t}\n" for t, v in _ROWS),
+}
+
+
+class TestAdevIngest:
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    @pytest.mark.parametrize("tau0", [None, "2.5"])
+    def test_matches_genfromtxt_ingest(self, case, tau0, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_bytes(_PARITY_CASES[case].encode("ascii"))
+        expected = _genfromtxt_curve(src, tau0=None if tau0 is None else float(tau0))
+        argv = ["adev", "--input", str(src)] + (["--tau0", tau0] if tau0 else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _curve_text(expected)
+        assert np.all(np.isfinite(expected.adev)) and len(expected) == 5
+
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            ("time_s,error_ns\n", []),  # header only, tau0 inferred
+            ("time_s,error_ns\n\n", ["--tau0", "1"]),  # header only, --tau0
+            ("time_s,error_ns\n0,1.5\n", []),  # one row, tau0 inferred
+            ("", []),  # empty file
+            ("\n\n", ["--tau0", "1"]),  # blank lines only
+            ("time_s,error_ns\n0,1\n1\n2,3\n", []),  # short row
+        ],
+        ids=[
+            "header_only", "header_only_tau0",
+            "single_row", "empty_file", "blank_file", "short_row",
+        ],
+    )
+    def test_bad_layout_fails_cleanly(self, text, extra, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text(text)
+        _assert_clean_failure(["adev", "--input", str(src), *extra], capsys)
+
+    @pytest.mark.parametrize(
+        "cell", ["", "abc", "nan", "inf"], ids=["empty", "non_numeric", "nan", "inf"]
+    )
+    def test_gap_or_non_finite_cell_fails_cleanly(self, cell, tmp_path, capsys):
+        rows = [f"{t},{v}" for t, v in _ROWS]
+        rows[9] = f"{_ROWS[9][0]},{cell}"
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n" + "\n".join(rows) + "\n")
+        _assert_clean_failure(["adev", "--input", str(src)], capsys)
+
+    @pytest.mark.parametrize("tau0", ["inf", "-inf", "nan"])
+    def test_non_finite_tau0_fails_cleanly(self, tau0, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS))
+        _assert_clean_failure(["adev", "--input", str(src), f"--tau0={tau0}"], capsys)
+
+    def test_non_finite_time_step_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n0,1.0\ninf,2.0\n2,0.5\n")
+        _assert_clean_failure(["adev", "--input", str(src)], capsys)
 
 
 class TestLinkBudget:

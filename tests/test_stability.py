@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import brute_force_adev
+from timecloak import stability
 from timecloak.keys import mock_qkd_source
 from timecloak.noise import NoiseKind, NoiseModelSpec, generate_schedule
 from timecloak.stability import (
@@ -38,6 +40,75 @@ class TestTimeErrorSeries:
     def test_times_axis(self):
         series = TimeErrorSeries(np.zeros(3), 5.0)
         assert list(series.times_s) == [0.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TimeErrorSeries(np.array([0.0, 1.0, bad, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tau0(self, bad):
+        with pytest.raises(ValueError, match="tau0_s"):
+            TimeErrorSeries(np.zeros(4), bad)
+
+
+#: non-negative finite doubles: zeros, subnormals, one binade, the whole range
+_TERMS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a.hex() == b.hex()
+
+
+class TestExactSum:
+    @given(arrays(np.float64, st.integers(0, 300), elements=_TERMS))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum(self, terms):
+        assert _same_float(stability._exact_sum(terms), math.fsum(terms.tolist()))
+
+    @given(arrays(np.float64, st.integers(0, 120), elements=_TERMS), st.integers(1, 9))
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_equals_fsum_over_several_chunks(self, monkeypatch, terms, chunk):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        assert _same_float(stability._exact_sum(terms), math.fsum(terms.tolist()))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[], [0.0], [5e-324], [1.7976931348623157e308], [0.0] * 7, [1e-310, 3e-320, 2.5e-308]],
+    )
+    def test_edge_cases_equal_fsum(self, terms):
+        arr = np.array(terms, dtype=np.float64)
+        assert _same_float(stability._exact_sum(arr), math.fsum(terms))
+
+    def test_full_fractions_over_default_chunks(self):
+        # terms just under 2.0 fill every fraction bit; many passes of the default chunk
+        terms = np.nextafter(2.0, 0.0) - np.random.default_rng(3).random(3 << 16) * 2**-40
+        assert _same_float(stability._exact_sum(terms), math.fsum(terms.tolist()))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[1.0, -0.0], [2.0, -3.5, 1e-300], [math.inf, 1.0], [0.0, math.inf, math.inf]],
+    )
+    def test_negative_or_infinite_terms_go_to_fsum(self, terms):
+        arr = np.array(terms, dtype=np.float64)
+        assert _same_float(stability._exact_sum(arr), math.fsum(terms))
+
+    @pytest.mark.parametrize("terms", [[1.7e308, 1.7e308], [1e308] * 3 + [1e-300]])
+    def test_overflowing_sum_raises_like_fsum(self, terms):
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+        with pytest.raises(OverflowError):
+            stability._exact_sum(np.array(terms))
+
+    def test_nan_term_gives_nan(self):
+        assert math.isnan(stability._exact_sum(np.array([1.0, math.nan])))
 
 
 class TestOverlappingAdev:
@@ -86,7 +157,14 @@ class TestOverlappingAdev:
         for tau, dev in zip(curve.taus_s, curve.adev):
             m = int(round(tau / 5.0))
             expected = brute_force_adev(values, 5.0, m)
-            assert abs(dev - expected) <= np.spacing(max(abs(dev), abs(expected), 1e-300))
+            assert dev == expected
+
+    def test_overflowing_squares_give_infinite_deviation(self):
+        # finite samples whose second differences square to inf, as math.fsum gave
+        series = TimeErrorSeries(np.array([0.0, 1e300, 0.0, 1e300, 0.0]), 1.0)
+        curve = overlapping_adev(series)
+        assert curve.adev[0] == math.inf
+        assert curve.adev[1] == 0.0
 
     def test_m_out_of_range_names_bound(self):
         series = TimeErrorSeries(np.zeros(21), 1.0)
