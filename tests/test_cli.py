@@ -166,16 +166,10 @@ class TestAdev:
         assert main(["adev", "--input", str(src), "--tau0", "1"]) == 2
 
 
-def _series_rows(n=40):
-    """(time_s, error_ns) rows as Python float reprs."""
-    values = np.random.default_rng(5).normal(0, 3, n).tolist()
-    return [(repr(0.5 * i), repr(v)) for i, v in enumerate(values)]
-
-
-def _genfromtxt_curve(path, value_column="error_ns", tau0=None):
+def _genfromtxt_curve(path, tau0=None):
     """The curve of the genfromtxt-based ingest `adev` used before np.loadtxt."""
     data = np.genfromtxt(path, delimiter=",", names=True)
-    values = np.atleast_1d(data[value_column])
+    values = np.atleast_1d(data["error_ns"])
     if tau0 is None:
         times = np.atleast_1d(data["time_s"])
         tau0 = float(times[1] - times[0])
@@ -196,13 +190,15 @@ def _assert_clean_failure(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
-_ROWS = _series_rows()
-#: header-handling cases: name -> (file text, the CSV's newline)
+#: (time_s, error_ns) cells as Python float reprs
+_VALUES = np.random.default_rng(5).normal(0, 3, 40).tolist()
+_ROWS = [(repr(0.5 * i), repr(v)) for i, v in enumerate(_VALUES)]
+#: header-handling cases: name -> file text
 _PARITY_CASES = {
     "whitespace_around_names": " time_s ,  error_ns \n"
     + "".join(f"{t}, {v}\n" for t, v in _ROWS),
     "comment_lines": "time_s,error_ns\n# calibrated counter\n"
-    + "".join(f"{t},{v}\n" + ("# mid-run note\n" if i == 7 else "") for i, (t, v) in enumerate(_ROWS)),
+    + "".join(f"{t},{v}\n" + ("# note\n" if i == 7 else "") for i, (t, v) in enumerate(_ROWS)),
     "commented_header": "# time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS),
     "trailing_blank_line": "time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS) + "\n",
     "crlf": "time_s,error_ns\r\n" + "".join(f"{t},{v}\r\n" for t, v in _ROWS),
