@@ -4,7 +4,8 @@ Subcommands: keygen (write a mock key file), run (single experiment),
 sweep (noise-model comparison runs), adev (analyze an external CSV
 series), linkbudget (channel feasibility report).
 
-Exit codes: 0 success, 2 configuration error, 3 key exhaustion, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (also arithmetic overflow),
+3 key exhaustion, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -230,8 +231,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        # covers ConfigError plus domain validation failures
+    except (ValueError, ArithmeticError) as exc:
+        # ConfigError, domain validation failures, and finite inputs whose
+        # arithmetic overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

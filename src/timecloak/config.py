@@ -6,6 +6,10 @@ Config files are plain text, one ``key = value`` assignment per line, with
 ``calib.bias_ns`` set shared defaults for both hops; ``hop1.*`` / ``hop2.*``
 override one hop. Later assignments win, and command-line ``--set``
 overrides are applied on top.
+
+``_KEYS`` is the one list of keys: each maps to its section, its field and
+its parser, and the hop keys in it are generated from ``_HOP_KEYS``. Range
+checks live in the dataclasses' ``__post_init__``.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .noise import NoiseModelSpec, parse_noise_kind
+from .noise import NoiseKind, NoiseModelSpec, parse_noise_kind
 from .wrptp import DEFAULT_TURNAROUND_NS
 
 
@@ -144,123 +148,73 @@ def parse_overrides(items: list[str]) -> dict[str, str]:
     return mapping
 
 
-_HOP_FIELDS = {
-    "delay_fwd_ns": ("delay_forward_ns", _to_float),
-    "delay_bwd_ns": ("delay_backward_ns", _to_float),
-    "jitter_ns": ("jitter_ns", _to_float),
-    "quantization_ns": ("quantization_ns", _to_int),
-    "gain": ("gain", _to_float),
-    "turnaround_ns": ("turnaround_ns", _to_float),
-    "bias_ns": ("bias_ns", _to_float),
+def _to_bound(key: str, value: str) -> float | None:
+    return None if value.lower() in ("", "none") else _to_float(key, value)
+
+
+def _to_kind(key: str, value: str) -> NoiseKind:
+    try:
+        return parse_noise_kind(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# hopN.<suffix> -> (HopConfig field, parser, shared key that sets both hops)
+_HOP_KEYS = {
+    "delay_fwd_ns": ("delay_forward_ns", _to_float, "link.delay_fwd_ns"),
+    "delay_bwd_ns": ("delay_backward_ns", _to_float, "link.delay_bwd_ns"),
+    "jitter_ns": ("jitter_ns", _to_float, "link.jitter_ns"),
+    "quantization_ns": ("quantization_ns", _to_int, "link.quantization_ns"),
+    "gain": ("gain", _to_float, "servo.gain"),
+    "turnaround_ns": ("turnaround_ns", _to_float, "link.turnaround_ns"),
+    "bias_ns": ("bias_ns", _to_float, "calib.bias_ns"),
 }
 
-# shared-default spellings applied to both hops before hopN.* overrides
-_SHARED_HOP_KEYS = {
-    "link.delay_fwd_ns": "delay_fwd_ns",
-    "link.delay_bwd_ns": "delay_bwd_ns",
-    "link.jitter_ns": "jitter_ns",
-    "link.quantization_ns": "quantization_ns",
-    "servo.gain": "gain",
-    "link.turnaround_ns": "turnaround_ns",
-    "calib.bias_ns": "bias_ns",
-}
-
-_TOP_KEYS = {
-    "key.source",
-    "key.seed",
-    "key.path",
-    "model.kind",
-    "model.C",
-    "model.T",
-    "model.M",
-    "model.S",
-    "model.bias_deg",
-    "model.bound_deg",
-    "model.bound_recursion",
-    "dwell_s",
-    "carrier_hz",
-    "duration_s",
-    "calib.window_steps",
-    "tic.jitter_ns",
-    "seed",
+# every key -> (section, field, parser); section "" is ExperimentConfig itself
+_KEYS = {
+    "key.source": ("", "key_source", lambda key, value: value.strip().lower()),
+    "key.seed": ("", "key_seed", _to_int),
+    "key.path": ("", "key_path", lambda key, value: value),
+    "model.kind": ("model", "kind", _to_kind),
+    "model.C": ("model", "divisor", _to_float),
+    "model.T": ("model", "sign_threshold", _to_int),
+    "model.M": ("model", "lag", _to_int),
+    "model.S": ("model", "memory", _to_int),
+    "model.bias_deg": ("model", "bias_deg", _to_float),
+    "model.bound_deg": ("model", "bound_deg", _to_bound),
+    "model.bound_recursion": ("model", "bound_recursion", _to_bool),
+    "dwell_s": ("", "dwell_s", _to_float),
+    "carrier_hz": ("", "carrier_hz", _to_float),
+    "duration_s": ("", "duration_s", _to_float),
+    "calib.window_steps": ("", "calib_window_steps", _to_int),
+    "tic.jitter_ns": ("", "tic_jitter_ns", _to_float),
+    "seed": ("", "seed", _to_int),
+    **{shared: ("shared", name, parse) for name, parse, shared in _HOP_KEYS.values()},
+    **{
+        f"{hop}.{suffix}": (hop, name, parse)
+        for hop in ("hop1", "hop2")
+        for suffix, (name, parse, _) in _HOP_KEYS.items()
+    },
 }
 
 
 def build_experiment_config(mapping: dict[str, str]) -> ExperimentConfig:
     """Turn a raw key-value mapping into a validated ExperimentConfig."""
     for key in mapping:
-        if key in _TOP_KEYS or key in _SHARED_HOP_KEYS:
-            continue
-        prefix, _, suffix = key.partition(".")
-        if prefix in ("hop1", "hop2") and suffix in _HOP_FIELDS:
-            continue
-        raise ConfigError(f"unknown configuration key {key!r}")
-
-    model_kwargs = {}
-    if "model.kind" in mapping:
-        try:
-            model_kwargs["kind"] = parse_noise_kind(mapping["model.kind"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if "model.C" in mapping:
-        model_kwargs["divisor"] = _to_float("model.C", mapping["model.C"])
-    if "model.T" in mapping:
-        model_kwargs["sign_threshold"] = _to_int("model.T", mapping["model.T"])
-    if "model.M" in mapping:
-        model_kwargs["lag"] = _to_int("model.M", mapping["model.M"])
-    if "model.S" in mapping:
-        model_kwargs["memory"] = _to_int("model.S", mapping["model.S"])
-    if "model.bias_deg" in mapping:
-        model_kwargs["bias_deg"] = _to_float("model.bias_deg", mapping["model.bias_deg"])
-    if "model.bound_deg" in mapping:
-        raw = mapping["model.bound_deg"]
-        model_kwargs["bound_deg"] = None if raw.lower() in ("", "none") else _to_float(
-            "model.bound_deg", raw
-        )
-    if "model.bound_recursion" in mapping:
-        model_kwargs["bound_recursion"] = _to_bool(
-            "model.bound_recursion", mapping["model.bound_recursion"]
-        )
+        if key not in _KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+    sections: dict[str, dict] = {"": {}, "model": {}, "shared": {}, "hop1": {}, "hop2": {}}
+    for key, value in mapping.items():
+        section, name, parse = _KEYS[key]
+        sections[section][name] = parse(key, value)
     try:
-        model = NoiseModelSpec(**model_kwargs)
+        model = NoiseModelSpec(**sections["model"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    def hop_for(prefix: str) -> HopConfig:
-        kwargs = {}
-        for shared_key, hop_key in _SHARED_HOP_KEYS.items():
-            if shared_key in mapping:
-                attr, conv = _HOP_FIELDS[hop_key]
-                kwargs[attr] = conv(shared_key, mapping[shared_key])
-        for hop_key, (attr, conv) in _HOP_FIELDS.items():
-            full = f"{prefix}.{hop_key}"
-            if full in mapping:
-                kwargs[attr] = conv(full, mapping[full])
-        return HopConfig(**kwargs)
-
-    kwargs: dict = {"model": model, "hop1": hop_for("hop1"), "hop2": hop_for("hop2")}
-    if "key.source" in mapping:
-        kwargs["key_source"] = mapping["key.source"].strip().lower()
-    if "key.seed" in mapping:
-        kwargs["key_seed"] = _to_int("key.seed", mapping["key.seed"])
-    if "key.path" in mapping:
-        kwargs["key_path"] = mapping["key.path"]
-    if "dwell_s" in mapping:
-        kwargs["dwell_s"] = _to_float("dwell_s", mapping["dwell_s"])
-    if "carrier_hz" in mapping:
-        kwargs["carrier_hz"] = _to_float("carrier_hz", mapping["carrier_hz"])
-    if "duration_s" in mapping:
-        kwargs["duration_s"] = _to_float("duration_s", mapping["duration_s"])
-    if "calib.window_steps" in mapping:
-        kwargs["calib_window_steps"] = _to_int("calib.window_steps", mapping["calib.window_steps"])
-    if "tic.jitter_ns" in mapping:
-        kwargs["tic_jitter_ns"] = _to_float("tic.jitter_ns", mapping["tic.jitter_ns"])
-    if "seed" in mapping:
-        kwargs["seed"] = _to_int("seed", mapping["seed"])
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    shared = sections["shared"]
+    hop1 = HopConfig(**{**shared, **sections["hop1"]})
+    hop2 = HopConfig(**{**shared, **sections["hop2"]})
+    return ExperimentConfig(model=model, hop1=hop1, hop2=hop2, **sections[""])
 
 
 def with_model(config: ExperimentConfig, **model_changes) -> ExperimentConfig:

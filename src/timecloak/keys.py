@@ -6,6 +6,7 @@ key store that hands identical digits to parties A and B exactly once each.
 """
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,8 +15,11 @@ import numpy as np
 
 PARTIES = ("A", "B")
 
-_HEX = "0123456789abcdefABCDEF"
-_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+_NOT_HEX_OR_SPACE = re.compile(rb"[^0-9a-fA-F\s]")  # bytes \s is _WHITESPACE
+# hex character -> digit value, and digit value -> lowercase hex character
+_VALUES = bytes.maketrans(b"0123456789abcdefABCDEF", bytes(range(16)) + bytes(range(10, 16)))
+_CHARS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 
 
 class KeyExhaustedError(RuntimeError):
@@ -50,7 +54,7 @@ class HexKeyStream:
     def __post_init__(self) -> None:
         if isinstance(self.digits, (bytearray, memoryview)):
             self.digits = bytes(self.digits)
-        if any(d > 15 for d in self.digits):
+        if max(self.digits, default=0) > 15:
             raise ValueError("key digits must be in [0, 15]")
         if not 0 <= self.cursor <= len(self.digits):
             raise ValueError("cursor out of range")
@@ -88,7 +92,7 @@ class HexKeyStream:
 
     def to_hex(self) -> str:
         """Lowercase hex text, one character per digit (canonical file form)."""
-        return "".join(f"{d:x}" for d in self.digits)
+        return self.digits.translate(_CHARS).decode("ascii")
 
 
 def load_keys(path: str | Path) -> HexKeyStream:
@@ -100,17 +104,14 @@ def load_keys(path: str | Path) -> HexKeyStream:
     """
     p = Path(path)
     raw = p.read_bytes()
-    digits = bytearray()
-    for offset, byte in enumerate(raw):
-        if byte in _WHITESPACE:
-            continue
-        ch = chr(byte)
-        if ch not in _HEX:
-            raise HexParseError(f"{p}: invalid hex character {ch!r} at offset {offset}")
-        digits.append(int(ch, 16))
+    bad = _NOT_HEX_OR_SPACE.search(raw)
+    if bad is not None:
+        ch = chr(raw[bad.start()])
+        raise HexParseError(f"{p}: invalid hex character {ch!r} at offset {bad.start()}")
+    digits = raw.translate(_VALUES, _WHITESPACE)
     if not digits:
         raise HexParseError(f"{p}: no hexadecimal digits")
-    return HexKeyStream(bytes(digits), key_id=p.stem)
+    return HexKeyStream(digits, key_id=p.stem)
 
 
 def save_keys(stream: HexKeyStream, path: str | Path) -> None:

@@ -90,9 +90,10 @@ def feasibility_report(params: ChannelParams) -> LinkBudgetReport:
 
     feasible requires the stray load (background + dark) below the
     saturation rate, the per-pulse signal above the per-pulse background,
-    and the reported detector rate below saturation (the last holds by
-    construction for the dead-time response and is kept as a consistency
-    guard).
+    and the reported detector rate below saturation. The dead-time response
+    stays below saturation only in exact arithmetic: at an extreme incident
+    rate (mean_photon_mu=1e15 at 0 dB) it rounds to the saturation rate,
+    and the last term alone makes the verdict infeasible.
     """
     background_pp = counts_per_pulse(params.background_rate_cps, params.rep_rate_hz)
     signal_pp = signal_counts_per_pulse(

@@ -159,6 +159,16 @@ def white_phase(pair: Sequence[int], divisor: float = DEFAULT_DIVISOR) -> float:
     return _pair_value(hi, lo) / divisor
 
 
+def _signed_magnitude(triplet: Sequence[int], divisor: float, sign_threshold: int) -> float:
+    """+-magnitude of one walk triplet: the first digit against the threshold
+    picks the sign, the remaining pair the magnitude."""
+    sign_digit, hi, lo = triplet
+    if not 0 <= sign_digit <= 15:
+        raise ValueError("digits must be in [0, 15]")
+    magnitude = _pair_value(hi, lo) / divisor
+    return magnitude if sign_digit >= sign_threshold else -magnitude
+
+
 def rw_step(
     prev_phase_deg: float,
     triplet: Sequence[int],
@@ -167,13 +177,7 @@ def rw_step(
 ) -> float:
     """One signed walk step: first digit picks the direction, the remaining
     pair the magnitude."""
-    sign_digit, hi, lo = triplet
-    if not 0 <= sign_digit <= 15:
-        raise ValueError("digits must be in [0, 15]")
-    magnitude = _pair_value(hi, lo) / divisor
-    if sign_digit >= sign_threshold:
-        return prev_phase_deg + magnitude
-    return prev_phase_deg - magnitude
+    return prev_phase_deg + _signed_magnitude(triplet, divisor, sign_threshold)
 
 
 def bound_phase(phase_deg: float, bound_deg: float) -> float:
@@ -209,14 +213,10 @@ def rw_lag_step(
     if index < 0 or len(history) < index:
         raise ValueError("history must hold all phases before `index`")
     prev = history[index - 1] if index > 0 else bias_deg
+    step = _signed_magnitude(triplet, divisor, sign_threshold)
     if index <= lag:
-        return rw_step(prev, triplet, divisor, sign_threshold)
-    sign_digit, hi, lo = triplet
-    magnitude = _pair_value(hi, lo) / divisor
-    echo = _sign(history[index - lag] - history[index - lag - 1])
-    if sign_digit >= sign_threshold:
-        return prev + echo * magnitude
-    return prev - echo * magnitude
+        return prev + step
+    return prev + _sign(history[index - lag] - history[index - lag - 1]) * step
 
 
 def rw_mem_step(
@@ -237,18 +237,15 @@ def rw_mem_step(
     if index < 0 or len(history) < index:
         raise ValueError("history must hold all phases before `index`")
     prev = history[index - 1] if index > 0 else bias_deg
+    step = _signed_magnitude(triplet, divisor, sign_threshold)
     if index < memory:
-        return rw_step(prev, triplet, divisor, sign_threshold)
-    sign_digit, hi, lo = triplet
-    magnitude = _pair_value(hi, lo) / divisor
-    if sign_digit < sign_threshold:
-        magnitude = -magnitude
+        return prev + step
     increments = 0.0
     for j in range(1, memory + 1):
         newer = history[index - j]
         older = history[index - j - 1] if index - j - 1 >= 0 else bias_deg
         increments += newer - older
-    return prev + (increments + magnitude) / memory
+    return prev + (increments + step) / memory
 
 
 def _validate_window(model: NoiseModelSpec, n_steps: int) -> None:

@@ -33,7 +33,6 @@ class SimClock:
     true_offset_ns: float = 0.0
     drift_ppb: float = 0.0
     jitter_ns_rms: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.jitter_ns_rms < 0:
@@ -146,7 +145,11 @@ class SessionRound(NamedTuple):
 
 
 def _jitter(
-    master: SimClock, slave: SimClock, link: LinkModel, n_rounds: int, rng: np.random.Generator
+    master: SimClock,
+    slave: SimClock,
+    link: LinkModel,
+    n_rounds: int,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
     """Noise on the two reception timestamps of every round: row 0 for t2,
     row 1 for t4.
@@ -155,6 +158,8 @@ def _jitter(
     exchange() consumes it: for t2 the link, then the slave clock; for t4
     the link, then the master clock. Sources without jitter draw nothing.
     Each row is summed from 0.0 source by source, as exchange() sums it.
+    Like exchange(), a noisy session needs a generator; a noiseless one
+    draws nothing and needs none.
     """
     sources = (
         (0, link.jitter_ns_rms),
@@ -165,6 +170,8 @@ def _jitter(
     active = [(row, sigma) for row, sigma in sources if sigma > 0]
     noise = np.zeros((2, n_rounds))
     if active:
+        if rng is None:
+            raise ValueError("a noisy session needs a random generator (rng)")
         draws = rng.standard_normal((n_rounds, len(active)))
         for j, (row, sigma) in enumerate(active):
             noise[row] += sigma * draws[:, j]
@@ -196,8 +203,6 @@ def _session(
         raise ValueError("round_interval_s must be > 0")
     if not 0 < gain < 2:
         raise ValueError(f"gain must be in (0, 2), got {gain!r}")
-    if rng is None:
-        rng = np.random.default_rng((master.rng_seed, slave.rng_seed))
     noise = _jitter(master, slave, link, n_rounds, rng)
     slave_drift = master.drift_ppb if synce_locked else slave.drift_ppb
     drift_rel = slave_drift - master.drift_ppb
@@ -248,7 +253,8 @@ def iter_sync_rounds(
     runs at the master's rate; otherwise the relative drift accumulates
     between rounds (1 ppb adds 1 ns per second). All jitter is drawn from
     rng when this is called, in the order per-round exchange() calls on a
-    shared generator would draw it.
+    shared generator would draw it; a noisy session without rng raises
+    ValueError.
     """
     rounds = _session(master, slave, link, n_rounds, round_interval_s, **kwargs)
     return (

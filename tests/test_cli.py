@@ -98,6 +98,13 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "duration_s" in err[0]
 
+    def test_overflowing_delays_fail_cleanly(self, tmp_path, capsys):
+        # finite, but t3 + delay_bwd_ns overflows to inf inside the session
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "duration_s=50"]
+        for item in ("hop1.delay_fwd_ns=1.7e308", "hop1.delay_bwd_ns=1.7e308"):
+            argv += ["--set", item]
+        _assert_clean_failure(argv, capsys)
+
     def test_calibration_estimate_printed(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_RUN + "calib.window_steps = 20\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -257,6 +264,13 @@ class TestAdevIngest:
     def test_non_finite_time_step_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "series.csv"
         src.write_text("time_s,error_ns\n0,1.0\ninf,2.0\n2,0.5\n")
+        _assert_clean_failure(["adev", "--input", str(src)], capsys)
+
+    def test_overflowing_allan_sum_fails_cleanly(self, tmp_path, capsys):
+        # each squared second difference is finite; their sum is not
+        src = tmp_path / "series.csv"
+        rows = "".join(f"{i},{6e162 if i % 2 else 0}\n" for i in range(40))
+        src.write_text("time_s,error_ns\n" + rows)
         _assert_clean_failure(["adev", "--input", str(src)], capsys)
 
 

@@ -2,7 +2,7 @@ import re
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,6 +23,36 @@ def _write_key(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
     return path
+
+
+_KEY_TEXT = b"0123456789abcdefABCDEF \t\r\n\x0b\x0c"
+
+
+def _load_keys_oracle(raw: bytes) -> bytes | str:
+    """A byte-by-byte reading of key text: the digit values, or the error
+    text (without the path) that load_keys must raise."""
+    digits = bytearray()
+    for offset, byte in enumerate(raw):
+        if byte in b" \t\r\n\x0b\x0c":
+            continue
+        ch = chr(byte)
+        if ch not in "0123456789abcdefABCDEF":
+            return f"invalid hex character {ch!r} at offset {offset}"
+        digits.append(int(ch, 16))
+    return bytes(digits) if digits else "no hexadecimal digits"
+
+
+def _assert_matches_oracle(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    expected = _load_keys_oracle(raw)
+    if isinstance(expected, str):
+        with pytest.raises(HexParseError) as info:
+            load_keys(path)
+        assert str(info.value) == f"{path}: {expected}"
+    else:
+        stream = load_keys(path)
+        assert stream.digits == expected
+        assert stream.to_hex() == "".join(f"{d:x}" for d in expected)
 
 
 class TestLoadKeys:
@@ -46,6 +76,22 @@ class TestLoadKeys:
     def test_empty_file(self, tmp_path):
         with pytest.raises(HexParseError, match="no hexadecimal digits"):
             load_keys(_write_key(tmp_path, "empty.hex", " \n "))
+
+    def test_every_byte_value_matches_oracle(self, tmp_path):
+        for byte in range(256):
+            _assert_matches_oracle(tmp_path / "k.hex", b"a " + bytes([byte]) + b"F")
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(_KEY_TEXT), st.integers(0, 255)), max_size=64).map(
+            bytes
+        )
+    )
+    @example(b"\x00")
+    @example(b"ab\x85")
+    @example(b"\t0F\xff")
+    @example(b"\x0b\x0c \r\n")
+    def test_matches_byte_by_byte_oracle(self, tmp_path_factory, raw):
+        _assert_matches_oracle(tmp_path_factory.mktemp("oracle") / "k.hex", raw)
 
     @given(st.binary(min_size=1, max_size=256).map(lambda b: bytes(v % 16 for v in b)))
     def test_round_trip_through_file(self, tmp_path_factory, digits):

@@ -100,6 +100,15 @@ class TestFeasibilityReport:
         report = feasibility_report(ChannelParams(background_rate_cps=50_000.0))
         assert not report.feasible
 
+    def test_observed_rate_rounding_to_saturation_kills_feasibility(self):
+        # the dead-time response stays below 1/dead_time only in exact
+        # arithmetic: at an extreme incident rate it rounds to saturation,
+        # and the total < saturation term alone makes the verdict
+        report = feasibility_report(ChannelParams(mean_photon_mu=1e15, loss_db=0.0))
+        assert report.total_rate_cps == report.saturation_cps == 40_000.0
+        assert report.signal_per_pulse > report.background_per_pulse
+        assert not report.feasible
+
     @given(
         st.floats(min_value=0.0, max_value=60.0),
         st.floats(min_value=0.0, max_value=20.0),

@@ -132,6 +132,23 @@ class TestRwMemStep:
             rw_mem_step([0.0, 1.0], 5, (9, 0, 4), memory=3)
 
 
+_WALK_STEPS = {
+    "rw": lambda t: rw_step(0.0, t),
+    "rw_lag_before_lag": lambda t: rw_lag_step([], 0, t, lag=2),
+    "rw_lag_past_lag": lambda t: rw_lag_step([0.0, 5.0, 4.0, 7.0], 4, t, lag=2),
+    "rw_mem_before_memory": lambda t: rw_mem_step([], 0, t, memory=3),
+    "rw_mem_past_memory": lambda t: rw_mem_step([0.0, 1.0, 3.0, 2.0], 4, t, memory=3),
+}
+
+
+@pytest.mark.parametrize("step", _WALK_STEPS.values(), ids=_WALK_STEPS.keys())
+@pytest.mark.parametrize("sign_digit", [-1, 16, 99])
+def test_walk_steps_reject_sign_digit_out_of_range(step, sign_digit):
+    assert math.isfinite(step((9, 1, 2)))
+    with pytest.raises(ValueError, match=r"digits must be in \[0, 15\]"):
+        step((sign_digit, 1, 2))
+
+
 class TestGenerateSchedule:
     def test_white_from_known_digits(self):
         stream = HexKeyStream(bytes([15, 15, 0, 0, 2, 8]))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -183,11 +183,21 @@ class TestOverlappingAdev:
         curve = overlapping_adev(series)
         assert list(curve.taus_s) == [1.0, 2.0, 4.0, 8.0, 16.0]
 
+    # Nonzero samples of at least 1e-100 in size keep every nonzero squared
+    # second difference a normal float; subnormal ones lose relative
+    # precision when scaled, and the property no longer holds.
     @given(
-        st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=8, max_size=40),
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).filter(
+                lambda v: v == 0.0 or abs(v) >= 1e-100
+            ),
+            min_size=8,
+            max_size=40,
+        ),
         st.floats(min_value=0.01, max_value=100.0),
     )
     @settings(max_examples=100, deadline=None)
+    @example(values=[0.0] * 7 + [1e-100], scale=0.01171875)
     def test_scale_equivariance(self, values, scale):
         base = overlapping_adev(TimeErrorSeries(np.array(values), 1.0))
         scaled = overlapping_adev(TimeErrorSeries(np.array(values) * scale, 1.0))

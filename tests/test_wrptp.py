@@ -185,11 +185,12 @@ class TestRunSyncSession:
         sigma = 4.0
         n = 20_000
         series = run_sync_session(
-            SimClock(rng_seed=3),
-            SimClock(true_offset_ns=100.0, rng_seed=4),
+            SimClock(),
+            SimClock(true_offset_ns=100.0),
             LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=sigma),
             n_rounds=n,
             round_interval_s=1.0,
+            rng=np.random.default_rng((3, 4)),
         )
         residuals = series.samples_ns[1:]
         expected_rms = sigma / math.sqrt(2.0)
@@ -230,6 +231,12 @@ class TestRunSyncSession:
         assert isinstance(series, TimeErrorSeries)
         assert len(series) == 7
         assert series.tau0_s == 5.0
+
+    def test_noisy_session_needs_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            run_sync_session(SimClock(), SimClock(), LinkModel(jitter_ns_rms=1.0), 5, 1.0)
+        with pytest.raises(ValueError, match="rng"):
+            iter_sync_rounds(SimClock(), SimClock(jitter_ns_rms=0.5), LinkModel(), 5, 1.0)
 
 
 def _reference_rounds(
@@ -328,6 +335,7 @@ class TestSessionCsv:
     def test_deterministic_bytes(self, tmp_path):
         kwargs = dict(n_rounds=50, round_interval_s=1.0)
         link = LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=1.5)
-        write_session_csv(tmp_path / "a.csv", SimClock(rng_seed=1), SimClock(rng_seed=2), link, **kwargs)
-        write_session_csv(tmp_path / "b.csv", SimClock(rng_seed=1), SimClock(rng_seed=2), link, **kwargs)
+        for name in ("a.csv", "b.csv"):
+            rng = np.random.default_rng((1, 2))
+            write_session_csv(tmp_path / name, SimClock(), SimClock(), link, rng=rng, **kwargs)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
