@@ -1,8 +1,8 @@
 """Golden outputs: SHA-256 of every file `emit_outputs` writes for a fixed
 config matrix, compared with the digests stored in tests/golden/.
 
-The matrix covers the four noise kinds, each unbounded and bounded, a
-walk whose recursion runs on the bounded state, one config with noisy,
+The matrix covers the four noise kinds, each unbounded and bounded, each
+walk with its recursion on the bounded state, one config with noisy,
 quantized hops and one with a calibration window. The `timecloak adev`
 cases hash the curve it writes to a file and to standard output for a
 fixed series, with tau0 inferred from its time_s column and given by
@@ -49,9 +49,9 @@ def _cases() -> dict[str, ExperimentConfig]:
             label = "bounded" if bound else "unbounded"
             model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=bound)
             cases[f"{kind.value}_{label}"] = _config(model)
-    cases["rw_bound_recursion"] = _config(
-        NoiseModelSpec(kind=NoiseKind.RANDOM_WALK, bound_deg=90.0, bound_recursion=True)
-    )
+    for kind in (NoiseKind.RANDOM_WALK, NoiseKind.RW_LAG, NoiseKind.RW_MEMORY):
+        model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=90.0, bound_recursion=True)
+        cases[f"{kind.value}_bound_recursion"] = _config(model)
     cases["rw_noisy_quantized_hops"] = _config(
         NoiseModelSpec(kind=NoiseKind.RANDOM_WALK),
         hop1=HopConfig(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecloak.keys import HexKeyStream, KeyExhaustedError, mock_qkd_source
@@ -239,50 +239,83 @@ class TestGenerateSchedule:
 
 
 def _reference_schedule(stream, model, n_steps):
-    """The white and plain-walk schedules built step by step from
-    white_phase, rw_step and bound_phase."""
+    """Every schedule built step by step from white_phase, rw_step,
+    rw_lag_step, rw_mem_step and bound_phase, the walks indexing a growing
+    history of their states."""
     bound = model.bound_deg
     if model.kind is NoiseKind.WHITE:
         raw = [white_phase(pair, model.divisor) for pair in stream.take_pairs(n_steps)]
         return [bound_phase(p, bound) for p in raw] if bound else raw
-    prev = model.bias_deg
+    state = []
     emitted = []
-    for triplet in stream.take_triplets(n_steps):
-        value = rw_step(prev, triplet, model.divisor, model.sign_threshold)
+    for i, triplet in enumerate(stream.take_triplets(n_steps)):
+        if model.kind is NoiseKind.RANDOM_WALK:
+            prev = state[-1] if state else model.bias_deg
+            value = rw_step(prev, triplet, model.divisor, model.sign_threshold)
+        elif model.kind is NoiseKind.RW_LAG:
+            value = rw_lag_step(
+                state, i, triplet, model.lag, model.divisor, model.sign_threshold, model.bias_deg
+            )
+        else:
+            value = rw_mem_step(
+                state, i, triplet, model.memory, model.divisor, model.sign_threshold, model.bias_deg
+            )
         if bound is None:
-            prev = value
+            state.append(value)
             emitted.append(value)
         elif model.bound_recursion:
-            prev = bound_phase(value, bound)
-            emitted.append(prev)
+            state.append(bound_phase(value, bound))
+            emitted.append(state[-1])
         else:
-            prev = value
+            state.append(value)
             emitted.append(bound_phase(value, bound))
     return emitted
 
 
-class TestArraySchedulesMatchStepwise:
-    @given(
-        kind=st.sampled_from([NoiseKind.WHITE, NoiseKind.RANDOM_WALK]),
-        digits=st.binary(max_size=300).map(lambda b: bytes(x % 16 for x in b)),
-        divisor=st.floats(min_value=0.01, max_value=1e3),
-        sign_threshold=st.integers(min_value=0, max_value=15),
-        bias_deg=st.floats(min_value=-1e4, max_value=1e4),
-        bound_deg=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=720.0)),
-        bound_recursion=st.booleans(),
+_WINDOWED = (NoiseKind.RW_LAG, NoiseKind.RW_MEMORY)
+
+
+@st.composite
+def _models_and_digits(draw):
+    """A model of any kind with its key digits; lag and memory are drawn
+    in [2, n_steps-2], the range generate_schedule accepts."""
+    kind = draw(st.sampled_from(list(NoiseKind)))
+    per_step = 2 if kind is NoiseKind.WHITE else 3
+    min_size = 4 * per_step if kind in _WINDOWED else 0
+    raw = draw(st.binary(min_size=min_size, max_size=300))
+    digits = bytes(x % 16 for x in raw)
+    window = draw(st.integers(2, len(digits) // per_step - 2)) if kind in _WINDOWED else None
+    model = NoiseModelSpec(
+        kind=kind,
+        divisor=draw(st.floats(min_value=0.01, max_value=1e3)),
+        sign_threshold=draw(st.integers(min_value=0, max_value=15)),
+        lag=window,
+        memory=window,
+        # near 1e17 one ulp is 16 degrees, so small steps are absorbed
+        bias_deg=draw(st.floats(min_value=-1e17, max_value=1e17)),
+        bound_deg=draw(st.one_of(st.none(), st.floats(min_value=1e-3, max_value=720.0))),
+        bound_recursion=draw(st.booleans()),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_stepwise_loop(
-        self, kind, digits, divisor, sign_threshold, bias_deg, bound_deg, bound_recursion
-    ):
-        model = NoiseModelSpec(
-            kind=kind,
-            divisor=divisor,
-            sign_threshold=sign_threshold,
-            bias_deg=bias_deg,
-            bound_deg=bound_deg,
-            bound_recursion=bound_recursion,
+    return model, digits
+
+
+# steps of 1, 63.75, -2, -60 and 0.25 degrees: near 1e17 the small ones are absorbed
+_ABSORBED_DIGITS = bytes([9, 0, 4, 9, 15, 15, 7, 0, 8, 3, 15, 0, 12, 0, 1]) * 4
+
+
+class TestArraySchedulesMatchStepwise:
+    @given(case=_models_and_digits())
+    @example(case=(NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=3, bias_deg=1e17), _ABSORBED_DIGITS))
+    @example(
+        case=(
+            NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=2, bias_deg=-1e17, bound_deg=360.0),
+            _ABSORBED_DIGITS,
         )
+    )
+    @example(case=(NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=4, bias_deg=-0.0), bytes(30)))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_stepwise_loop(self, case):
+        model, digits = case
         n_steps = len(digits) // model.digits_per_step
         stream, reference = HexKeyStream(digits), HexKeyStream(digits)
         schedule = generate_schedule(stream, model, n_steps)
