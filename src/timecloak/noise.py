@@ -19,10 +19,22 @@ bound_deg * sin(raw phase) while the recursion keeps evolving on the raw,
 unbounded state (the bounded-state variant is available as a switch).
 Phases are carried in degrees throughout; radians appear only inside the
 sine bound.
+
+generate_schedule decodes the digits of a schedule once and gives the same
+values, bit for bit, as the single-step functions (white_phase, rw_step,
+rw_lag_step, rw_mem_step, bound_phase), which stay as the reference. The
+white model and the plain walk are array operations. So is the lag walk
+on its raw state: the sign it echoes is a product of step signs along
+stride lag, so every increment is known before the running sum. Near a
+huge phase (1e17 degrees, where one ulp is 16) a small step can vanish,
+the echoed sign is then 0 instead of the step's, and that schedule falls
+back to the step-by-step loop. The loop also builds the memory walk and
+every walk whose recursion runs on the bounded state.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -271,50 +283,18 @@ def generate_schedule(
     With a bound set, the emitted phase is the sine-bounded value while the
     recursion evolves on the raw state (unless bound_recursion is set, in
     which case the bounded value is fed back).
+
+    Every value equals what white_phase, rw_step, rw_lag_step, rw_mem_step
+    and bound_phase give step by step. The digits are decoded once:
+    magnitudes are exact integers divided once, and the signed steps go to
+    array operations or to one sequential loop, see _walk_loop.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if n_steps == 0:
         return PhaseSchedule((), dwell_s, carrier_hz)
-
-    if model.kind in (NoiseKind.WHITE, NoiseKind.RANDOM_WALK):
-        return PhaseSchedule(_array_schedule(stream, model, n_steps), dwell_s, carrier_hz)
-
     _validate_window(model, n_steps)
-    bound = model.bound_deg
-    state: list[float] = []
-    emitted = []
-    for i, triplet in enumerate(stream.take_triplets(n_steps)):
-        if model.kind is NoiseKind.RW_LAG:
-            value = rw_lag_step(
-                state, i, triplet, model.lag, model.divisor, model.sign_threshold, model.bias_deg
-            )
-        else:
-            value = rw_mem_step(
-                state, i, triplet, model.memory, model.divisor, model.sign_threshold, model.bias_deg
-            )
-        if bound is None:
-            state.append(value)
-            emitted.append(value)
-        elif model.bound_recursion:
-            b = bound_phase(value, bound)
-            state.append(b)
-            emitted.append(b)
-        else:
-            state.append(value)
-            emitted.append(bound_phase(value, bound))
-    return PhaseSchedule(tuple(emitted), dwell_s, carrier_hz)
 
-
-def _array_schedule(stream: HexKeyStream, model: NoiseModelSpec, n_steps: int) -> list[float]:
-    """Emitted phases of the white and plain-walk models, built with array
-    operations on the decoded digits.
-
-    Each value equals what white_phase, rw_step and bound_phase give step
-    by step: magnitudes are exact integers divided once, and the walk is a
-    running sum seeded with the bias. Only a walk whose recursion runs on
-    the bounded state needs a step-by-step loop.
-    """
     digits = stream.take_digits(n_steps, model.digits_per_step)
     pairs = digits[:, -2:].astype(np.float64)
     magnitudes = (16.0 * pairs[:, 0] + pairs[:, 1]) / model.divisor
@@ -323,17 +303,94 @@ def _array_schedule(stream: HexKeyStream, model: NoiseModelSpec, n_steps: int) -
         raw = magnitudes
     else:
         steps = np.where(digits[:, 0] >= model.sign_threshold, magnitudes, -magnitudes)
-        if bound is not None and model.bound_recursion:
-            phase = model.bias_deg
-            emitted = []
-            for step in steps.tolist():
-                phase = bound_phase(phase + step, bound)
-                emitted.append(phase)
-            return emitted
-        raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
+        on_raw_state = bound is None or not model.bound_recursion
+        if model.kind is NoiseKind.RANDOM_WALK and on_raw_state:
+            raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
+        elif model.kind is NoiseKind.RW_LAG and on_raw_state:
+            raw = _lag_walk(steps, model.lag, model.bias_deg)
+        else:
+            raw = None
+        if raw is None:
+            return PhaseSchedule(_walk_loop(steps.tolist(), model), dwell_s, carrier_hz)
     if bound is None:
-        return raw.tolist()
-    return [bound_phase(p, bound) for p in raw.tolist()]
+        return PhaseSchedule(raw.tolist(), dwell_s, carrier_hz)
+    phases = [bound * math.sin(math.radians(p)) for p in raw.tolist()]
+    return PhaseSchedule(phases, dwell_s, carrier_hz)
+
+
+def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None:
+    """Raw phases of the lag-correlated walk from array operations, or None
+    when a step was absorbed by a large phase.
+
+    Past the lag, step i is multiplied by the sign of increment i-lag. That
+    sign is a product of step signs along stride lag: c_j = sign(step_j)
+    for 1 <= j <= lag and c_j = c_{j-lag} * sign(step_j) past it, computed
+    as an int8 cumulative product down rows of lag (integers, so no -0.0
+    factor appears). The phases are one running sum seeded with the bias.
+    This holds while every phase moves in the direction of its step; if one
+    does not (a step vanished into a phase such as 1e17), the signs of the
+    actual increments differ from c and the caller falls back to the loop.
+    When all signs agree, the loop would have used the same factors, so the
+    sums are identical.
+    """
+    n = len(steps)
+    rows = -(-(n - 1) // lag)
+    signs = np.ones(rows * lag, dtype=np.int8)
+    signs[: n - 1] = np.sign(steps[1:])
+    chain = np.cumprod(signs.reshape(rows, lag), axis=0, dtype=np.int8).ravel()[: n - 1]
+    increments = steps.copy()
+    increments[lag + 1 :] *= chain[: n - lag - 1]
+    raw = np.cumsum(np.concatenate(([bias_deg], increments)))[1:]
+    if np.any(np.sign(np.diff(raw)) != chain):
+        return None
+    return raw
+
+
+def _walk_loop(steps: list[float], model: NoiseModelSpec) -> list[float]:
+    """Emitted phases of any walk, one step at a time: the kernel for the
+    memory walk, for walks whose recursion runs on the bounded state, and
+    for a lag walk whose steps a large phase absorbs.
+
+    The first steps (up to the lag, before the memory, all of a plain walk)
+    are plain walk steps. The window holds the last lag or memory
+    increments (state - previous state), newest first. The memory walk sums
+    them from 0.0 newest first, as rw_mem_step does; the sum is not
+    telescoped into a difference of two phases, which would round
+    differently.
+    """
+    lagged = model.kind is NoiseKind.RW_LAG
+    if lagged:
+        depth, plain = model.lag, model.lag + 1
+    elif model.kind is NoiseKind.RW_MEMORY:
+        depth = plain = model.memory
+    else:
+        depth, plain = 0, len(steps)
+    window: deque[float] = deque(maxlen=depth)
+    bound = model.bound_deg
+    feed_back = bound is not None and model.bound_recursion
+    prev = model.bias_deg
+    emitted = []
+    for i, step in enumerate(steps):
+        if i < plain:
+            value = prev + step
+        elif lagged:
+            oldest = window[-1]  # the increment `lag` steps back
+            value = prev + ((oldest > 0) - (oldest < 0)) * step
+        else:
+            total = 0.0
+            for increment in window:
+                total += increment
+            value = prev + (total + step) / depth
+        if bound is not None:
+            bounded = bound * math.sin(math.radians(value))
+            emitted.append(bounded)
+            if feed_back:
+                value = bounded
+        else:
+            emitted.append(value)
+        window.appendleft(value - prev)
+        prev = value
+    return emitted
 
 
 def phase_to_delay(phase_deg, carrier_hz: float = DEFAULT_CARRIER_HZ):
