@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error (also arithmetic overflow),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -149,10 +150,11 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
     The header is the first non-blank line, with a leading '#' dropped (the
     commented header np.savetxt writes). np.loadtxt parses only the needed
     columns; it skips blank lines and '#' comments and rejects an empty or
-    non-numeric cell.
+    non-numeric cell. Its error counts data rows only, so the message names
+    the file line instead, found by _first_rejected_line.
     """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for header_lines, line in enumerate(fh, 1):
             header = line.strip().removeprefix("#").strip()
             if header:
                 break
@@ -172,12 +174,32 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
             try:
                 table = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
             except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+                fh.seek(0)
+                rows = fh.readlines()[header_lines:]
+                line_no = header_lines + 1 + _first_rejected_line(rows, columns)
+                reason = re.sub(r" at row \d+", "", str(exc))
+                raise ConfigError(f"{path}: line {line_no}: {reason}") from None
     if tau0 is None:
         if len(table) < 2:
             raise ConfigError("need at least two rows to infer tau0")
         tau0 = float(table[1, 1] - table[0, 1])
     return TimeErrorSeries(table[:, 0], tau0)
+
+
+def _first_rejected_line(lines: list[str], columns: list[int]) -> int:
+    """Index of the first of lines that np.loadtxt rejects, given that it
+    rejects one. Whether a line is rejected depends on that line alone, so
+    halving the range that holds it takes about one more pass over lines."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt(lines[lo:mid], delimiter=",", usecols=columns, ndmin=2)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def _cmd_adev(args) -> int:

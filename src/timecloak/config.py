@@ -14,23 +14,15 @@ checks live in the dataclasses' ``__post_init__``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .noise import NoiseKind, NoiseModelSpec, parse_noise_kind
-from .wrptp import DEFAULT_TURNAROUND_NS
+from .wrptp import DEFAULT_TURNAROUND_NS, require_finite
 
 
 class ConfigError(ValueError):
     """Invalid configuration key, value, or combination."""
-
-
-def _require_finite(config) -> None:
-    """Reject NaN and +-inf in every float field of a config dataclass."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{type(config).__name__}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +38,7 @@ class HopConfig:
     bias_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(self, ConfigError)
         if not 0 < self.gain < 2:
             # the proportional servo diverges outside this range
             raise ConfigError(f"servo gain must be in (0, 2), got {self.gain!r}")
@@ -70,7 +62,7 @@ class ExperimentConfig:
     hop2: HopConfig = field(default_factory=HopConfig)  # encrypting site -> reference site
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(self, ConfigError)
         if self.key_source not in ("mock", "file"):
             raise ConfigError(f"key.source must be 'mock' or 'file', got {self.key_source!r}")
         if self.key_source == "file" and not self.key_path:
@@ -82,6 +74,10 @@ class ExperimentConfig:
         if self.tic_jitter_ns < 0:
             raise ConfigError("tic.jitter_ns must be >= 0")
         steps = self.duration_s / self.dwell_s
+        if not math.isfinite(steps):
+            raise ConfigError(
+                f"duration_s / dwell_s must be finite, got {self.duration_s!r} / {self.dwell_s!r}"
+            )
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("duration_s must be an integer multiple of dwell_s")
         if self.calib_window_steps >= round(steps):

@@ -152,31 +152,30 @@ class KmsStore:
     _FLAGS_FILE = "consumed.txt"
 
     def __init__(self, directory: str | Path | None = None):
+        """An in-memory store, or one backed by a directory. The key files and
+        consumption flags already in the directory are loaded, so a party
+        never gets a key again that it consumed before the store was opened."""
         self._lock = threading.Lock()
         self._entries: dict[str, _StoreEntry] = {}
         self._dir = Path(directory) if directory is not None else None
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
+        if self._dir is None:
+            return
+        self._dir.mkdir(parents=True, exist_ok=True)
+        for key_file in sorted(self._dir.glob("*.hex")):
+            stream = load_keys(key_file)
+            self._entries[stream.key_id] = _StoreEntry(stream.digits)
+        flags = self._dir / self._FLAGS_FILE
+        if flags.exists():
+            for line in flags.read_text().splitlines():
+                key_id, _, party = line.strip().partition(",")
+                entry = self._entries.get(key_id)
+                if entry is not None:
+                    entry.consumed.add(party)
 
     @classmethod
     def open_dir(cls, directory: str | Path) -> "KmsStore":
-        """Load a directory-backed store, replaying persisted consumption flags."""
-        store = cls(directory)
-        assert store._dir is not None
-        for key_file in sorted(store._dir.glob("*.hex")):
-            stream = load_keys(key_file)
-            store._entries[stream.key_id] = _StoreEntry(stream.digits)
-        flags = store._dir / cls._FLAGS_FILE
-        if flags.exists():
-            for line in flags.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                key_id, _, party = line.partition(",")
-                entry = store._entries.get(key_id)
-                if entry is not None:
-                    entry.consumed.add(party)
-        return store
+        """A directory-backed store: the same as KmsStore(directory)."""
+        return cls(directory)
 
     def key_ids(self) -> list[str]:
         with self._lock:
@@ -185,11 +184,13 @@ class KmsStore:
     def add(self, stream: HexKeyStream) -> None:
         """Register a key under its id, persisting it when directory-backed."""
         with self._lock:
-            if stream.key_id in self._entries:
+            key_file = None if self._dir is None else self._dir / f"{stream.key_id}.hex"
+            # the file check catches a key another store added to the directory
+            if stream.key_id in self._entries or (key_file is not None and key_file.exists()):
                 raise ValueError(f"key id {stream.key_id!r} already stored")
             self._entries[stream.key_id] = _StoreEntry(stream.digits)
-            if self._dir is not None:
-                save_keys(stream, self._dir / f"{stream.key_id}.hex")
+            if key_file is not None:
+                save_keys(stream, key_file)
 
     def get(self, key_id: str, party: str) -> HexKeyStream:
         """Retrieve a key for one party, marking it consumed for that party."""

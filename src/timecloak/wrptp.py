@@ -14,7 +14,8 @@ modeled as the slave sharing the master's drift while a session runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -23,6 +24,14 @@ import numpy as np
 from .stability import TimeErrorSeries
 
 DEFAULT_TURNAROUND_NS = 1000
+
+
+def require_finite(obj, error: type[ValueError] = ValueError) -> None:
+    """Reject NaN and +-inf in every float field of a dataclass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,7 @@ class SimClock:
     jitter_ns_rms: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.jitter_ns_rms < 0:
             raise ValueError("jitter_ns_rms must be >= 0")
 
@@ -50,6 +60,7 @@ class LinkModel:
     quantization_ns: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.delay_forward_ns < 0 or self.delay_backward_ns < 0:
             raise ValueError("link delays must be >= 0")
         if self.jitter_ns_rms < 0:

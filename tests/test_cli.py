@@ -255,6 +255,26 @@ class TestAdevIngest:
         src.write_text("time_s,error_ns\n" + "\n".join(rows) + "\n")
         _assert_clean_failure(["adev", "--input", str(src)], capsys)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "\n\ntime_s,error_ns\n# site B\n0,1\n\n# gap\n1,2\n2,x\n3,4\n",
+                "line 9: could not convert string 'x' to float64, column 2.",
+            ),
+            ("time_s,error_ns\r\n0,1\r\n# note\r\n1\r\n2,3\r\n", "line 4: invalid column index 1"),
+        ],
+        ids=["bad_cell", "short_row"],
+    )
+    def test_error_names_the_file_line(self, text, message, tmp_path, capsys):
+        # np.loadtxt's own message counts data rows, skipping blank and comment lines
+        src = tmp_path / "series.csv"
+        src.write_bytes(text.encode("ascii"))
+        assert main(["adev", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {src}: {message}") and "row" not in captured.err
+
     @pytest.mark.parametrize("tau0", ["inf", "-inf", "nan"])
     def test_non_finite_tau0_fails_cleanly(self, tau0, tmp_path, capsys):
         src = tmp_path / "series.csv"

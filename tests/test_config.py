@@ -230,6 +230,10 @@ FAULTS = {
     "memory_walk_without_depth": ({"model.kind": "rw_mem"}, "RW_MEMORY model needs a memory depth"),
     "bad_threshold": ({"model.T": "16"}, "sign_threshold must be a hex digit in [0, 15]"),
     "uneven_duration": ({"duration_s": "12"}, "duration_s must be an integer multiple of dwell_s"),
+    "overflowing_step_count": (
+        {"duration_s": "1e308", "dwell_s": "1e-10"},
+        "duration_s / dwell_s must be finite, got 1e+308 / 1e-10",
+    ),
 }
 
 

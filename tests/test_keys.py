@@ -251,6 +251,28 @@ class TestKmsStore:
             reopened.get("mock-5", "A")
         assert reopened.get("mock-5", "B").digits == mock_qkd_source(5, 16).digits
 
+    def test_reopening_with_the_constructor_keeps_consumption(self, tmp_path):
+        store = KmsStore(tmp_path / "kms")
+        store.add(mock_qkd_source(1, 16))
+        store.get("mock-1", "A")
+
+        reopened = KmsStore(tmp_path / "kms")
+        assert reopened.key_ids() == ["mock-1"]
+        with pytest.raises(ValueError, match="already stored"):
+            reopened.add(mock_qkd_source(1, 16))
+        with pytest.raises(KeyConsumedError):
+            reopened.get("mock-1", "A")
+        assert reopened.get("mock-1", "B").digits == mock_qkd_source(1, 16).digits
+
+    def test_add_refuses_a_key_another_store_wrote(self, tmp_path):
+        first, second = KmsStore(tmp_path / "kms"), KmsStore(tmp_path / "kms")
+        first.add(mock_qkd_source(1, 16))
+        first.get("mock-1", "A")
+        with pytest.raises(ValueError, match="already stored"):
+            second.add(mock_qkd_source(1, 16))
+        with pytest.raises(UnknownKeyError):
+            second.get("mock-1", "A")
+
     def test_concurrent_gets_consume_exactly_once(self):
         store = KmsStore()
         store.add(mock_qkd_source(11, 64))

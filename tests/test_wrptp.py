@@ -21,6 +21,23 @@ from timecloak.wrptp import (
 )
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (SimClock, "true_offset_ns"),
+        (SimClock, "drift_ppb"),
+        (SimClock, "jitter_ns_rms"),
+        (LinkModel, "delay_forward_ns"),
+        (LinkModel, "delay_backward_ns"),
+        (LinkModel, "jitter_ns_rms"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fields_rejected(make, field, value):
+    with pytest.raises(ValueError, match=rf"^{make.__name__}\.{field} must be finite, got {value!r}$"):
+        make(**{field: value})
+
+
 class TestExchange:
     def test_symmetric_link_with_offset(self):
         q = exchange(
