@@ -6,8 +6,12 @@ walk with its recursion on the bounded state, one config with noisy,
 quantized hops and one with a calibration window. The `timecloak adev`
 cases hash the curve it writes to a file and to standard output for a
 fixed series, with tau0 inferred from its time_s column and given by
---tau0; their digests are in tests/golden/adev_digests.json. A refactor
-that changes any emitted byte fails here. To re-record after a
+--tau0; their digests are in tests/golden/adev_digests.json. The writer
+cases hash the files no run writes: hop-session CSVs, phase-schedule CSVs,
+the `timecloak linkbudget` report on standard output and in its --csv
+file, and a `timecloak keygen` key file; their digests are in
+tests/golden/writer_digests.json. A refactor that changes any emitted
+byte fails here. To re-record after a
 change that is meant to alter outputs (say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,10 +32,13 @@ import pytest
 from timecloak.cli import main
 from timecloak.config import ExperimentConfig, HopConfig
 from timecloak.experiment import emit_outputs, run_experiment
-from timecloak.noise import NoiseKind, NoiseModelSpec
+from timecloak.keys import mock_qkd_source
+from timecloak.noise import NoiseKind, NoiseModelSpec, PhaseSchedule, generate_schedule
+from timecloak.wrptp import LinkModel, SimClock, write_session_csv
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 ADEV_GOLDEN_PATH = Path(__file__).parent / "golden" / "adev_digests.json"
+WRITER_GOLDEN_PATH = Path(__file__).parent / "golden" / "writer_digests.json"
 N_DWELLS = 2000
 DWELL_S = 5.0
 
@@ -142,6 +149,107 @@ def test_adev_output_matches_golden_digest(name):
     assert adev_digest(*ADEV_CASES[name]) == json.loads(ADEV_GOLDEN_PATH.read_text())[name]
 
 
+def _written_bytes(write) -> bytes:
+    """Bytes that write(path) puts in a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write(path)
+        return path.read_bytes()
+
+
+def _session_bytes(master, slave, link, n_rounds, round_interval_s, **kwargs) -> bytes:
+    return _written_bytes(
+        lambda path: write_session_csv(
+            path, master, slave, link, n_rounds, round_interval_s, **kwargs
+        )
+    )
+
+
+def _schedule_bytes(kind: NoiseKind, bound: float | None) -> bytes:
+    model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=bound)
+    stream = mock_qkd_source(13, model.digits_per_step * N_DWELLS)
+    return _written_bytes(generate_schedule(stream, model, N_DWELLS, dwell_s=DWELL_S).write_csv)
+
+
+def _cli_bytes(argv: list[str]) -> tuple[bytes, bytes]:
+    """Standard output and --csv/--out file of one `timecloak` call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp) / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([arg.format(dest=dest) for arg in argv]) == 0
+        return stdout.getvalue().encode("ascii"), dest.read_bytes()
+
+
+_LINKBUDGET_ARGV = ["linkbudget", "--loss-db", "13.5", "--mu", "0.5", "--csv", "{dest}"]
+
+
+def _writer_cases() -> dict:
+    """case name -> zero-argument callable returning the bytes to hash."""
+    cases = {
+        "session_noisy_quantized_unlocked": lambda: _session_bytes(
+            SimClock(true_offset_ns=3.5, drift_ppb=20.0, jitter_ns_rms=0.3),
+            SimClock(true_offset_ns=-250.0, drift_ppb=-40.0, jitter_ns_rms=0.2),
+            LinkModel(
+                delay_forward_ns=5000.0,
+                delay_backward_ns=5020.0,
+                jitter_ns_rms=0.7,
+                quantization_ns=8,
+            ),
+            500,
+            0.5,
+            gain=0.7,
+            turnaround_ns=1234.5,
+            calib_bias_ns=12.0,
+            synce_locked=False,
+            rng=np.random.default_rng(31),
+        ),
+        # integer inputs still write float columns
+        "session_int_inputs": lambda: _session_bytes(
+            SimClock(true_offset_ns=3),
+            SimClock(true_offset_ns=100, drift_ppb=7),
+            LinkModel(delay_forward_ns=50, delay_backward_ns=60),
+            50,
+            2,
+            gain=1,
+            turnaround_ns=1000,
+            calib_bias_ns=7,
+            synce_locked=False,
+        ),
+        "schedule_int_phases": lambda: _written_bytes(
+            PhaseSchedule((1, 2, -0.0), dwell_s=5).write_csv
+        ),
+        "linkbudget_stdout": lambda: _cli_bytes(_LINKBUDGET_ARGV)[0],
+        "linkbudget_csv": lambda: _cli_bytes(_LINKBUDGET_ARGV)[1],
+        "keygen_file": lambda: _cli_bytes(
+            ["keygen", "--seed", "17", "--digits", "1001", "--out", "{dest}"]
+        )[1],
+    }
+    for kind in NoiseKind:
+        for bound in (None, 360.0):
+            label = "bounded" if bound else "unbounded"
+            cases[f"schedule_{kind.value}_{label}"] = (
+                lambda kind=kind, bound=bound: _schedule_bytes(kind, bound)
+            )
+    return cases
+
+
+WRITER_CASES = _writer_cases()
+
+
+def writer_digest(name: str) -> str:
+    return hashlib.sha256(WRITER_CASES[name]()).hexdigest()
+
+
+def test_writer_cases_match_recorded_cases():
+    assert sorted(json.loads(WRITER_GOLDEN_PATH.read_text())) == sorted(WRITER_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_writer_output_matches_golden_digest(name):
+    assert writer_digest(name) == json.loads(WRITER_GOLDEN_PATH.read_text())[name]
+
+
 def _record() -> None:
     digests = {name: emitted_digests(config) for name, config in sorted(CASES.items())}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
@@ -150,6 +258,9 @@ def _record() -> None:
     adev = {name: adev_digest(*case) for name, case in sorted(ADEV_CASES.items())}
     ADEV_GOLDEN_PATH.write_text(json.dumps(adev, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(adev)} adev cases in {ADEV_GOLDEN_PATH}")
+    writers = {name: writer_digest(name) for name in sorted(WRITER_CASES)}
+    WRITER_GOLDEN_PATH.write_text(json.dumps(writers, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(writers)} writer cases in {WRITER_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
