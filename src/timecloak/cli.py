@@ -28,6 +28,7 @@ from .experiment import calibration_window, emit_outputs, run_experiment, sweep_
 from .keys import KeyExhaustedError, mock_qkd_source, save_keys
 from .linkbudget import ChannelParams, feasibility_report, report_csv, report_text
 from .stability import TimeErrorSeries, overlapping_adev
+from .tables import write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,9 +210,7 @@ def _cmd_adev(args) -> int:
         curve.write_csv(args.out)
         print(f"wrote {len(curve)} points to {args.out}")
     else:
-        print("tau_s,adev,sigma_adev")
-        for tau, dev, sig in zip(curve.taus_s, curve.adev, curve.sigma_adev):
-            print(f"{float(tau)!r},{float(dev)!r},{float(sig)!r}")
+        print(curve.csv_text(), end="")
     return EXIT_OK
 
 
@@ -228,8 +227,7 @@ def _cmd_linkbudget(args) -> int:
     report = feasibility_report(params)
     print(report_text(report))
     if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(report_csv(report))
+        write_text(args.csv, report_csv(report))
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ from .config import ExperimentConfig, HopConfig, with_model
 from .keys import HexKeyStream, load_keys, mock_qkd_source
 from .noise import NoiseKind, PhaseSchedule, apply_schedule, generate_schedule, parse_noise_kind
 from .stability import AdevCurve, TimeErrorSeries, fit_loglog_slope, overlapping_adev
+from .tables import csv_text, write_text
 from .wrptp import LinkModel, SimClock, run_sync_session
 
 DEFAULT_SWEEP_BOUND_DEG = 360.0
@@ -182,14 +183,11 @@ def sweep_noise_models(
     return results
 
 
-def _write_series_csv(path: Path, series: TimeErrorSeries) -> None:
-    lines = ["step_index,time_s,error_ns"]
-    tau0 = series.tau0_s
+def _series_csv(series: TimeErrorSeries) -> str:
+    steps = range(len(series))
     # iterating the buffer yields Python floats without a full-length list
-    for i, value in enumerate(series.samples_ns.data):
-        lines.append(f"{i},{i * tau0!r},{value!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = (steps, map(series.tau0_s.__mul__, steps), series.samples_ns.data)
+    return csv_text("step_index,time_s,error_ns", *(map(repr, c) for c in columns))
 
 
 _FIG_DELAYS_GP = """\
@@ -212,17 +210,17 @@ plot "adev2.csv" skip 1 using 1:2:3 with yerrorlines title "encrypted", \\
 """
 
 
-def _summary_lines(summary: ExperimentSummary) -> list[str]:
-    return [
-        f"tic1_mean_ns = {summary.tic1_mean_ns!r}",
-        f"tic1_std_ns = {summary.tic1_std_ns!r}",
-        f"tic2_mean_ns = {summary.tic2_mean_ns!r}",
-        f"tic2_std_ns = {summary.tic2_std_ns!r}",
-        f"adev_ratio_tau0 = {summary.adev_ratio_tau0:.3g}",
-        f"tic1_slope = {summary.tic1_slope!r}",
-        f"tic2_slope = {summary.tic2_slope!r}",
-        f"calib_bias_total_ns = {summary.calib_bias_total_ns!r}",
-    ]
+def _summary_text(summary: ExperimentSummary) -> str:
+    return (
+        f"tic1_mean_ns = {summary.tic1_mean_ns!r}\n"
+        f"tic1_std_ns = {summary.tic1_std_ns!r}\n"
+        f"tic2_mean_ns = {summary.tic2_mean_ns!r}\n"
+        f"tic2_std_ns = {summary.tic2_std_ns!r}\n"
+        f"adev_ratio_tau0 = {summary.adev_ratio_tau0:.3g}\n"
+        f"tic1_slope = {summary.tic1_slope!r}\n"
+        f"tic2_slope = {summary.tic2_slope!r}\n"
+        f"calib_bias_total_ns = {summary.calib_bias_total_ns!r}\n"
+    )
 
 
 def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
@@ -235,23 +233,17 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    for name, series in (("tic1.csv", result.tic1_series), ("tic2.csv", result.tic2_series)):
+    def emit(name: str, text: str) -> None:
         path = out / name
-        _write_series_csv(path, series)
-        written.append(path)
-    for name, curve in (("adev1.csv", result.adev1), ("adev2.csv", result.adev2)):
-        path = out / name
-        curve.write_csv(path)
+        write_text(path, text)
         written.append(path)
 
-    summary_path = out / "summary.txt"
-    with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(_summary_lines(result.summary)) + "\n")
-    written.append(summary_path)
-
-    for name, content in (("fig_delays.gp", _FIG_DELAYS_GP), ("fig_adev.gp", _FIG_ADEV_GP)):
-        path = out / name
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(content)
-        written.append(path)
+    # each file's text is built when its turn comes and freed once written
+    emit("tic1.csv", _series_csv(result.tic1_series))
+    emit("tic2.csv", _series_csv(result.tic2_series))
+    emit("adev1.csv", result.adev1.csv_text())
+    emit("adev2.csv", result.adev2.csv_text())
+    emit("summary.txt", _summary_text(result.summary))
+    emit("fig_delays.gp", _FIG_DELAYS_GP)
+    emit("fig_adev.gp", _FIG_ADEV_GP)
     return written

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tables import write_text
+
 PARTIES = ("A", "B")
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -82,14 +84,6 @@ class HexKeyStream:
         block = np.frombuffer(self.digits, dtype=np.uint8, count=needed, offset=start)
         return block.reshape(n, size)
 
-    def take_pairs(self, n: int) -> list[tuple[int, int]]:
-        """Consume 2*n digits and return them as n ordered pairs."""
-        return list(zip(*self.take_digits(n, 2).T.tolist()))
-
-    def take_triplets(self, n: int) -> list[tuple[int, int, int]]:
-        """Consume 3*n digits and return them as n ordered triplets."""
-        return list(zip(*self.take_digits(n, 3).T.tolist()))
-
     def to_hex(self) -> str:
         """Lowercase hex text, one character per digit (canonical file form)."""
         return self.digits.translate(_CHARS).decode("ascii")
@@ -116,7 +110,7 @@ def load_keys(path: str | Path) -> HexKeyStream:
 
 def save_keys(stream: HexKeyStream, path: str | Path) -> None:
     """Write a stream back to its canonical hex file form."""
-    Path(path).write_text(stream.to_hex() + "\n", encoding="ascii")
+    write_text(path, stream.to_hex() + "\n")
 
 
 def mock_qkd_source(seed: int, n_digits: int) -> HexKeyStream:

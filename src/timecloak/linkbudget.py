@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .tables import csv_text
+
 REFERENCE_KEY_RATE_BPS = 1500.0
 REFERENCE_QBER = 0.02
 
@@ -131,9 +133,6 @@ def report_text(report: LinkBudgetReport) -> str:
 def report_csv(report: LinkBudgetReport) -> str:
     """Two-line CSV rendering (header plus one row)."""
     header = "background_per_pulse,signal_per_pulse,total_rate_cps,saturation_cps,feasible"
-    row = (
-        f"{report.background_per_pulse!r},{report.signal_per_pulse!r},"
-        f"{report.total_rate_cps!r},{report.saturation_cps!r},"
-        f"{'true' if report.feasible else 'false'}"
-    )
-    return header + "\n" + row + "\n"
+    counts = (report.background_per_pulse, report.signal_per_pulse, report.total_rate_cps)
+    row = [*map(repr, counts), repr(report.saturation_cps), "true" if report.feasible else "false"]
+    return csv_text(header, *zip(row))  # one row: each column holds one cell

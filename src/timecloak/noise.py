@@ -43,6 +43,7 @@ import numpy as np
 
 from .keys import HexKeyStream
 from .stability import TimeErrorSeries
+from .tables import csv_text, write_text
 
 DEFAULT_DIVISOR = 4.0
 DEFAULT_SIGN_THRESHOLD = 8
@@ -133,7 +134,7 @@ class PhaseSchedule:
     carrier_hz: float = DEFAULT_CARRIER_HZ
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phases_deg", tuple(float(p) for p in self.phases_deg))
+        object.__setattr__(self, "phases_deg", tuple(map(float, self.phases_deg)))
         if not self.dwell_s > 0:
             raise ValueError("dwell_s must be > 0")
         if not self.carrier_hz > 0:
@@ -148,11 +149,9 @@ class PhaseSchedule:
 
     def write_csv(self, path) -> None:
         """CSV columns step_index, phase_deg, delay_ns."""
-        lines = ["step_index,phase_deg,delay_ns"]
-        for i, (phase, delay) in enumerate(zip(self.phases_deg, self.delays_ns().tolist())):
-            lines.append(f"{i},{phase!r},{delay!r}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = (range(len(self)), self.phases_deg, self.delays_ns().tolist())
+        text = csv_text("step_index,phase_deg,delay_ns", *(map(repr, c) for c in columns))
+        write_text(path, text)
 
 
 def _pair_value(hi: int, lo: int) -> float:

@@ -21,6 +21,8 @@ from enum import Enum
 
 import numpy as np
 
+from .tables import csv_text, write_text
+
 NS_PER_S = 1e9
 
 #: slope bands (log adev vs log tau) used by classify_noise
@@ -59,6 +61,8 @@ class TimeErrorSeries:
         object.__setattr__(self, "samples_ns", arr)
         if not (math.isfinite(self.tau0_s) and self.tau0_s > 0):
             raise ValueError("tau0_s must be finite and > 0")
+        # a float interval keeps times such as the CSV time_s column in float form
+        object.__setattr__(self, "tau0_s", float(self.tau0_s))
 
     def __len__(self) -> int:
         return len(self.samples_ns)
@@ -94,14 +98,14 @@ class AdevCurve:
     def __len__(self) -> int:
         return len(self.taus_s)
 
-    def write_csv(self, path) -> None:
+    def csv_text(self) -> str:
         """CSV columns tau_s, adev, sigma_adev (log-log plottable as-is)."""
-        lines = ["tau_s,adev,sigma_adev"]
-        columns = (self.taus_s.tolist(), self.adev.tolist(), self.sigma_adev.tolist())
-        for tau, dev, sig in zip(*columns):
-            lines.append(f"{tau!r},{dev!r},{sig!r}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = (self.taus_s, self.adev, self.sigma_adev)
+        return csv_text("tau_s,adev,sigma_adev", *(map(repr, c.tolist()) for c in columns))
+
+    def write_csv(self, path) -> None:
+        """Write csv_text() to path."""
+        write_text(path, self.csv_text())
 
 
 class NoiseClass(Enum):
@@ -168,11 +172,12 @@ def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
     for m in m_values:
         if not 1 <= m <= limit:
             raise ValueError(f"averaging factor m={m} outside 1 <= m <= (N-1)/2 = {limit}")
-        # difference in ns first: exact cancellations survive the unit change
-        d = x[2 * m :] - 2.0 * x[m : n - m]
-        d += x[: n - 2 * m]
-        d *= 1.0 / NS_PER_S
-        d *= d
+        # differences in ns keep exact cancellations; overflowing squares give inf
+        with np.errstate(over="ignore"):
+            d = x[2 * m :] - 2.0 * x[m : n - m]
+            d += x[: n - 2 * m]
+            d *= 1.0 / NS_PER_S
+            d *= d
         total = _exact_sum(d)
         tau = m * series.tau0_s
         avar = total / (2.0 * tau * tau * (n - 2 * m))

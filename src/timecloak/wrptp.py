@@ -22,6 +22,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .stability import TimeErrorSeries
+from .tables import csv_text, write_text
 
 DEFAULT_TURNAROUND_NS = 1000
 
@@ -101,7 +102,7 @@ def exchange(
     many exchanges share one, so that draws never repeat between calls.
 
     This is the single-step reference that the session kernel behind
-    iter_sync_rounds and run_sync_session reproduces round by round.
+    run_sync_session and write_session_csv reproduces round by round.
     """
     if epoch_ns < 0:
         raise ValueError("epoch_ns must be >= 0")
@@ -144,15 +145,6 @@ def servo_step(slave: SimClock, offset_ns: float, gain: float = 1.0) -> SimClock
     if not gain > 0:
         raise ValueError("gain must be > 0")
     return replace(slave, true_offset_ns=slave.true_offset_ns - gain * offset_ns)
-
-
-class SessionRound(NamedTuple):
-    index: int
-    epoch_s: float
-    quartet: WrTimestampQuartet
-    delay_ns: float
-    offset_ns: float
-    residual_ns: float
 
 
 def _jitter(
@@ -246,34 +238,6 @@ def _session(
     return rounds()
 
 
-def iter_sync_rounds(
-    master: SimClock,
-    slave: SimClock,
-    link: LinkModel,
-    n_rounds: int,
-    round_interval_s: float,
-    **kwargs,
-) -> Iterator[SessionRound]:
-    """Drive exchange -> recover -> servo once per round, yielding each round.
-
-    Keyword arguments: gain (the servo is stable for 0 < gain < 2),
-    turnaround_ns, calib_bias_ns, synce_locked and rng. The recorded
-    residual is the slave clock against the reference after the servo
-    correction, plus the constant calibration bias (the stand-in for
-    uncompensated internal hardware delays). With synce_locked the slave
-    runs at the master's rate; otherwise the relative drift accumulates
-    between rounds (1 ppb adds 1 ns per second). All jitter is drawn from
-    rng when this is called, in the order per-round exchange() calls on a
-    shared generator would draw it; a noisy session without rng raises
-    ValueError.
-    """
-    rounds = _session(master, slave, link, n_rounds, round_interval_s, **kwargs)
-    return (
-        SessionRound(i, i * round_interval_s, WrTimestampQuartet(t1, t2, t3, t4), d, o, r)
-        for i, (t1, t2, t3, t4, d, o, r) in enumerate(rounds)
-    )
-
-
 def run_sync_session(
     master: SimClock,
     slave: SimClock,
@@ -283,7 +247,14 @@ def run_sync_session(
     **kwargs,
 ) -> TimeErrorSeries:
     """Run a synchronization session and return the residual time errors,
-    one sample per round."""
+    one sample per round.
+
+    Keyword arguments: gain (stable for 0 < gain < 2), turnaround_ns,
+    calib_bias_ns, synce_locked and rng (needed when anything is noisy). The
+    residual is the slave clock after the servo correction plus the constant
+    calibration bias, the stand-in for uncompensated hardware delays. Unless
+    synce_locked, the relative drift accumulates between rounds.
+    """
     rounds = _session(master, slave, link, n_rounds, round_interval_s, **kwargs)
     residuals = np.fromiter(map(itemgetter(6), rounds), dtype=np.float64, count=n_rounds)
     return TimeErrorSeries(residuals, round_interval_s)
@@ -298,15 +269,13 @@ def write_session_csv(
     round_interval_s: float,
     **kwargs,
 ) -> None:
-    """Run a session and write one CSV row per round:
+    """Run a session as run_sync_session does and write one CSV row per round:
     round_index, epoch_s, t1..t4, D_ns, O_ns, residual_ns."""
-    lines = ["round_index,epoch_s,t1,t2,t3,t4,D_ns,O_ns,residual_ns"]
     rounds = _session(master, slave, link, n_rounds, round_interval_s, **kwargs)
-    for i, (t1, t2, t3, t4, delay, offset, residual) in enumerate(rounds):
-        # float() keeps the columns in float form when callers pass ints
-        lines.append(
-            f"{i},{float(i * round_interval_s)!r},{t1},{t2},{t3},{t4},"
-            f"{float(delay)!r},{float(offset)!r},{float(residual)!r}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    *stamps, delay, offset, residual = zip(*rounds)
+    epochs = (i * round_interval_s for i in range(n_rounds))
+    # float() keeps these columns in float form when callers pass ints
+    floats = [map(float, column) for column in (delay, offset, residual)]
+    columns = (range(n_rounds), map(float, epochs), *stamps, *floats)
+    header = "round_index,epoch_s,t1,t2,t3,t4,D_ns,O_ns,residual_ns"
+    write_text(path, csv_text(header, *(map(repr, column) for column in columns)))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import timecloak
 from timecloak.cli import main
 from timecloak.keys import load_keys
 from timecloak.stability import TimeErrorSeries, overlapping_adev
@@ -161,6 +167,25 @@ class TestAdev:
         assert dest.read_text().startswith("tau_s,adev,sigma_adev")
         curve = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)
         assert len(curve) == 5 and np.all(np.isfinite(curve))
+
+    def test_overflowing_squares_leave_stderr_empty(self, tmp_path):
+        # every squared second difference overflows: the curve is inf and the
+        # run succeeds, with nothing on stderr (run as a process, since pytest
+        # would catch a warning before it reached stderr)
+        src = tmp_path / "series.csv"
+        rows = "".join(f"{i},{1e165 if i % 2 else 0}\n" for i in range(40))
+        src.write_text("time_s,error_ns\n" + rows)
+        env = dict(os.environ, PYTHONPATH=str(Path(timecloak.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "timecloak.cli", "adev", "--input", str(src)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1].split(",")[1] == "inf"
 
     def test_missing_tau0_without_time_column(self, tmp_path):
         src = tmp_path / "series.csv"

@@ -208,6 +208,13 @@ class TestEmitOutputs:
         value = line.split("=")[1].strip()
         assert value == f"{result.summary.adev_ratio_tau0:.3g}"
 
+    def test_integer_dwell_writes_the_float_dwell_bytes(self, tmp_path):
+        for name, dwell in (("int", 5), ("float", 5.0)):
+            emit_outputs(run_experiment(_config(dwell_s=dwell)), tmp_path / name)
+        for path in sorted((tmp_path / "float").iterdir()):
+            assert (tmp_path / "int" / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (tmp_path / "int" / "tic1.csv").read_text().splitlines()[2].startswith("1,5.0,")
+
     def test_csv_line_endings(self, tmp_path):
         result = run_experiment(_config())
         emit_outputs(result, tmp_path / "out")

@@ -135,30 +135,30 @@ class TestMockSource:
 class TestTakeChunks:
     def test_pairs_preserve_order(self):
         stream = HexKeyStream(bytes([15, 15, 0, 0]))
-        assert stream.take_pairs(2) == [(15, 15), (0, 0)]
+        assert stream.take_digits(2, 2).tolist() == [[15, 15], [0, 0]]
 
     def test_pairs_exhaustion(self):
         stream = HexKeyStream(bytes([1, 2, 3]))
         with pytest.raises(KeyExhaustedError):
-            stream.take_pairs(2)
+            stream.take_digits(2, 2)
 
     def test_cursor_advances_between_calls(self):
         stream = HexKeyStream(bytes([1, 2, 3, 4]))
-        assert stream.take_pairs(1) == [(1, 2)]
-        assert stream.take_pairs(1) == [(3, 4)]
+        assert stream.take_digits(1, 2).tolist() == [[1, 2]]
+        assert stream.take_digits(1, 2).tolist() == [[3, 4]]
 
     def test_triplets(self):
         stream = HexKeyStream(bytes([9, 15, 15, 7, 0, 1]))
-        assert stream.take_triplets(2) == [(9, 15, 15), (7, 0, 1)]
+        assert stream.take_digits(2, 3).tolist() == [[9, 15, 15], [7, 0, 1]]
 
     def test_triplets_exhaustion(self):
         stream = HexKeyStream(bytes([0, 1, 2, 3, 4]))
         with pytest.raises(KeyExhaustedError):
-            stream.take_triplets(2)
+            stream.take_digits(2, 3)
 
     def test_zero_chunks_leave_cursor(self):
         stream = HexKeyStream(bytes([0, 1, 2]))
-        assert stream.take_triplets(0) == []
+        assert stream.take_digits(0, 3).shape == (0, 3)
         assert stream.cursor == 0
 
     def test_digit_array_is_a_read_only_view_in_order(self):
@@ -175,9 +175,9 @@ class TestTakeChunks:
     def test_exhaustion_does_not_consume(self):
         stream = HexKeyStream(bytes([1, 2, 3]))
         with pytest.raises(KeyExhaustedError):
-            stream.take_pairs(2)
+            stream.take_digits(2, 2)
         assert stream.cursor == 0
-        assert stream.take_pairs(1) == [(1, 2)]
+        assert stream.take_digits(1, 2).tolist() == [[1, 2]]
 
     @given(
         st.binary(min_size=0, max_size=120).map(lambda b: bytes(v % 16 for v in b)),
@@ -191,13 +191,13 @@ class TestTakeChunks:
         stream = HexKeyStream(digits)
         consumed = 0
         for size, n in operations:
-            take = stream.take_pairs if size == 2 else stream.take_triplets
             try:
-                chunks = take(n)
+                chunks = stream.take_digits(n, size)
             except KeyExhaustedError:
                 continue
+            assert chunks.tobytes() == digits[consumed : consumed + size * n]
             consumed += size * n
-            assert len(chunks) == n
+            assert chunks.shape == (n, size)
         assert stream.cursor == consumed
         # the consumed prefix is exactly the digits handed out, in order
         assert stream.digits[:consumed] == digits[:consumed]

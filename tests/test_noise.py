@@ -244,11 +244,12 @@ def _reference_schedule(stream, model, n_steps):
     history of their states."""
     bound = model.bound_deg
     if model.kind is NoiseKind.WHITE:
-        raw = [white_phase(pair, model.divisor) for pair in stream.take_pairs(n_steps)]
+        pairs = stream.take_digits(n_steps, 2).tolist()
+        raw = [white_phase(pair, model.divisor) for pair in pairs]
         return [bound_phase(p, bound) for p in raw] if bound else raw
     state = []
     emitted = []
-    for i, triplet in enumerate(stream.take_triplets(n_steps)):
+    for i, triplet in enumerate(stream.take_digits(n_steps, 3).tolist()):
         if model.kind is NoiseKind.RANDOM_WALK:
             prev = state[-1] if state else model.bias_deg
             value = rw_step(prev, triplet, model.divisor, model.sign_threshold)

@@ -13,8 +13,8 @@ from timecloak.wrptp import (
     SimClock,
     WrTimestampQuartet,
     compute_delay_offset,
+    _session,
     exchange,
-    iter_sync_rounds,
     run_sync_session,
     servo_step,
     write_session_csv,
@@ -219,7 +219,7 @@ class TestRunSyncSession:
         # 100 ppb for 10 s between corrections shows up as 1000 ns on each
         # recovered offset; frequency lock to the master removes it
         def offsets(synce_locked):
-            rounds = iter_sync_rounds(
+            rounds = _session(
                 SimClock(),
                 SimClock(drift_ppb=100.0),
                 LinkModel(),
@@ -227,7 +227,7 @@ class TestRunSyncSession:
                 round_interval_s=10.0,
                 synce_locked=synce_locked,
             )
-            return [r.offset_ns for r in rounds]
+            return [offset for *_, offset, _residual in rounds]
 
         assert offsets(synce_locked=True) == [0.0] * 5
         assert offsets(synce_locked=False) == [0.0] + [1000.0] * 4
@@ -237,7 +237,7 @@ class TestRunSyncSession:
         with pytest.raises(ValueError, match="gain"):
             run_sync_session(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
         with pytest.raises(ValueError, match="gain"):
-            iter_sync_rounds(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
+            _session(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
 
     def test_round_count_validated(self):
         with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ class TestRunSyncSession:
         with pytest.raises(ValueError, match="rng"):
             run_sync_session(SimClock(), SimClock(), LinkModel(jitter_ns_rms=1.0), 5, 1.0)
         with pytest.raises(ValueError, match="rng"):
-            iter_sync_rounds(SimClock(), SimClock(jitter_ns_rms=0.5), LinkModel(), 5, 1.0)
+            _session(SimClock(), SimClock(jitter_ns_rms=0.5), LinkModel(), 5, 1.0)
 
 
 def _reference_rounds(
@@ -271,7 +271,7 @@ def _reference_rounds(
         delay, offset = compute_delay_offset(quartet)
         slave = servo_step(slave, offset, gain)
         residual = slave.true_offset_ns + calib_bias_ns
-        rounds.append((i, i * round_interval_s, quartet, delay, offset, residual))
+        rounds.append((*quartet, delay, offset, residual))
         drift_rel = slave.drift_ppb - master.drift_ppb
         if drift_rel != 0.0:
             drifted = slave.true_offset_ns + drift_rel * round_interval_s
@@ -317,9 +317,9 @@ class TestKernelMatchesSingleStepReference:
         reference_rng = np.random.default_rng(seed)
         expected = _reference_rounds(master, slave, link, n_rounds, rng=reference_rng, **kwargs)
         rng = np.random.default_rng(seed)
-        got = list(iter_sync_rounds(master, slave, link, n_rounds, rng=rng, **kwargs))
+        got = list(_session(master, slave, link, n_rounds, rng=rng, **kwargs))
         # repr tells ints from floats and -0.0 from 0.0, as the CSV output would
-        assert repr([tuple(r) for r in got]) == repr(expected)
+        assert repr(got) == repr(expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
         rng = np.random.default_rng(seed)
