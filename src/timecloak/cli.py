@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated noise kinds (default: rw,rw_lag,rw_mem)",
     )
     sweep.add_argument("--bounded", choices=("yes", "no", "both"), default="both")
-    sweep.add_argument("--bound-deg", type=float, default=360.0)
     sweep.add_argument("--out", required=True, help="output directory")
 
     adev = sub.add_parser("adev", help="Allan deviation of an external CSV series")
@@ -132,7 +131,7 @@ def _cmd_sweep(args) -> int:
     if not kinds:
         raise ConfigError("--kinds must name at least one noise kind")
     bounded_options = {"yes": (True,), "no": (False,), "both": (False, True)}[args.bounded]
-    results = sweep_noise_models(config, kinds, bounded_options, args.bound_deg)
+    results = sweep_noise_models(config, kinds, bounded_options)
     out = Path(args.out)
     for (kind, bounded), result in results.items():
         label = "bounded" if bounded else "unbounded"

@@ -20,6 +20,8 @@ from pathlib import Path
 from .noise import NoiseKind, NoiseModelSpec, parse_noise_kind
 from .wrptp import DEFAULT_TURNAROUND_NS, require_finite
 
+MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
+
 
 class ConfigError(ValueError):
     """Invalid configuration key, value, or combination."""
@@ -78,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"duration_s / dwell_s must be finite, got {self.duration_s!r} / {self.dwell_s!r}"
             )
+        if steps > MAX_STEPS:
+            raise ConfigError(f"duration_s / dwell_s must be <= {MAX_STEPS}, got {steps!r}")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("duration_s must be an integer multiple of dwell_s")
         if self.calib_window_steps >= round(steps):

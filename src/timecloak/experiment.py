@@ -165,10 +165,11 @@ def sweep_noise_models(
     base_config: ExperimentConfig,
     kinds: Iterable[str | NoiseKind],
     bounded_options: Iterable[bool] = (False, True),
-    bound_deg: float = DEFAULT_SWEEP_BOUND_DEG,
 ) -> dict[tuple[str, bool], ExperimentResult]:
     """One experiment per (kind, bounded) pair, sharing the base config's
-    seeds so the runs are directly comparable."""
+    seeds so the runs are directly comparable. Bounded runs use the base
+    config's model.bound_deg, or DEFAULT_SWEEP_BOUND_DEG when it is unset."""
+    bound_deg = base_config.model.bound_deg or DEFAULT_SWEEP_BOUND_DEG  # a set bound is > 0
     results: dict[tuple[str, bool], ExperimentResult] = {}
     for kind in kinds:
         kind = parse_noise_kind(kind) if isinstance(kind, str) else kind

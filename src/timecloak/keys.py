@@ -1,14 +1,16 @@
 """Key material handling.
 
 Hexadecimal key streams with consume-once semantics, a deterministic mock
-source standing in for the key-delivery hardware, and a small two-party
-key store that hands identical digits to parties A and B exactly once each.
+source standing in for the key-delivery hardware, and a two-party key store
+in a directory that hands identical digits to parties A and B exactly once
+each: every retrieval creates a claim file that can be created only once.
 """
 from __future__ import annotations
 
+import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,78 +128,66 @@ def mock_qkd_source(seed: int, n_digits: int) -> HexKeyStream:
     return HexKeyStream(digits, key_id=f"mock-{seed}")
 
 
-@dataclass
-class _StoreEntry:
-    digits: bytes
-    consumed: set[str] = field(default_factory=set)
-
-
 class KmsStore:
-    """Two-party consume-once key store.
+    """Two-party consume-once key store kept in a directory.
 
     Both parties retrieve byte-identical digit sequences for a given key id;
-    a second retrieval by the same party is rejected. Retrieval is safe under
-    concurrent access, and the consumed flag is set atomically with the read.
-
-    When backed by a directory, keys live in one ``<key_id>.hex`` file each
-    and consumption flags are appended to a ``consumed.txt`` sidecar.
+    a second retrieval by the same party is rejected. Each key lives in one
+    ``<key_id>.hex`` file, and each retrieval creates an empty claim file
+    ``<key_id>.<party>`` that can be created only once, so the refusal holds
+    across threads, reopened stores and stores open on the same directory.
     """
 
-    _FLAGS_FILE = "consumed.txt"
-
-    def __init__(self, directory: str | Path | None = None):
-        """An in-memory store, or one backed by a directory. The key files and
-        consumption flags already in the directory are loaded, so a party
-        never gets a key again that it consumed before the store was opened."""
+    def __init__(self, directory: str | Path):
+        """Open the store in directory, creating it if needed, and load the
+        key files already there."""
         self._lock = threading.Lock()
-        self._entries: dict[str, _StoreEntry] = {}
-        self._dir = Path(directory) if directory is not None else None
-        if self._dir is None:
-            return
+        self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        for key_file in sorted(self._dir.glob("*.hex")):
-            stream = load_keys(key_file)
-            self._entries[stream.key_id] = _StoreEntry(stream.digits)
-        flags = self._dir / self._FLAGS_FILE
-        if flags.exists():
-            for line in flags.read_text().splitlines():
-                key_id, _, party = line.strip().partition(",")
-                entry = self._entries.get(key_id)
-                if entry is not None:
-                    entry.consumed.add(party)
+        old_log = self._dir / "consumed.txt"
+        if old_log.exists():
+            raise ValueError(f"{old_log}: consume log of an older store format, not read")
+        self._keys = {s.key_id: s.digits for s in map(load_keys, sorted(self._dir.glob("*.hex")))}
 
     @classmethod
     def open_dir(cls, directory: str | Path) -> "KmsStore":
-        """A directory-backed store: the same as KmsStore(directory)."""
+        """The same as KmsStore(directory)."""
         return cls(directory)
 
     def key_ids(self) -> list[str]:
         with self._lock:
-            return sorted(self._entries)
+            return sorted(self._keys)
 
     def add(self, stream: HexKeyStream) -> None:
-        """Register a key under its id, persisting it when directory-backed."""
+        """Register a key under its id and write its key file whole."""
         with self._lock:
-            key_file = None if self._dir is None else self._dir / f"{stream.key_id}.hex"
+            key_file = self._dir / f"{stream.key_id}.hex"
             # the file check catches a key another store added to the directory
-            if stream.key_id in self._entries or (key_file is not None and key_file.exists()):
+            if stream.key_id in self._keys or key_file.exists():
                 raise ValueError(f"key id {stream.key_id!r} already stored")
-            self._entries[stream.key_id] = _StoreEntry(stream.digits)
-            if key_file is not None:
-                save_keys(stream, key_file)
+            tmp_file = key_file.with_suffix(".tmp")  # renamed into place: a cut write leaves none
+            save_keys(stream, tmp_file)
+            os.replace(tmp_file, key_file)
+            self._keys[stream.key_id] = stream.digits
 
     def get(self, key_id: str, party: str) -> HexKeyStream:
-        """Retrieve a key for one party, marking it consumed for that party."""
+        """Retrieve a key for one party by creating its claim file. The claim
+        is synced to disk before the digits are returned; if that fails, the
+        claim stays and the party gets nothing."""
         if party not in PARTIES:
             raise ValueError(f"party must be one of {PARTIES}, got {party!r}")
         with self._lock:
-            entry = self._entries.get(key_id)
-            if entry is None:
+            digits = self._keys.get(key_id)
+            if digits is None:
                 raise UnknownKeyError(key_id)
-            if party in entry.consumed:
-                raise KeyConsumedError(f"key {key_id!r} already consumed by party {party}")
-            entry.consumed.add(party)
-            if self._dir is not None:
-                with open(self._dir / self._FLAGS_FILE, "a", encoding="ascii") as fh:
-                    fh.write(f"{key_id},{party}\n")
-            return HexKeyStream(entry.digits, key_id=key_id)
+            claim = self._dir / f"{key_id}.{party}"
+            try:
+                os.close(os.open(claim, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                raise KeyConsumedError(f"party {party} already took key {key_id!r}") from None
+            dir_fd = os.open(self._dir, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+            return HexKeyStream(digits, key_id=key_id)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .tables import csv_text
+from .wrptp import require_finite
 
 REFERENCE_KEY_RATE_BPS = 1500.0
 REFERENCE_QBER = 0.02
@@ -35,6 +36,7 @@ class ChannelParams:
     dead_time_s: float = 25e-6
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.loss_db < 0:
             raise ValueError("loss_db must be >= 0")
         if not 0 < self.det_efficiency <= 1:

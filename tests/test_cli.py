@@ -143,6 +143,12 @@ class TestSweep:
     def test_empty_kinds_rejected(self, tmp_path):
         assert main(["sweep", "--kinds", " ", "--out", str(tmp_path / "x")]) == 2
 
+    def test_bound_comes_from_the_config_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--bound-deg", "90", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--bound-deg" in capsys.readouterr().err
+
 
 class TestAdev:
     def test_analyzes_emitted_series(self, tmp_path, capsys):
@@ -334,3 +340,21 @@ class TestLinkBudget:
     def test_infeasible_parameters(self, capsys):
         assert main(["linkbudget", "--background-cps", "90000"]) == 0
         assert "no" in capsys.readouterr().out.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--loss-db", "nan"),
+            ("--dark-cps", "inf"),
+            ("--background-cps", "nan"),
+            ("--mu", "inf"),
+            ("--dead-time-us", "inf"),
+            ("--efficiency", "-inf"),
+        ],
+    )
+    def test_non_finite_value_fails_cleanly(self, capsys, option, value):
+        assert main(["linkbudget", f"{option}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "must be finite" in err[0]

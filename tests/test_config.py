@@ -8,9 +8,11 @@ raise ConfigError with exactly the text given.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecloak.cli import build_experiment_config, load_config_file, parse_overrides
-from timecloak.config import ConfigError, ExperimentConfig, HopConfig
+from timecloak.config import _KEYS, MAX_STEPS, ConfigError, ExperimentConfig, HopConfig
 from timecloak.noise import NoiseKind, NoiseModelSpec
 
 EVERY_KEY = {
@@ -234,6 +236,14 @@ FAULTS = {
         {"duration_s": "1e308", "dwell_s": "1e-10"},
         "duration_s / dwell_s must be finite, got 1e+308 / 1e-10",
     ),
+    "step_count_over_cap": (
+        {"duration_s": "1e15"},
+        "duration_s / dwell_s must be <= 67108864, got 200000000000000.0",
+    ),
+    "one_step_over_cap": (
+        {"duration_s": str(2**26 + 1), "dwell_s": "1"},
+        "duration_s / dwell_s must be <= 67108864, got 67108865.0",
+    ),
 }
 
 
@@ -275,3 +285,26 @@ def test_override_errors(items, message):
     with pytest.raises(ConfigError) as info:
         build_experiment_config(parse_overrides(items))
     assert str(info.value) == message
+
+
+# values at the edges of what the parsers and the range checks see: blanks,
+# non-finite and out-of-range floats, subnormals, 21-digit signed integers, text
+ADVERSARIAL_VALUES = st.one_of(
+    st.sampled_from(
+        ["", " ", "nan", "-nan", "inf", "+inf", "-inf", "1e400", "-1e400", "5e-324", "-5e-324"]
+    ),
+    st.sampled_from(["0", "-0", "1", "5", "2.5", "none", "yes", "rw", "rw_lag", "white", "mock"]),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 10**20).map(str)).map("".join),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_KEYS)), ADVERSARIAL_VALUES, max_size=8))
+def test_any_mapping_builds_a_capped_config_or_raises_config_error(mapping):
+    try:
+        config = build_experiment_config(mapping)
+    except ConfigError:
+        return
+    assert 0 < config.n_encrypted_steps <= config.n_steps <= MAX_STEPS

@@ -173,6 +173,14 @@ class TestSweep:
         assert sweep_results[("rw_mem", False)].config.model.memory == 10
         assert sweep_results[("rw", True)].config.model.bound_deg == 360.0
 
+    def test_configured_bound_reaches_bounded_runs(self):
+        base = with_model(_config(duration_s=50 * 5.0), bound_deg=90.0)
+        results = sweep_noise_models(base, ["rw"])
+        bounded = results[("rw", True)]
+        assert bounded.config.model.bound_deg == 90.0
+        assert max(map(abs, bounded.schedule.phases_deg)) <= 90.0
+        assert results[("rw", False)].config.model.bound_deg is None
+
 
 class TestEmitOutputs:
     def test_file_set_and_row_counts(self, tmp_path):

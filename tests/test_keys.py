@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from timecloak import keys as keys_module
 from timecloak.keys import (
     HexKeyStream,
     HexParseError,
@@ -208,33 +209,33 @@ class TestTakeChunks:
 
 
 class TestKmsStore:
-    def test_both_parties_get_identical_digits(self):
-        store = KmsStore()
+    def test_both_parties_get_identical_digits(self, tmp_path):
+        store = KmsStore(tmp_path)
         store.add(mock_qkd_source(7, 32))
         a = store.get("mock-7", "A")
         b = store.get("mock-7", "B")
         assert a.digits == b.digits
 
-    def test_consume_once_per_party(self):
-        store = KmsStore()
+    def test_consume_once_per_party(self, tmp_path):
+        store = KmsStore(tmp_path)
         store.add(mock_qkd_source(7, 32))
         store.get("mock-7", "A")
         with pytest.raises(KeyConsumedError):
             store.get("mock-7", "A")
 
-    def test_unknown_key(self):
-        store = KmsStore()
+    def test_unknown_key(self, tmp_path):
+        store = KmsStore(tmp_path)
         with pytest.raises(UnknownKeyError):
             store.get("nope", "A")
 
-    def test_invalid_party(self):
-        store = KmsStore()
+    def test_invalid_party(self, tmp_path):
+        store = KmsStore(tmp_path)
         store.add(mock_qkd_source(7, 8))
         with pytest.raises(ValueError):
             store.get("mock-7", "C")
 
-    def test_duplicate_add_rejected(self):
-        store = KmsStore()
+    def test_duplicate_add_rejected(self, tmp_path):
+        store = KmsStore(tmp_path)
         store.add(mock_qkd_source(7, 8))
         with pytest.raises(ValueError):
             store.add(mock_qkd_source(7, 8))
@@ -273,24 +274,100 @@ class TestKmsStore:
         with pytest.raises(UnknownKeyError):
             second.get("mock-1", "A")
 
-    def test_concurrent_gets_consume_exactly_once(self):
-        store = KmsStore()
+    def test_concurrent_gets_consume_exactly_once(self, tmp_path):
+        store = KmsStore(tmp_path)
         store.add(mock_qkd_source(11, 64))
-        results = []
-        barrier = threading.Barrier(8)
+        assert _race_for_key([store], "mock-11") == ["A", "B"]
 
-        def worker(party):
-            barrier.wait()
-            try:
-                store.get("mock-11", party)
-                results.append(("ok", party))
-            except KeyConsumedError:
-                results.append(("dup", party))
+    def test_threads_over_two_stores_consume_exactly_once(self, tmp_path):
+        first = KmsStore(tmp_path)
+        first.add(mock_qkd_source(11, 64))
+        second = KmsStore(tmp_path)
+        assert _race_for_key([first, second], "mock-11") == ["A", "B"]
 
-        threads = [threading.Thread(target=worker, args=("A" if i % 2 else "B",)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        ok = [party for status, party in results if status == "ok"]
-        assert sorted(ok) == ["A", "B"]
+    def test_second_store_refuses_what_the_first_handed_out(self, tmp_path):
+        first = KmsStore(tmp_path)
+        first.add(mock_qkd_source(1, 16))
+        second = KmsStore(tmp_path)
+        first.get("mock-1", "A")
+        with pytest.raises(KeyConsumedError):
+            second.get("mock-1", "A")
+        second.get("mock-1", "B")
+        with pytest.raises(KeyConsumedError):
+            first.get("mock-1", "B")
+
+    def test_retrieval_creates_one_claim_file_per_party(self, tmp_path):
+        store = KmsStore(tmp_path)
+        store.add(mock_qkd_source(1, 16))
+        store.get("mock-1", "B")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mock-1.B", "mock-1.hex"]
+        assert (tmp_path / "mock-1.B").read_bytes() == b""
+
+    def test_hand_made_claim_file_refuses_that_party(self, tmp_path):
+        KmsStore(tmp_path).add(mock_qkd_source(1, 16))
+        (tmp_path / "mock-1.A").touch()
+        fresh = KmsStore(tmp_path)
+        with pytest.raises(KeyConsumedError):
+            fresh.get("mock-1", "A")
+        assert fresh.get("mock-1", "B").digits == mock_qkd_source(1, 16).digits
+
+    def test_failed_sync_keeps_the_claim_and_returns_nothing(self, tmp_path, monkeypatch):
+        store = KmsStore(tmp_path)
+        store.add(mock_qkd_source(1, 16))
+
+        def failing_fsync(fd):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(keys_module.os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="disk gone"):
+                store.get("mock-1", "A")
+        with pytest.raises(KeyConsumedError):
+            KmsStore(tmp_path).get("mock-1", "A")
+
+    def test_cut_key_write_leaves_no_key_file(self, tmp_path, monkeypatch):
+        def cut_write(path, text):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("write cut")
+
+        monkeypatch.setattr(keys_module, "write_text", cut_write)
+        with pytest.raises(OSError, match="write cut"):
+            KmsStore(tmp_path).add(mock_qkd_source(1, 16))
+        assert not (tmp_path / "mock-1.hex").exists()
+        assert KmsStore(tmp_path).key_ids() == []
+
+    def test_old_consume_log_is_refused(self, tmp_path):
+        (tmp_path / "consumed.txt").write_text("mock-1,A\n")
+        with pytest.raises(ValueError, match="consumed.txt"):
+            KmsStore(tmp_path)
+
+    def test_store_needs_a_directory(self):
+        with pytest.raises(TypeError):
+            KmsStore()
+
+
+def _race_for_key(stores, key_id):
+    """Eight threads, alternating parties and spread over the stores, each
+    try to retrieve key_id once; returns the parties that got it, sorted."""
+    results = []
+    barrier = threading.Barrier(8)
+
+    def worker(store, party):
+        barrier.wait()
+        try:
+            store.get(key_id, party)
+            results.append(("ok", party))
+        except KeyConsumedError:
+            results.append(("dup", party))
+
+    threads = [
+        threading.Thread(target=worker, args=(stores[i // 2 % len(stores)], "A" if i % 2 else "B"))
+        for i in range(8)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == 8
+    return sorted(party for status, party in results if status == "ok")

@@ -160,6 +160,12 @@ class TestFeasibilityReport:
         with pytest.raises(ValueError):
             ChannelParams(dead_time_s=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ChannelParams)])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"ChannelParams.{name} must be finite"):
+            ChannelParams(**{name: value})
+
 
 class TestRendering:
     def test_text_report_is_aligned(self):
