@@ -5,69 +5,14 @@ consume-once semantics, key-driven phase-noise schedules and the delay
 codec they define, Master/Slave timestamp-exchange synchronization,
 Allan-deviation stability analysis, photon-counting channel feasibility
 arithmetic, and the round-trip experiment tying it all together.
+
+The package itself exports what the README's library examples use; every
+other name is imported from its module (``timecloak.wrptp``, ...).
 """
 
-from .config import ConfigError, ExperimentConfig, HopConfig, build_experiment_config
-from .experiment import (
-    ExperimentResult,
-    ExperimentSummary,
-    build_schedule,
-    calibration_window,
-    emit_outputs,
-    run_experiment,
-    sweep_noise_models,
-)
-from .keys import (
-    HexKeyStream,
-    HexParseError,
-    KeyConsumedError,
-    KeyExhaustedError,
-    KmsStore,
-    UnknownKeyError,
-    load_keys,
-    mock_qkd_source,
-    save_keys,
-)
-from .linkbudget import (
-    ChannelParams,
-    LinkBudgetReport,
-    counts_per_pulse,
-    feasibility_report,
-    saturation_limit,
-    signal_counts_per_pulse,
-)
-from .noise import (
-    NoiseKind,
-    NoiseModelSpec,
-    PhaseSchedule,
-    apply_schedule,
-    bound_phase,
-    generate_schedule,
-    parse_noise_kind,
-    phase_to_delay,
-    rw_lag_step,
-    rw_mem_step,
-    rw_step,
-    white_phase,
-)
-from .stability import (
-    AdevCurve,
-    NoiseClass,
-    TimeErrorSeries,
-    classify_noise,
-    decorrelation_steps,
-    fit_loglog_slope,
-    overlapping_adev,
-)
-from .wrptp import (
-    LinkModel,
-    SimClock,
-    WrTimestampQuartet,
-    compute_delay_offset,
-    exchange,
-    run_sync_session,
-    servo_step,
-    write_session_csv,
-)
+from .config import ExperimentConfig, HopConfig
+from .experiment import calibration_window, emit_outputs, run_experiment
+from .keys import KmsStore, mock_qkd_source
+from .noise import NoiseKind, NoiseModelSpec
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .noise import NoiseKind, NoiseModelSpec, parse_noise_kind
-from .wrptp import DEFAULT_TURNAROUND_NS, require_finite
+from .wrptp import require_finite
 
 MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
 
@@ -29,18 +29,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class HopConfig:
-    """Link, servo, and calibration settings of one synchronization hop."""
+    """Link, servo, and calibration settings of one synchronization hop, from
+    config key to session kernel (quantization_ns 0: integer-ns timestamps)."""
 
     delay_forward_ns: float = 0.0
     delay_backward_ns: float = 0.0
     jitter_ns: float = 0.0
     quantization_ns: int = 0
     gain: float = 1.0
-    turnaround_ns: float = DEFAULT_TURNAROUND_NS
+    turnaround_ns: float = 1000
     bias_ns: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite(self, ConfigError)
+        for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"HopConfig.{name} must be >= 0, got {value!r}")
         if not 0 < self.gain < 2:
             # the proportional servo diverges outside this range
             raise ConfigError(f"servo gain must be in (0, 2), got {self.gain!r}")

@@ -22,12 +22,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import ExperimentConfig, HopConfig, with_model
+from .config import ExperimentConfig, with_model
 from .keys import HexKeyStream, load_keys, mock_qkd_source
 from .noise import NoiseKind, PhaseSchedule, apply_schedule, generate_schedule, parse_noise_kind
 from .stability import AdevCurve, TimeErrorSeries, fit_loglog_slope, overlapping_adev
 from .tables import csv_text, write_text
-from .wrptp import LinkModel, SimClock, run_sync_session
+from .wrptp import SimClock, run_sync_session
 
 DEFAULT_SWEEP_BOUND_DEG = 360.0
 _DEFAULT_SWEEP_LAG = 100
@@ -79,31 +79,6 @@ def build_schedule(config: ExperimentConfig) -> PhaseSchedule:
     return PhaseSchedule(window + generated.phases_deg, config.dwell_s, config.carrier_hz)
 
 
-def _hop_series(
-    hop: HopConfig, n_rounds: int, interval_s: float, seed: int, salt: int
-) -> TimeErrorSeries:
-    master = SimClock()
-    slave = SimClock()
-    link = LinkModel(
-        delay_forward_ns=hop.delay_forward_ns,
-        delay_backward_ns=hop.delay_backward_ns,
-        jitter_ns_rms=hop.jitter_ns,
-        quantization_ns=hop.quantization_ns,
-    )
-    rng = np.random.default_rng((seed, salt))
-    return run_sync_session(
-        master,
-        slave,
-        link,
-        n_rounds,
-        interval_s,
-        gain=hop.gain,
-        turnaround_ns=hop.turnaround_ns,
-        calib_bias_ns=hop.bias_ns,
-        rng=rng,
-    )
-
-
 def _safe_slope(curve: AdevCurve) -> float:
     try:
         return fit_loglog_slope(curve)
@@ -116,8 +91,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     n = config.n_steps
     schedule = build_schedule(config)
 
-    hop1 = _hop_series(config.hop1, n, config.dwell_s, config.seed, salt=1)
-    hop2 = _hop_series(config.hop2, n, config.dwell_s, config.seed, salt=2)
+    hop1, hop2 = (
+        run_sync_session(
+            SimClock(), SimClock(), hop, n, config.dwell_s,
+            rng=np.random.default_rng((config.seed, salt)),
+        )
+        for salt, hop in ((1, config.hop1), (2, config.hop2))
+    )
     base = TimeErrorSeries(hop1.samples_ns + hop2.samples_ns, config.dwell_s)
 
     tic2 = apply_schedule(base, schedule, +1)

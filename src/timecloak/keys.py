@@ -58,7 +58,7 @@ class HexKeyStream:
     def __post_init__(self) -> None:
         if isinstance(self.digits, (bytearray, memoryview)):
             self.digits = bytes(self.digits)
-        if max(self.digits, default=0) > 15:
+        if self.digits and np.frombuffer(self.digits, dtype=np.uint8).max() > 15:
             raise ValueError("key digits must be in [0, 15]")
         if not 0 <= self.cursor <= len(self.digits):
             raise ValueError("cursor out of range")
@@ -159,9 +159,12 @@ class KmsStore:
             return sorted(self._keys)
 
     def add(self, stream: HexKeyStream) -> None:
-        """Register a key under its id and write its key file whole."""
+        """Register a key under its id and write its key file whole. An id
+        that does not name a file directly in the directory is refused."""
+        key_file = self._dir / f"{stream.key_id}.hex"
+        if key_file.parent != self._dir or key_file.stem != stream.key_id:
+            raise ValueError(f"key id {stream.key_id!r} does not name a file in {self._dir}")
         with self._lock:
-            key_file = self._dir / f"{stream.key_id}.hex"
             # the file check catches a key another store added to the directory
             if stream.key_id in self._keys or key_file.exists():
                 raise ValueError(f"key id {stream.key_id!r} already stored")

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from .tables import csv_text
 from .wrptp import require_finite
 
-REFERENCE_KEY_RATE_BPS = 1500.0
-REFERENCE_QBER = 0.02
-
 
 @dataclass(frozen=True)
 class ChannelParams:

@@ -79,7 +79,6 @@ class AdevCurve:
     taus_s: np.ndarray
     adev: np.ndarray
     sigma_adev: np.ndarray
-    estimator: str = "overlapping"
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus_s, dtype=np.float64)

@@ -17,14 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from .stability import TimeErrorSeries
 from .tables import csv_text, write_text
 
-DEFAULT_TURNAROUND_NS = 1000
+if TYPE_CHECKING:
+    from .config import HopConfig
 
 
 def require_finite(obj, error: type[ValueError] = ValueError) -> None:
@@ -50,26 +51,6 @@ class SimClock:
             raise ValueError("jitter_ns_rms must be >= 0")
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    """Fixed propagation delays plus per-message noise and timestamp
-    granularity (0 = ideal phase detector, integer-ns timestamps)."""
-
-    delay_forward_ns: float = 0.0
-    delay_backward_ns: float = 0.0
-    jitter_ns_rms: float = 0.0
-    quantization_ns: int = 0
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.delay_forward_ns < 0 or self.delay_backward_ns < 0:
-            raise ValueError("link delays must be >= 0")
-        if self.jitter_ns_rms < 0:
-            raise ValueError("jitter_ns_rms must be >= 0")
-        if self.quantization_ns < 0:
-            raise ValueError("quantization_ns must be >= 0")
-
-
 class WrTimestampQuartet(NamedTuple):
     """The four timestamps of one exchange: t1/t4 in the master timebase,
     t2/t3 in the slave timebase, all integer nanoseconds."""
@@ -89,16 +70,16 @@ def _quantize(value_ns: float, quantization_ns: int) -> int:
 def exchange(
     master: SimClock,
     slave: SimClock,
-    link: LinkModel,
+    hop: HopConfig,
     epoch_ns: int,
-    turnaround_ns: float = DEFAULT_TURNAROUND_NS,
     rng: np.random.Generator | None = None,
 ) -> WrTimestampQuartet:
-    """Simulate one timestamp exchange starting at master time epoch_ns.
+    """Simulate one timestamp exchange over a hop starting at master time
+    epoch_ns; the slave replies hop.turnaround_ns after it receives.
 
     Reception timestamps (t2, t4) pick up link noise plus the receiving
     clock's own timestamping noise; every timestamp is quantized to the
-    link granularity. A noisy exchange needs a generator; callers running
+    hop's granularity. A noisy exchange needs a generator; callers running
     many exchanges share one, so that draws never repeat between calls.
 
     This is the single-step reference that the session kernel behind
@@ -106,26 +87,26 @@ def exchange(
     """
     if epoch_ns < 0:
         raise ValueError("epoch_ns must be >= 0")
-    noisy = link.jitter_ns_rms > 0 or master.jitter_ns_rms > 0 or slave.jitter_ns_rms > 0
+    noisy = hop.jitter_ns > 0 or master.jitter_ns_rms > 0 or slave.jitter_ns_rms > 0
     if noisy and rng is None:
         raise ValueError("a noisy exchange needs a random generator (rng)")
 
     def _noise(clock_jitter: float) -> float:
         total = 0.0
-        if link.jitter_ns_rms > 0:
-            total += rng.normal(0.0, link.jitter_ns_rms)
+        if hop.jitter_ns > 0:
+            total += rng.normal(0.0, hop.jitter_ns)
         if clock_jitter > 0:
             total += rng.normal(0.0, clock_jitter)
         return total
 
     rel_offset = slave.true_offset_ns - master.true_offset_ns
-    q = link.quantization_ns
+    q = hop.quantization_ns
     t1 = _quantize(epoch_ns, q)
-    t2 = _quantize(t1 + link.delay_forward_ns + rel_offset + (_noise(slave.jitter_ns_rms) if noisy else 0.0), q)
-    t3 = _quantize(t2 + turnaround_ns, q)
-    t4 = _quantize(
-        t3 - rel_offset + link.delay_backward_ns + (_noise(master.jitter_ns_rms) if noisy else 0.0), q
-    )
+    noise2 = _noise(slave.jitter_ns_rms) if noisy else 0.0
+    t2 = _quantize(t1 + hop.delay_forward_ns + rel_offset + noise2, q)
+    t3 = _quantize(t2 + hop.turnaround_ns, q)
+    noise4 = _noise(master.jitter_ns_rms) if noisy else 0.0
+    t4 = _quantize(t3 - rel_offset + hop.delay_backward_ns + noise4, q)
     return WrTimestampQuartet(t1, t2, t3, t4)
 
 
@@ -150,7 +131,7 @@ def servo_step(slave: SimClock, offset_ns: float, gain: float = 1.0) -> SimClock
 def _jitter(
     master: SimClock,
     slave: SimClock,
-    link: LinkModel,
+    hop: HopConfig,
     n_rounds: int,
     rng: np.random.Generator | None,
 ) -> np.ndarray:
@@ -165,9 +146,9 @@ def _jitter(
     draws nothing and needs none.
     """
     sources = (
-        (0, link.jitter_ns_rms),
+        (0, hop.jitter_ns),
         (0, slave.jitter_ns_rms),
-        (1, link.jitter_ns_rms),
+        (1, hop.jitter_ns),
         (1, master.jitter_ns_rms),
     )
     active = [(row, sigma) for row, sigma in sources if sigma > 0]
@@ -184,12 +165,9 @@ def _jitter(
 def _session(
     master: SimClock,
     slave: SimClock,
-    link: LinkModel,
+    hop: HopConfig,
     n_rounds: int,
     round_interval_s: float,
-    gain: float = 1.0,
-    turnaround_ns: float = DEFAULT_TURNAROUND_NS,
-    calib_bias_ns: float = 0.0,
     synce_locked: bool = True,
     rng: np.random.Generator | None = None,
 ) -> Iterator[tuple]:
@@ -198,27 +176,29 @@ def _session(
     plain tuple per round.
 
     Each round does on plain numbers what exchange, compute_delay_offset
-    and servo_step do on objects, in the same floating-point order.
+    and servo_step do on objects, in the same floating-point order. The
+    hop's gain is in (0, 2): HopConfig checks it.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     if round_interval_s <= 0:
         raise ValueError("round_interval_s must be > 0")
-    if not 0 < gain < 2:
-        raise ValueError(f"gain must be in (0, 2), got {gain!r}")
-    noise = _jitter(master, slave, link, n_rounds, rng)
+    noise = _jitter(master, slave, hop, n_rounds, rng)
     slave_drift = master.drift_ppb if synce_locked else slave.drift_ppb
     drift_rel = slave_drift - master.drift_ppb
 
-    q = link.quantization_ns
+    q = hop.quantization_ns
     if q > 0:
         def quantize(value_ns):
             return round(value_ns / q) * q
     else:
         quantize = round
     master_offset = master.true_offset_ns
-    d_fwd = link.delay_forward_ns
-    d_bwd = link.delay_backward_ns
+    d_fwd = hop.delay_forward_ns
+    d_bwd = hop.delay_backward_ns
+    gain = hop.gain
+    turnaround_ns = hop.turnaround_ns
+    bias_ns = hop.bias_ns
 
     def rounds() -> Iterator[tuple]:
         offset = slave.true_offset_ns
@@ -231,7 +211,7 @@ def _session(
             delay = ((t4 - t1) - (t3 - t2)) / 2.0
             recovered = (t2 - t1) - delay
             offset = offset - gain * recovered
-            yield t1, t2, t3, t4, delay, recovered, offset + calib_bias_ns
+            yield t1, t2, t3, t4, delay, recovered, offset + bias_ns
             if drift_rel != 0.0:
                 offset = offset + drift_rel * round_interval_s
 
@@ -241,21 +221,21 @@ def _session(
 def run_sync_session(
     master: SimClock,
     slave: SimClock,
-    link: LinkModel,
+    hop: HopConfig,
     n_rounds: int,
     round_interval_s: float,
-    **kwargs,
+    synce_locked: bool = True,
+    rng: np.random.Generator | None = None,
 ) -> TimeErrorSeries:
-    """Run a synchronization session and return the residual time errors,
-    one sample per round.
+    """Run a synchronization session over a hop and return the residual
+    time errors, one sample per round.
 
-    Keyword arguments: gain (stable for 0 < gain < 2), turnaround_ns,
-    calib_bias_ns, synce_locked and rng (needed when anything is noisy). The
-    residual is the slave clock after the servo correction plus the constant
-    calibration bias, the stand-in for uncompensated hardware delays. Unless
-    synce_locked, the relative drift accumulates between rounds.
+    The residual is the slave clock after the servo correction by hop.gain
+    plus the hop's constant bias_ns, the stand-in for uncompensated hardware
+    delays. Unless synce_locked, the relative drift accumulates between
+    rounds. rng is needed when the hop or a clock has jitter.
     """
-    rounds = _session(master, slave, link, n_rounds, round_interval_s, **kwargs)
+    rounds = _session(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng)
     residuals = np.fromiter(map(itemgetter(6), rounds), dtype=np.float64, count=n_rounds)
     return TimeErrorSeries(residuals, round_interval_s)
 
@@ -264,14 +244,15 @@ def write_session_csv(
     path,
     master: SimClock,
     slave: SimClock,
-    link: LinkModel,
+    hop: HopConfig,
     n_rounds: int,
     round_interval_s: float,
-    **kwargs,
+    synce_locked: bool = True,
+    rng: np.random.Generator | None = None,
 ) -> None:
     """Run a session as run_sync_session does and write one CSV row per round:
     round_index, epoch_s, t1..t4, D_ns, O_ns, residual_ns."""
-    rounds = _session(master, slave, link, n_rounds, round_interval_s, **kwargs)
+    rounds = _session(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng)
     *stamps, delay, offset, residual = zip(*rounds)
     epochs = (i * round_interval_s for i in range(n_rounds))
     # float() keeps these columns in float form when callers pass ints

@@ -226,6 +226,18 @@ FAULTS = {
     "inf_shared_jitter": ({"link.jitter_ns": "inf"}, "HopConfig.jitter_ns must be finite, got inf"),
     "nan_dwell": ({"dwell_s": "nan"}, "ExperimentConfig.dwell_s must be finite, got nan"),
     "hop_gain_out_of_range": ({"hop1.gain": "2"}, "servo gain must be in (0, 2), got 2.0"),
+    "negative_shared_delay": (
+        {"link.delay_fwd_ns": "-1"},
+        "HopConfig.delay_forward_ns must be >= 0, got -1.0",
+    ),
+    "negative_hop_jitter": (
+        {"hop2.jitter_ns": "-0.5"},
+        "HopConfig.jitter_ns must be >= 0, got -0.5",
+    ),
+    "negative_quantization": (
+        {"link.quantization_ns": "-8"},
+        "HopConfig.quantization_ns must be >= 0, got -8",
+    ),
     "bad_key_source": ({"key.source": "disk"}, "key.source must be 'mock' or 'file', got 'disk'"),
     "file_without_path": ({"key.source": "file"}, "key.source = file requires key.path"),
     "lag_walk_without_lag": ({"model.kind": "rw_lag"}, "RW_LAG model needs a lag"),

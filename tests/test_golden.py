@@ -34,7 +34,7 @@ from timecloak.config import ExperimentConfig, HopConfig
 from timecloak.experiment import emit_outputs, run_experiment
 from timecloak.keys import mock_qkd_source
 from timecloak.noise import NoiseKind, NoiseModelSpec, PhaseSchedule, generate_schedule
-from timecloak.wrptp import LinkModel, SimClock, write_session_csv
+from timecloak.wrptp import SimClock, write_session_csv
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 ADEV_GOLDEN_PATH = Path(__file__).parent / "golden" / "adev_digests.json"
@@ -157,10 +157,10 @@ def _written_bytes(write) -> bytes:
         return path.read_bytes()
 
 
-def _session_bytes(master, slave, link, n_rounds, round_interval_s, **kwargs) -> bytes:
+def _session_bytes(master, slave, hop, n_rounds, round_interval_s, **kwargs) -> bytes:
     return _written_bytes(
         lambda path: write_session_csv(
-            path, master, slave, link, n_rounds, round_interval_s, **kwargs
+            path, master, slave, hop, n_rounds, round_interval_s, **kwargs
         )
     )
 
@@ -190,17 +190,17 @@ def _writer_cases() -> dict:
         "session_noisy_quantized_unlocked": lambda: _session_bytes(
             SimClock(true_offset_ns=3.5, drift_ppb=20.0, jitter_ns_rms=0.3),
             SimClock(true_offset_ns=-250.0, drift_ppb=-40.0, jitter_ns_rms=0.2),
-            LinkModel(
+            HopConfig(
                 delay_forward_ns=5000.0,
                 delay_backward_ns=5020.0,
-                jitter_ns_rms=0.7,
+                jitter_ns=0.7,
                 quantization_ns=8,
+                gain=0.7,
+                turnaround_ns=1234.5,
+                bias_ns=12.0,
             ),
             500,
             0.5,
-            gain=0.7,
-            turnaround_ns=1234.5,
-            calib_bias_ns=12.0,
             synce_locked=False,
             rng=np.random.default_rng(31),
         ),
@@ -208,12 +208,11 @@ def _writer_cases() -> dict:
         "session_int_inputs": lambda: _session_bytes(
             SimClock(true_offset_ns=3),
             SimClock(true_offset_ns=100, drift_ppb=7),
-            LinkModel(delay_forward_ns=50, delay_backward_ns=60),
+            HopConfig(
+                delay_forward_ns=50, delay_backward_ns=60, gain=1, turnaround_ns=1000, bias_ns=7
+            ),
             50,
             2,
-            gain=1,
-            turnaround_ns=1000,
-            calib_bias_ns=7,
             synce_locked=False,
         ),
         "schedule_int_phases": lambda: _written_bytes(

@@ -207,6 +207,10 @@ class TestTakeChunks:
         with pytest.raises(ValueError):
             HexKeyStream(bytes([16]))
 
+    def test_digit_out_of_range_at_the_end_of_a_long_stream(self):
+        with pytest.raises(ValueError, match=r"\[0, 15\]"):
+            HexKeyStream(bytes(range(16)) * 6000 + bytes([16]))
+
 
 class TestKmsStore:
     def test_both_parties_get_identical_digits(self, tmp_path):
@@ -341,6 +345,20 @@ class TestKmsStore:
         (tmp_path / "consumed.txt").write_text("mock-1,A\n")
         with pytest.raises(ValueError, match="consumed.txt"):
             KmsStore(tmp_path)
+
+    @pytest.mark.parametrize("key_id", ["../escaped", "a/b", ""])
+    def test_id_that_names_no_file_in_the_directory_is_refused(self, tmp_path, key_id):
+        store = KmsStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="does not name a file"):
+            store.add(HexKeyStream(bytes([1, 2, 3]), key_id=key_id))
+        assert list(tmp_path.rglob("*")) == [tmp_path / "store"]
+        assert store.key_ids() == []
+
+    def test_dotted_id_is_stored_and_reopened(self, tmp_path):
+        KmsStore(tmp_path).add(HexKeyStream(bytes([1, 2, 3]), key_id="a.b"))
+        reopened = KmsStore(tmp_path)
+        assert reopened.key_ids() == ["a.b"]
+        assert reopened.get("a.b", "A").digits == bytes([1, 2, 3])
 
     def test_store_needs_a_directory(self):
         with pytest.raises(TypeError):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import quartet_from_parameters
+from timecloak.config import HopConfig
 from timecloak.stability import TimeErrorSeries
 from timecloak.wrptp import (
-    LinkModel,
     SimClock,
     WrTimestampQuartet,
     compute_delay_offset,
@@ -27,9 +27,9 @@ from timecloak.wrptp import (
         (SimClock, "true_offset_ns"),
         (SimClock, "drift_ppb"),
         (SimClock, "jitter_ns_rms"),
-        (LinkModel, "delay_forward_ns"),
-        (LinkModel, "delay_backward_ns"),
-        (LinkModel, "jitter_ns_rms"),
+        (HopConfig, "delay_forward_ns"),
+        (HopConfig, "delay_backward_ns"),
+        (HopConfig, "jitter_ns"),
     ],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -43,43 +43,44 @@ class TestExchange:
         q = exchange(
             SimClock(),
             SimClock(true_offset_ns=100),
-            LinkModel(delay_forward_ns=50, delay_backward_ns=50),
+            HopConfig(delay_forward_ns=50, delay_backward_ns=50, turnaround_ns=50),
             epoch_ns=0,
-            turnaround_ns=50,
         )
         assert q == WrTimestampQuartet(0, 150, 200, 150)
 
     def test_zero_offset_zero_delay(self):
-        q = exchange(SimClock(), SimClock(), LinkModel(), epoch_ns=0, turnaround_ns=700)
+        q = exchange(SimClock(), SimClock(), HopConfig(turnaround_ns=700), epoch_ns=0)
         assert q.t2 == q.t1
         assert q.t4 == q.t3
 
     def test_quantization_grid(self):
-        link = LinkModel(delay_forward_ns=53, delay_backward_ns=41, quantization_ns=8)
-        q = exchange(SimClock(), SimClock(true_offset_ns=13), link, epoch_ns=1001, turnaround_ns=50)
+        hop = HopConfig(
+            delay_forward_ns=53, delay_backward_ns=41, quantization_ns=8, turnaround_ns=50
+        )
+        q = exchange(SimClock(), SimClock(true_offset_ns=13), hop, epoch_ns=1001)
         assert all(t % 8 == 0 for t in q)
 
     def test_causality_with_default_turnaround(self):
-        q = exchange(SimClock(), SimClock(true_offset_ns=-30), LinkModel(10, 90), epoch_ns=5_000)
+        q = exchange(SimClock(), SimClock(true_offset_ns=-30), HopConfig(10, 90), epoch_ns=5_000)
         assert q.t4 > q.t1
         assert q.t3 >= q.t2
 
     def test_rejects_negative_epoch(self):
         with pytest.raises(ValueError):
-            exchange(SimClock(), SimClock(), LinkModel(), epoch_ns=-1)
+            exchange(SimClock(), SimClock(), HopConfig(), epoch_ns=-1)
 
     def test_noisy_exchange_requires_generator(self):
         # a private generator would repeat the same draws on every call
-        link = LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=2.0)
+        hop = HopConfig(delay_forward_ns=50, delay_backward_ns=50, jitter_ns=2.0)
         with pytest.raises(ValueError, match="rng"):
-            exchange(SimClock(), SimClock(), link, 0)
+            exchange(SimClock(), SimClock(), hop, 0)
         with pytest.raises(ValueError, match="rng"):
-            exchange(SimClock(), SimClock(jitter_ns_rms=0.5), LinkModel(), 0)
+            exchange(SimClock(), SimClock(jitter_ns_rms=0.5), HopConfig(), 0)
 
     def test_noise_repeatable_with_shared_rng(self):
-        link = LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=2.0)
-        a = exchange(SimClock(), SimClock(), link, 0, rng=np.random.default_rng(5))
-        b = exchange(SimClock(), SimClock(), link, 0, rng=np.random.default_rng(5))
+        hop = HopConfig(delay_forward_ns=50, delay_backward_ns=50, jitter_ns=2.0)
+        a = exchange(SimClock(), SimClock(), hop, 0, rng=np.random.default_rng(5))
+        b = exchange(SimClock(), SimClock(), hop, 0, rng=np.random.default_rng(5))
         assert a == b
 
 
@@ -154,7 +155,7 @@ class TestRunSyncSession:
         series = run_sync_session(
             SimClock(),
             SimClock(true_offset_ns=12345),
-            LinkModel(delay_forward_ns=500, delay_backward_ns=500),
+            HopConfig(delay_forward_ns=500, delay_backward_ns=500),
             n_rounds=10,
             round_interval_s=1.0,
         )
@@ -164,7 +165,7 @@ class TestRunSyncSession:
         series = run_sync_session(
             SimClock(),
             SimClock(true_offset_ns=1000),
-            LinkModel(delay_forward_ns=60, delay_backward_ns=40),
+            HopConfig(delay_forward_ns=60, delay_backward_ns=40),
             n_rounds=10,
             round_interval_s=1.0,
         )
@@ -177,10 +178,9 @@ class TestRunSyncSession:
         series = run_sync_session(
             SimClock(),
             SimClock(true_offset_ns=1024),
-            LinkModel(delay_forward_ns=100, delay_backward_ns=100),
+            HopConfig(delay_forward_ns=100, delay_backward_ns=100, gain=0.5),
             n_rounds=8,
             round_interval_s=1.0,
-            gain=0.5,
         )
         expected = 1024 * 0.5 ** np.arange(1, 9)
         assert np.allclose(series.samples_ns, expected)
@@ -189,10 +189,9 @@ class TestRunSyncSession:
         series = run_sync_session(
             SimClock(),
             SimClock(true_offset_ns=500),
-            LinkModel(),
+            HopConfig(bias_ns=129.188),
             n_rounds=5,
             round_interval_s=1.0,
-            calib_bias_ns=129.188,
         )
         assert np.all(series.samples_ns == pytest.approx(129.188))
 
@@ -204,7 +203,7 @@ class TestRunSyncSession:
         series = run_sync_session(
             SimClock(),
             SimClock(true_offset_ns=100.0),
-            LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=sigma),
+            HopConfig(delay_forward_ns=50, delay_backward_ns=50, jitter_ns=sigma),
             n_rounds=n,
             round_interval_s=1.0,
             rng=np.random.default_rng((3, 4)),
@@ -222,7 +221,7 @@ class TestRunSyncSession:
             rounds = _session(
                 SimClock(),
                 SimClock(drift_ppb=100.0),
-                LinkModel(),
+                HopConfig(),
                 n_rounds=5,
                 round_interval_s=10.0,
                 synce_locked=synce_locked,
@@ -234,32 +233,28 @@ class TestRunSyncSession:
 
     @pytest.mark.parametrize("gain", [0.0, -1.0, 2.0, 3.0, math.nan])
     def test_gain_outside_stable_range_rejected(self, gain):
+        # a session takes its gain from the hop, and the hop refuses these
         with pytest.raises(ValueError, match="gain"):
-            run_sync_session(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
-        with pytest.raises(ValueError, match="gain"):
-            _session(SimClock(), SimClock(), LinkModel(), 5, 1.0, gain=gain)
+            run_sync_session(SimClock(), SimClock(), HopConfig(gain=gain), 5, 1.0)
 
     def test_round_count_validated(self):
         with pytest.raises(ValueError):
-            run_sync_session(SimClock(), SimClock(), LinkModel(), 0, 1.0)
+            run_sync_session(SimClock(), SimClock(), HopConfig(), 0, 1.0)
 
     def test_series_metadata(self):
-        series = run_sync_session(SimClock(), SimClock(), LinkModel(), 7, 5.0)
+        series = run_sync_session(SimClock(), SimClock(), HopConfig(), 7, 5.0)
         assert isinstance(series, TimeErrorSeries)
         assert len(series) == 7
         assert series.tau0_s == 5.0
 
     def test_noisy_session_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            run_sync_session(SimClock(), SimClock(), LinkModel(jitter_ns_rms=1.0), 5, 1.0)
+            run_sync_session(SimClock(), SimClock(), HopConfig(jitter_ns=1.0), 5, 1.0)
         with pytest.raises(ValueError, match="rng"):
-            _session(SimClock(), SimClock(jitter_ns_rms=0.5), LinkModel(), 5, 1.0)
+            _session(SimClock(), SimClock(jitter_ns_rms=0.5), HopConfig(), 5, 1.0)
 
 
-def _reference_rounds(
-    master, slave, link, n_rounds, round_interval_s, gain, turnaround_ns, calib_bias_ns,
-    synce_locked, rng,
-):
+def _reference_rounds(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng):
     """The session as a loop over the single-step reference functions:
     exchange, compute_delay_offset and servo_step on a shared generator."""
     if synce_locked:
@@ -267,10 +262,10 @@ def _reference_rounds(
     rounds = []
     for i in range(n_rounds):
         epoch_ns = int(round(i * round_interval_s * 1e9))
-        quartet = exchange(master, slave, link, epoch_ns, turnaround_ns, rng)
+        quartet = exchange(master, slave, hop, epoch_ns, rng)
         delay, offset = compute_delay_offset(quartet)
-        slave = servo_step(slave, offset, gain)
-        residual = slave.true_offset_ns + calib_bias_ns
+        slave = servo_step(slave, offset, hop.gain)
+        residual = slave.true_offset_ns + hop.bias_ns
         rounds.append((*quartet, delay, offset, residual))
         drift_rel = slave.drift_ppb - master.drift_ppb
         if drift_rel != 0.0:
@@ -285,12 +280,15 @@ _ns = st.floats(min_value=0.0, max_value=1e5)
 
 class TestKernelMatchesSingleStepReference:
     @given(
-        link=st.builds(
-            LinkModel,
+        hop=st.builds(
+            HopConfig,
             delay_forward_ns=_ns,
             delay_backward_ns=_ns,
-            jitter_ns_rms=_jitter,
+            jitter_ns=_jitter,
             quantization_ns=st.sampled_from([0, 0, 1, 3, 8]),
+            gain=st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
+            turnaround_ns=st.one_of(st.just(1000), st.floats(min_value=0.0, max_value=5e3)),
+            bias_ns=st.floats(min_value=-1e3, max_value=1e3),
         ),
         master=st.builds(
             SimClock,
@@ -306,24 +304,21 @@ class TestKernelMatchesSingleStepReference:
         ),
         n_rounds=st.integers(min_value=1, max_value=40),
         round_interval_s=st.sampled_from([0.1, 1.0, 5.0, 7.3]),
-        gain=st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
-        turnaround_ns=st.one_of(st.just(1000), st.floats(min_value=0.0, max_value=5e3)),
-        calib_bias_ns=st.floats(min_value=-1e3, max_value=1e3),
         synce_locked=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical(self, master, slave, link, n_rounds, seed, **kwargs):
+    def test_bit_identical(self, master, slave, hop, n_rounds, seed, **kwargs):
         reference_rng = np.random.default_rng(seed)
-        expected = _reference_rounds(master, slave, link, n_rounds, rng=reference_rng, **kwargs)
+        expected = _reference_rounds(master, slave, hop, n_rounds, rng=reference_rng, **kwargs)
         rng = np.random.default_rng(seed)
-        got = list(_session(master, slave, link, n_rounds, rng=rng, **kwargs))
+        got = list(_session(master, slave, hop, n_rounds, rng=rng, **kwargs))
         # repr tells ints from floats and -0.0 from 0.0, as the CSV output would
         assert repr(got) == repr(expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
         rng = np.random.default_rng(seed)
-        series = run_sync_session(master, slave, link, n_rounds, rng=rng, **kwargs)
+        series = run_sync_session(master, slave, hop, n_rounds, rng=rng, **kwargs)
         residuals = np.array([r[-1] for r in expected])
         assert series.samples_ns.tobytes() == residuals.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -336,10 +331,9 @@ class TestSessionCsv:
             path,
             SimClock(),
             SimClock(true_offset_ns=100),
-            LinkModel(delay_forward_ns=50, delay_backward_ns=50),
+            HopConfig(delay_forward_ns=50, delay_backward_ns=50, turnaround_ns=50),
             n_rounds=4,
             round_interval_s=1.0,
-            turnaround_ns=50,
         )
         lines = path.read_text().splitlines()
         assert lines[0] == "round_index,epoch_s,t1,t2,t3,t4,D_ns,O_ns,residual_ns"
@@ -351,8 +345,8 @@ class TestSessionCsv:
 
     def test_deterministic_bytes(self, tmp_path):
         kwargs = dict(n_rounds=50, round_interval_s=1.0)
-        link = LinkModel(delay_forward_ns=50, delay_backward_ns=50, jitter_ns_rms=1.5)
+        hop = HopConfig(delay_forward_ns=50, delay_backward_ns=50, jitter_ns=1.5)
         for name in ("a.csv", "b.csv"):
             rng = np.random.default_rng((1, 2))
-            write_session_csv(tmp_path / name, SimClock(), SimClock(), link, rng=rng, **kwargs)
+            write_session_csv(tmp_path / name, SimClock(), SimClock(), hop, rng=rng, **kwargs)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
