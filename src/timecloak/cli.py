@@ -243,7 +243,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # numpy overflow raises FloatingPointError, an ArithmeticError, as Python's does
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except KeyExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_KEY_EXHAUSTED

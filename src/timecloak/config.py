@@ -42,10 +42,14 @@ class HopConfig:
 
     def __post_init__(self) -> None:
         require_finite(self, ConfigError)
-        for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns"):
+        for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns",
+                     "turnaround_ns"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"HopConfig.{name} must be >= 0, got {value!r}")
+        if (q := self.quantization_ns) != int(q):
+            raise ConfigError(f"HopConfig.quantization_ns must be a whole number, got {q!r}")
+        object.__setattr__(self, "quantization_ns", int(q))  # so timestamps stay int ns
         if not 0 < self.gain < 2:
             # the proportional servo diverges outside this range
             raise ConfigError(f"servo gain must be in (0, 2), got {self.gain!r}")

@@ -26,7 +26,7 @@ from .config import ExperimentConfig, with_model
 from .keys import HexKeyStream, load_keys, mock_qkd_source
 from .noise import NoiseKind, PhaseSchedule, apply_schedule, generate_schedule, parse_noise_kind
 from .stability import AdevCurve, TimeErrorSeries, fit_loglog_slope, overlapping_adev
-from .tables import csv_text, write_text
+from .tables import write_csv_pair, write_text
 from .wrptp import SimClock, run_sync_session
 
 DEFAULT_SWEEP_BOUND_DEG = 360.0
@@ -164,13 +164,6 @@ def sweep_noise_models(
     return results
 
 
-def _series_csv(series: TimeErrorSeries) -> str:
-    steps = range(len(series))
-    # iterating the buffer yields Python floats without a full-length list
-    columns = (steps, map(series.tau0_s.__mul__, steps), series.samples_ns.data)
-    return csv_text("step_index,time_s,error_ns", *(map(repr, c) for c in columns))
-
-
 _FIG_DELAYS_GP = """\
 set datafile separator ","
 set xlabel "time (s)"
@@ -212,16 +205,20 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written = [out / "tic1.csv", out / "tic2.csv"]  # emit() appends the other files
 
     def emit(name: str, text: str) -> None:
         path = out / name
         write_text(path, text)
         written.append(path)
 
-    # each file's text is built when its turn comes and freed once written
-    emit("tic1.csv", _series_csv(result.tic1_series))
-    emit("tic2.csv", _series_csv(result.tic2_series))
+    # both tic series come from run_experiment: equally long, one tau0
+    steps = range(len(result.tic1_series))
+    prefixes = map("{},{!r},".format, steps, map(result.tic1_series.tau0_s.__mul__, steps))
+    # iterating a buffer yields Python floats without a full-length list
+    lasts = [map(repr, s.samples_ns.data) for s in (result.tic1_series, result.tic2_series)]
+    write_csv_pair(written, "step_index,time_s,error_ns", prefixes, lasts)
+    # each other file's text is built when its turn comes and freed once written
     emit("adev1.csv", result.adev1.csv_text())
     emit("adev2.csv", result.adev2.csv_text())
     emit("summary.txt", _summary_text(result.summary))

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -170,10 +169,11 @@ def _session(
     round_interval_s: float,
     synce_locked: bool = True,
     rng: np.random.Generator | None = None,
-) -> Iterator[tuple]:
-    """The session kernel: validates, draws all jitter, then returns an
-    iterator of (t1, t2, t3, t4, delay_ns, offset_ns, residual_ns), one
-    plain tuple per round.
+    rows: list | None = None,
+) -> list[float]:
+    """The session kernel: validates, draws all jitter, then runs every round
+    in one loop and returns each round's residual_ns; a rows list, if given,
+    also gets (t1, t2, t3, t4, delay_ns, offset_ns, residual_ns) per round.
 
     Each round does on plain numbers what exchange, compute_delay_offset
     and servo_step do on objects, in the same floating-point order. The
@@ -193,6 +193,13 @@ def _session(
             return round(value_ns / q) * q
     else:
         quantize = round
+    # t1 = quantize(round(i * round_interval_s * 1e9)); numpy gives the same ints while int64
+    # holds them and q is exact as a float. Buffers iterate as Python ints and floats.
+    if (n_rounds - 1) * round_interval_s * 1e9 < 2.0**62 and q < 2**53:
+        epochs = np.rint(np.arange(n_rounds) * round_interval_s * 1e9).astype(np.int64)
+        epochs = (np.rint(epochs / q).astype(np.int64) * q if q > 0 else epochs).data
+    else:
+        epochs = [quantize(round(i * round_interval_s * 1e9)) for i in range(n_rounds)]
     master_offset = master.true_offset_ns
     d_fwd = hop.delay_forward_ns
     d_bwd = hop.delay_backward_ns
@@ -200,22 +207,22 @@ def _session(
     turnaround_ns = hop.turnaround_ns
     bias_ns = hop.bias_ns
 
-    def rounds() -> Iterator[tuple]:
-        offset = slave.true_offset_ns
-        for i, (noise2, noise4) in enumerate(zip(noise[0].data, noise[1].data)):
-            rel = offset - master_offset
-            t1 = quantize(round(i * round_interval_s * 1e9))
-            t2 = quantize(t1 + d_fwd + rel + noise2)
-            t3 = quantize(t2 + turnaround_ns)
-            t4 = quantize(t3 - rel + d_bwd + noise4)
-            delay = ((t4 - t1) - (t3 - t2)) / 2.0
-            recovered = (t2 - t1) - delay
-            offset = offset - gain * recovered
-            yield t1, t2, t3, t4, delay, recovered, offset + bias_ns
-            if drift_rel != 0.0:
-                offset = offset + drift_rel * round_interval_s
-
-    return rounds()
+    residuals: list[float] = []
+    offset = slave.true_offset_ns
+    for t1, noise2, noise4 in zip(epochs, noise[0].data, noise[1].data):
+        rel = offset - master_offset
+        t2 = quantize(t1 + d_fwd + rel + noise2)
+        t3 = quantize(t2 + turnaround_ns)
+        t4 = quantize(t3 - rel + d_bwd + noise4)
+        delay = ((t4 - t1) - (t3 - t2)) / 2.0
+        recovered = (t2 - t1) - delay
+        offset = offset - gain * recovered
+        residuals.append(offset + bias_ns)
+        if rows is not None:
+            rows.append((t1, t2, t3, t4, delay, recovered, residuals[-1]))
+        if drift_rel != 0.0:
+            offset = offset + drift_rel * round_interval_s
+    return residuals
 
 
 def run_sync_session(
@@ -235,9 +242,8 @@ def run_sync_session(
     delays. Unless synce_locked, the relative drift accumulates between
     rounds. rng is needed when the hop or a clock has jitter.
     """
-    rounds = _session(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng)
-    residuals = np.fromiter(map(itemgetter(6), rounds), dtype=np.float64, count=n_rounds)
-    return TimeErrorSeries(residuals, round_interval_s)
+    residuals = _session(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng)
+    return TimeErrorSeries(np.array(residuals), round_interval_s)
 
 
 def write_session_csv(
@@ -252,11 +258,10 @@ def write_session_csv(
 ) -> None:
     """Run a session as run_sync_session does and write one CSV row per round:
     round_index, epoch_s, t1..t4, D_ns, O_ns, residual_ns."""
-    rounds = _session(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng)
-    *stamps, delay, offset, residual = zip(*rounds)
+    rows: list[tuple] = []
+    _session(master, slave, hop, n_rounds, round_interval_s, synce_locked, rng, rows)
+    *stamps, delay, offset, residual = zip(*rows)
     epochs = (i * round_interval_s for i in range(n_rounds))
-    # float() keeps these columns in float form when callers pass ints
-    floats = [map(float, column) for column in (delay, offset, residual)]
-    columns = (range(n_rounds), map(float, epochs), *stamps, *floats)
+    columns = (range(n_rounds), map(float, epochs), *stamps, delay, offset, residual)
     header = "round_index,epoch_s,t1,t2,t3,t4,D_ns,O_ns,residual_ns"
     write_text(path, csv_text(header, *(map(repr, column) for column in columns)))

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import timecloak
 from timecloak.cli import main
+from timecloak.config import _KEYS
 from timecloak.keys import load_keys
 from timecloak.stability import TimeErrorSeries, overlapping_adev
 
@@ -103,6 +109,46 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "duration_s" in err[0]
+
+    def test_negative_turnaround_is_config_error(self, tmp_path, capsys):
+        # the slave cannot reply before the master's message reaches it
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "link.turnaround_ns=-5000"]
+        _assert_clean_failure(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+    @given(
+        # argparse takes a value led by "-" for an option; see the dash-led test below
+        key=st.one_of(
+            st.sampled_from(sorted(_KEYS)),
+            st.text(max_size=12).filter(lambda k: not k.startswith("-")),
+        ),
+        value=st.one_of(
+            st.text(max_size=24),
+            st.integers().map(str),
+            st.floats().map(repr),
+            st.sampled_from(["", "none", "nan", "-inf", "1e308", "-1", "0", "2", "rw_mem", "file"]),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_set_value_runs_or_fails_cleanly(self, key, value):
+        # duration_s and dwell_s come after the fuzzed pair, so they win
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["run", "--set", f"{key}={value}", "--set", "duration_s=50"]
+            argv += ["--set", "dwell_s=5", "--out", str(Path(tmp) / "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+    def test_dash_led_set_value_is_an_argparse_error(self, tmp_path, capsys):
+        # argparse reads "-x=1" as an unknown option, not as the value of --set
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--set", "-x=1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("expected one argument")
 
     def test_overflowing_delays_fail_cleanly(self, tmp_path, capsys):
         # finite, but t3 + delay_bwd_ns overflows to inf inside the session

@@ -7,6 +7,7 @@ raise ConfigError with exactly the text given.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,6 +239,10 @@ FAULTS = {
         {"link.quantization_ns": "-8"},
         "HopConfig.quantization_ns must be >= 0, got -8",
     ),
+    "negative_turnaround": (
+        {"link.turnaround_ns": "-5000"},
+        "HopConfig.turnaround_ns must be >= 0, got -5000.0",
+    ),
     "bad_key_source": ({"key.source": "disk"}, "key.source must be 'mock' or 'file', got 'disk'"),
     "file_without_path": ({"key.source": "file"}, "key.source = file requires key.path"),
     "lag_walk_without_lag": ({"model.kind": "rw_lag"}, "RW_LAG model needs a lag"),
@@ -257,6 +262,20 @@ FAULTS = {
         "duration_s / dwell_s must be <= 67108864, got 67108865.0",
     ),
 }
+
+
+@pytest.mark.parametrize("step", [2.5, 0.5, 1e-300, 8.000000000000002])
+def test_fractional_quantization_step_rejected(step):
+    # the config parser takes only integers here; library callers pass floats
+    with pytest.raises(ConfigError, match="quantization_ns must be a whole number"):
+        HopConfig(quantization_ns=step)
+
+
+@pytest.mark.parametrize("step", [0.0, 2.0, 8.0, np.int64(8)])
+def test_whole_quantization_step_stored_as_int(step):
+    hop = HopConfig(quantization_ns=step)
+    assert type(hop.quantization_ns) is int and hop.quantization_ns == step
+    assert hop == HopConfig(quantization_ns=int(step))
 
 
 @pytest.mark.parametrize("mapping, expected", VALID.values(), ids=VALID.keys())

@@ -15,7 +15,14 @@ from timecloak.experiment import (
 )
 from timecloak.keys import KeyExhaustedError, mock_qkd_source, save_keys
 from timecloak.noise import NoiseKind, apply_schedule, generate_schedule
-from timecloak.stability import NoiseClass, classify_noise, fit_loglog_slope, overlapping_adev
+from timecloak.stability import (
+    NoiseClass,
+    TimeErrorSeries,
+    classify_noise,
+    fit_loglog_slope,
+    overlapping_adev,
+)
+from timecloak.tables import CHUNK_ROWS, csv_text
 
 
 def _config(**kwargs) -> ExperimentConfig:
@@ -222,6 +229,28 @@ class TestEmitOutputs:
         for path in sorted((tmp_path / "float").iterdir()):
             assert (tmp_path / "int" / path.name).read_bytes() == path.read_bytes(), path.name
         assert (tmp_path / "int" / "tic1.csv").read_text().splitlines()[2].startswith("1,5.0,")
+
+    @pytest.mark.parametrize("tau0", [5.0, 0.1])
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5]
+    )
+    def test_tic_files_match_csv_text(self, n, tau0, tmp_path):
+        # the chunked pair writer against one csv_text per series, the form
+        # every other file is written in
+        rng = np.random.default_rng(n)
+        samples = rng.normal(0.0, 1e3, (2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
+        samples[:, 0] = -0.0
+        result = replace(
+            run_experiment(_config()),
+            tic1_series=TimeErrorSeries(samples[0], tau0),
+            tic2_series=TimeErrorSeries(samples[1], tau0),
+        )
+        emit_outputs(result, tmp_path)
+        for name, series in (("tic1.csv", result.tic1_series), ("tic2.csv", result.tic2_series)):
+            steps = range(n)
+            columns = (steps, [i * tau0 for i in steps], series.samples_ns.tolist())
+            expected = csv_text("step_index,time_s,error_ns", *(map(repr, c) for c in columns))
+            assert (tmp_path / name).read_text() == expected
 
     def test_csv_line_endings(self, tmp_path):
         result = run_experiment(_config())

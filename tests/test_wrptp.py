@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import quartet_from_parameters
@@ -52,6 +52,13 @@ class TestExchange:
         q = exchange(SimClock(), SimClock(), HopConfig(turnaround_ns=700), epoch_ns=0)
         assert q.t2 == q.t1
         assert q.t4 == q.t3
+
+    @pytest.mark.parametrize("step", [2, 2.0])
+    def test_whole_float_step_gives_integer_timestamps(self, step):
+        hop = HopConfig(delay_forward_ns=7, quantization_ns=step)
+        q = exchange(SimClock(), SimClock(true_offset_ns=0.5), hop, epoch_ns=0)
+        assert q == (0, 8, 1008, 1008)
+        assert all(type(t) is int for t in q)
 
     def test_quantization_grid(self):
         hop = HopConfig(
@@ -218,15 +225,17 @@ class TestRunSyncSession:
         # 100 ppb for 10 s between corrections shows up as 1000 ns on each
         # recovered offset; frequency lock to the master removes it
         def offsets(synce_locked):
-            rounds = _session(
+            rows = []
+            _session(
                 SimClock(),
                 SimClock(drift_ppb=100.0),
                 HopConfig(),
                 n_rounds=5,
                 round_interval_s=10.0,
                 synce_locked=synce_locked,
+                rows=rows,
             )
-            return [offset for *_, offset, _residual in rounds]
+            return [offset for *_, offset, _residual in rows]
 
         assert offsets(synce_locked=True) == [0.0] * 5
         assert offsets(synce_locked=False) == [0.0] + [1000.0] * 4
@@ -303,18 +312,39 @@ class TestKernelMatchesSingleStepReference:
             jitter_ns_rms=_jitter,
         ),
         n_rounds=st.integers(min_value=1, max_value=40),
-        round_interval_s=st.sampled_from([0.1, 1.0, 5.0, 7.3]),
+        # 1e8 and 1e12 take t1 past 2**53 and 2**63 within 40 rounds
+        round_interval_s=st.sampled_from([0.1, 1.0, 5.0, 7.3, 1e8, 1e12]),
         synce_locked=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(
+        master=SimClock(),
+        slave=SimClock(true_offset_ns=3.5, drift_ppb=1.0),
+        hop=HopConfig(delay_forward_ns=7.0, quantization_ns=3),
+        n_rounds=40,
+        round_interval_s=1e8,
+        synce_locked=False,
+        seed=0,
+    )
+    @example(
+        master=SimClock(),
+        slave=SimClock(true_offset_ns=3.5),
+        hop=HopConfig(quantization_ns=8),
+        n_rounds=12,
+        round_interval_s=1e12,
+        synce_locked=True,
+        seed=0,
     )
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, master, slave, hop, n_rounds, seed, **kwargs):
         reference_rng = np.random.default_rng(seed)
         expected = _reference_rounds(master, slave, hop, n_rounds, rng=reference_rng, **kwargs)
         rng = np.random.default_rng(seed)
-        got = list(_session(master, slave, hop, n_rounds, rng=rng, **kwargs))
+        got = []
+        residuals = _session(master, slave, hop, n_rounds, rng=rng, rows=got, **kwargs)
         # repr tells ints from floats and -0.0 from 0.0, as the CSV output would
         assert repr(got) == repr(expected)
+        assert repr(residuals) == repr([r[-1] for r in expected])
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
         rng = np.random.default_rng(seed)
