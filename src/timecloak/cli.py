@@ -49,22 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--out", required=True, help="output key file path")
 
     run = sub.add_parser("run", help="run one round-trip experiment")
-    run.add_argument("--config", help="config file (flat key = value lines)")
-    run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
+    sweep = sub.add_parser("sweep", help="run the noise-model comparison sweep")
+    for command in (run, sweep):
+        command.add_argument("--config", help="config file (flat key = value lines)")
+        command.add_argument(
+            "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+            help="override a config key (repeatable)",
+        )
     run.add_argument("--out", required=True, help="output directory")
 
-    sweep = sub.add_parser("sweep", help="run the noise-model comparison sweep")
-    sweep.add_argument("--config", help="base config file")
-    sweep.add_argument(
-        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE"
-    )
     sweep.add_argument(
         "--kinds",
         default="rw,rw_lag,rw_mem",
@@ -86,13 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     adev.add_argument("--out", help="write the curve CSV here instead of stdout")
 
     budget = sub.add_parser("linkbudget", help="channel feasibility report")
-    budget.add_argument("--loss-db", type=float, default=10.0)
-    budget.add_argument("--efficiency", type=float, default=0.2)
-    budget.add_argument("--dark-cps", type=float, default=353.0)
-    budget.add_argument("--background-cps", type=float, default=6500.0)
-    budget.add_argument("--rep-rate-hz", type=float, default=1e9)
-    budget.add_argument("--mu", type=float, default=1.5)
-    budget.add_argument("--dead-time-us", type=float, default=25.0)
+    budget.add_argument("--loss-db", type=float, default=ChannelParams.loss_db)
+    budget.add_argument("--efficiency", type=float, default=ChannelParams.det_efficiency)
+    budget.add_argument("--dark-cps", type=float, default=ChannelParams.dark_rate_cps)
+    budget.add_argument("--background-cps", type=float, default=ChannelParams.background_rate_cps)
+    budget.add_argument("--rep-rate-hz", type=float, default=ChannelParams.rep_rate_hz)
+    budget.add_argument("--mu", type=float, default=ChannelParams.mean_photon_mu)
+    budget.add_argument("--dead-time-us", type=float, default=ChannelParams.dead_time_s * 1e6)
     budget.add_argument("--csv", help="also write the report as CSV to this path")
 
     return parser
@@ -240,8 +233,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--set VALUE" as "--set=VALUE": argparse would take a value led by "-" for an option
+    while "--set" in argv[:-1]:
+        i = argv.index("--set")
+        argv[i : i + 2] = [f"--set={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         # numpy overflow raises FloatingPointError, an ArithmeticError, as Python's does
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -14,10 +14,10 @@ checks live in the dataclasses' ``__post_init__``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .noise import NoiseKind, NoiseModelSpec, parse_noise_kind
+from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseKind, NoiseModelSpec, parse_noise_kind
 from .wrptp import require_finite
 
 MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
@@ -63,8 +63,8 @@ class ExperimentConfig:
     key_source: str = "mock"  # "mock" or "file"
     key_seed: int = 1
     key_path: str | None = None
-    dwell_s: float = 5.0
-    carrier_hz: float = 10e6
+    dwell_s: float = DEFAULT_DWELL_S
+    carrier_hz: float = DEFAULT_CARRIER_HZ
     duration_s: float = 10000.0
     calib_window_steps: int = 0
     tic_jitter_ns: float = 0.05
@@ -224,8 +224,3 @@ def build_experiment_config(mapping: dict[str, str]) -> ExperimentConfig:
     hop1 = HopConfig(**{**shared, **sections["hop1"]})
     hop2 = HopConfig(**{**shared, **sections["hop2"]})
     return ExperimentConfig(model=model, hop1=hop1, hop2=hop2, **sections[""])
-
-
-def with_model(config: ExperimentConfig, **model_changes) -> ExperimentConfig:
-    """Convenience: a copy of config with selected model fields replaced."""
-    return replace(config, model=replace(config.model, **model_changes))

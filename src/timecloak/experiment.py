@@ -16,13 +16,13 @@ counter alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .config import ExperimentConfig, with_model
+from .config import ExperimentConfig
 from .keys import HexKeyStream, load_keys, mock_qkd_source
 from .noise import NoiseKind, PhaseSchedule, apply_schedule, generate_schedule, parse_noise_kind
 from .stability import AdevCurve, TimeErrorSeries, fit_loglog_slope, overlapping_adev
@@ -30,8 +30,6 @@ from .tables import write_csv_pair, write_text
 from .wrptp import SimClock, run_sync_session
 
 DEFAULT_SWEEP_BOUND_DEG = 360.0
-_DEFAULT_SWEEP_LAG = 100
-_DEFAULT_SWEEP_MEMORY = 10
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,10 @@ def _safe_slope(curve: AdevCurve) -> float:
         return math.nan
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full chain and analyze both monitoring paths."""
+    """Run the full chain and analyze both monitoring paths. Finite inputs
+    whose arithmetic overflows raise FloatingPointError."""
     n = config.n_steps
     schedule = build_schedule(config)
 
@@ -154,13 +154,8 @@ def sweep_noise_models(
     for kind in kinds:
         kind = parse_noise_kind(kind) if isinstance(kind, str) else kind
         for bounded in bounded_options:
-            changes: dict = {"kind": kind, "bound_deg": bound_deg if bounded else None}
-            if kind is NoiseKind.RW_LAG and base_config.model.lag is None:
-                changes["lag"] = _DEFAULT_SWEEP_LAG
-            if kind is NoiseKind.RW_MEMORY and base_config.model.memory is None:
-                changes["memory"] = _DEFAULT_SWEEP_MEMORY
-            config = with_model(base_config, **changes)
-            results[(kind.value, bounded)] = run_experiment(config)
+            model = replace(base_config.model, kind=kind, bound_deg=bound_deg if bounded else None)
+            results[(kind.value, bounded)] = run_experiment(replace(base_config, model=model))
     return results
 
 

@@ -34,6 +34,7 @@ every walk whose recursion runs on the bounded state.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -63,12 +64,9 @@ class NoiseKind(Enum):
 
 
 _KIND_ALIASES = {
-    "white": NoiseKind.WHITE,
-    "rw": NoiseKind.RANDOM_WALK,
+    **{kind.value: kind for kind in NoiseKind},
     "random_walk": NoiseKind.RANDOM_WALK,
-    "rw_lag": NoiseKind.RW_LAG,
     "lagged_walk": NoiseKind.RW_LAG,
-    "rw_mem": NoiseKind.RW_MEMORY,
     "memory_walk": NoiseKind.RW_MEMORY,
 }
 
@@ -87,16 +85,16 @@ class NoiseModelSpec:
 
     divisor scales two-digit magnitudes down (keeps the white model below a
     full carrier period); sign_threshold splits the sign digit (8 gives a
-    balanced walk); lag and memory are only meaningful for the RW_LAG and
-    RW_MEMORY kinds; bound_deg, when set, bounds the emitted phase to
-    [-bound_deg, +bound_deg] via the sine map.
+    balanced walk); lag and memory are integers, only meaningful for the
+    RW_LAG and RW_MEMORY kinds; bound_deg, when set, bounds the emitted
+    phase to [-bound_deg, +bound_deg] via the sine map.
     """
 
     kind: NoiseKind = NoiseKind.WHITE
     divisor: float = DEFAULT_DIVISOR
     sign_threshold: int = DEFAULT_SIGN_THRESHOLD
-    lag: int | None = None
-    memory: int | None = None
+    lag: int = 100
+    memory: int = 10
     bias_deg: float = 0.0
     bound_deg: float | None = None
     bound_recursion: bool = False
@@ -112,10 +110,10 @@ class NoiseModelSpec:
             raise ValueError("sign_threshold must be a hex digit in [0, 15]")
         if self.bound_deg is not None and not self.bound_deg > 0:
             raise ValueError("bound_deg must be > 0 when set")
-        if self.kind is NoiseKind.RW_LAG and self.lag is None:
-            raise ValueError("RW_LAG model needs a lag")
-        if self.kind is NoiseKind.RW_MEMORY and self.memory is None:
-            raise ValueError("RW_MEMORY model needs a memory depth")
+        for name in ("lag", "memory"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
     @property
     def digits_per_step(self) -> int:

@@ -183,6 +183,9 @@ def _session(
         raise ValueError("n_rounds must be >= 1")
     if round_interval_s <= 0:
         raise ValueError("round_interval_s must be > 0")
+    last_epoch_ns = (n_rounds - 1) * round_interval_s * 1e9
+    if not math.isfinite(last_epoch_ns):  # also NaN, and inf for a single round
+        raise ValueError(f"round_interval_s must keep every epoch finite, got {round_interval_s!r}")
     noise = _jitter(master, slave, hop, n_rounds, rng)
     slave_drift = master.drift_ppb if synce_locked else slave.drift_ppb
     drift_rel = slave_drift - master.drift_ppb
@@ -195,7 +198,7 @@ def _session(
         quantize = round
     # t1 = quantize(round(i * round_interval_s * 1e9)); numpy gives the same ints while int64
     # holds them and q is exact as a float. Buffers iterate as Python ints and floats.
-    if (n_rounds - 1) * round_interval_s * 1e9 < 2.0**62 and q < 2**53:
+    if last_epoch_ns < 2.0**62 and q < 2**53:
         epochs = np.rint(np.arange(n_rounds) * round_interval_s * 1e9).astype(np.int64)
         epochs = (np.rint(epochs / q).astype(np.int64) * q if q > 0 else epochs).data
     else:

@@ -117,10 +117,10 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @given(
-        # argparse takes a value led by "-" for an option; see the dash-led test below
         key=st.one_of(
             st.sampled_from(sorted(_KEYS)),
-            st.text(max_size=12).filter(lambda k: not k.startswith("-")),
+            st.text(max_size=12),
+            st.text(max_size=11).map("-".__add__),  # what argparse would take for an option
         ),
         value=st.one_of(
             st.text(max_size=24),
@@ -143,12 +143,11 @@ class TestRun:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
-    def test_dash_led_set_value_is_an_argparse_error(self, tmp_path, capsys):
-        # argparse reads "-x=1" as an unknown option, not as the value of --set
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--set", "-x=1", "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith("expected one argument")
+    def test_dash_led_set_value_reaches_the_config_parser(self, tmp_path, capsys):
+        # argparse alone would read "-seed=3" as an option, not as the value of --set
+        assert main(["run", "--set", "-seed=3", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: unknown configuration key '-seed'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_delays_fail_cleanly(self, tmp_path, capsys):
         # finite, but t3 + delay_bwd_ns overflows to inf inside the session
@@ -185,6 +184,17 @@ class TestSweep:
         assert (out / "rw_unbounded" / "tic2.csv").exists()
         assert (out / "rw_bounded" / "tic2.csv").exists()
         assert "wrote 2 runs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["rw_lag", "rw_mem"])
+    def test_walk_without_lag_or_depth_runs_as_in_the_sweep(self, tmp_path, kind):
+        # model.M and model.S unset: run and sweep give the walk the same lag and depth
+        cfg = _write_config(tmp_path, SMALL_RUN + "duration_s = 1000\nlink.jitter_ns = 0.5\n")
+        run, sweep = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--config", cfg, "--set", f"model.kind={kind}", "--out", str(run)]) == 0
+        argv = ["sweep", "--config", cfg, "--kinds", kind, "--bounded", "no", "--out", str(sweep)]
+        assert main(argv) == 0
+        for name in ("tic1.csv", "tic2.csv", "adev1.csv", "adev2.csv", "summary.txt"):
+            assert (run / name).read_bytes() == (sweep / f"{kind}_unbounded" / name).read_bytes()
 
     def test_empty_kinds_rejected(self, tmp_path):
         assert main(["sweep", "--kinds", " ", "--out", str(tmp_path / "x")]) == 2

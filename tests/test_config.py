@@ -159,6 +159,9 @@ VALID = {
         _walk(NoiseKind.RW_MEMORY, memory=10),
     ),
     "kind_rw_mem": ({"model.kind": "Rw_Mem", "model.S": "4"}, _walk(NoiseKind.RW_MEMORY, memory=4)),
+    # without model.M or model.S a walk gets the lag and depth the sweep uses
+    "lag_walk_without_lag": ({"model.kind": "rw_lag"}, _walk(NoiseKind.RW_LAG, lag=100)),
+    "memory_walk_without_depth": ({"model.kind": "rw_mem"}, _walk(NoiseKind.RW_MEMORY, memory=10)),
     "key_source_padded_upper": ({"key.source": " MOCK "}, ExperimentConfig()),
     "key_source_file": (
         {"key.source": "File", "key.path": "a b.hex"},
@@ -245,8 +248,6 @@ FAULTS = {
     ),
     "bad_key_source": ({"key.source": "disk"}, "key.source must be 'mock' or 'file', got 'disk'"),
     "file_without_path": ({"key.source": "file"}, "key.source = file requires key.path"),
-    "lag_walk_without_lag": ({"model.kind": "rw_lag"}, "RW_LAG model needs a lag"),
-    "memory_walk_without_depth": ({"model.kind": "rw_mem"}, "RW_MEMORY model needs a memory depth"),
     "bad_threshold": ({"model.T": "16"}, "sign_threshold must be a hex digit in [0, 15]"),
     "uneven_duration": ({"duration_s": "12"}, "duration_s must be an integer multiple of dwell_s"),
     "overflowing_step_count": (

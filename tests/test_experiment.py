@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from timecloak.config import ConfigError, ExperimentConfig, HopConfig, with_model
+from timecloak.config import ConfigError, ExperimentConfig, HopConfig, build_experiment_config
 from timecloak.experiment import (
     build_schedule,
     calibration_window,
@@ -14,7 +14,7 @@ from timecloak.experiment import (
     sweep_noise_models,
 )
 from timecloak.keys import KeyExhaustedError, mock_qkd_source, save_keys
-from timecloak.noise import NoiseKind, apply_schedule, generate_schedule
+from timecloak.noise import apply_schedule, generate_schedule
 from timecloak.stability import (
     NoiseClass,
     TimeErrorSeries,
@@ -86,6 +86,12 @@ class TestRunExperiment:
         save_keys(mock_qkd_source(1, 10), path)
         cfg = _config(key_source="file", key_path=str(path))
         with pytest.raises(KeyExhaustedError):
+            run_experiment(cfg)
+
+    def test_overflowing_input_raises_instead_of_nan(self):
+        # finite, but both Allan deviations overflow to inf, and inf / inf is invalid
+        cfg = build_experiment_config({"hop1.bias_ns": "1e308", "duration_s": "50"})
+        with pytest.raises(FloatingPointError):
             run_experiment(cfg)
 
     def test_wrong_key_looks_like_the_encrypted_path(self):
@@ -181,7 +187,8 @@ class TestSweep:
         assert sweep_results[("rw", True)].config.model.bound_deg == 360.0
 
     def test_configured_bound_reaches_bounded_runs(self):
-        base = with_model(_config(duration_s=50 * 5.0), bound_deg=90.0)
+        base = _config(duration_s=50 * 5.0)
+        base = replace(base, model=replace(base.model, bound_deg=90.0))
         results = sweep_noise_models(base, ["rw"])
         bounded = results[("rw", True)]
         assert bounded.config.model.bound_deg == 90.0
@@ -290,8 +297,3 @@ class TestConfigValidation:
     def test_hop_gain_outside_stable_range_rejected(self, gain):
         with pytest.raises(ConfigError, match="gain"):
             HopConfig(gain=gain)
-
-    def test_with_model_helper(self):
-        cfg = with_model(_config(), kind=NoiseKind.RANDOM_WALK, bound_deg=360.0)
-        assert cfg.model.kind is NoiseKind.RANDOM_WALK
-        assert cfg.model.bound_deg == 360.0

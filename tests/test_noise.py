@@ -279,13 +279,15 @@ _WINDOWED = (NoiseKind.RW_LAG, NoiseKind.RW_MEMORY)
 @st.composite
 def _models_and_digits(draw):
     """A model of any kind with its key digits; lag and memory are drawn
-    in [2, n_steps-2], the range generate_schedule accepts."""
+    in [2, n_steps-2], the range generate_schedule accepts, for the kind
+    that uses them and as any integer otherwise."""
     kind = draw(st.sampled_from(list(NoiseKind)))
     per_step = 2 if kind is NoiseKind.WHITE else 3
     min_size = 4 * per_step if kind in _WINDOWED else 0
     raw = draw(st.binary(min_size=min_size, max_size=300))
     digits = bytes(x % 16 for x in raw)
-    window = draw(st.integers(2, len(digits) // per_step - 2)) if kind in _WINDOWED else None
+    windows = st.integers(2, len(digits) // per_step - 2) if kind in _WINDOWED else st.integers()
+    window = draw(windows)
     model = NoiseModelSpec(
         kind=kind,
         divisor=draw(st.floats(min_value=0.01, max_value=1e3)),
@@ -439,9 +441,19 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError):
             NoiseModelSpec(divisor=0.0)
 
-    def test_lag_required_for_lag_kind(self):
-        with pytest.raises(ValueError):
-            NoiseModelSpec(kind=NoiseKind.RW_LAG)
+    def test_walk_defaults_are_the_sweep_lag_and_depth(self):
+        assert NoiseModelSpec(kind=NoiseKind.RW_LAG).lag == 100
+        assert NoiseModelSpec(kind=NoiseKind.RW_MEMORY).memory == 10
+
+    @pytest.mark.parametrize("field", ["lag", "memory"])
+    @pytest.mark.parametrize("value", [None, 2.5, 5.0])
+    def test_lag_and_memory_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            NoiseModelSpec(kind=NoiseKind.RW_LAG, **{field: value})
+
+    def test_numpy_integer_lag_and_memory_accepted(self):
+        model = NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=np.int64(5), memory=np.int64(5))
+        assert model.lag == model.memory == 5
 
     def test_bound_positive(self):
         with pytest.raises(ValueError):

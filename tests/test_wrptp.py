@@ -250,6 +250,20 @@ class TestRunSyncSession:
         with pytest.raises(ValueError):
             run_sync_session(SimClock(), SimClock(), HopConfig(), 0, 1.0)
 
+    @pytest.mark.parametrize(
+        "n_rounds, interval", [(3, math.nan), (3, math.inf), (3, 1e300), (1, math.inf)]
+    )
+    @pytest.mark.parametrize("to_csv", [False, True], ids=["run_sync_session", "write_session_csv"])
+    def test_interval_with_non_finite_epochs_rejected(self, to_csv, n_rounds, interval, tmp_path):
+        # 1e300 s is finite, but the last epoch in ns is not
+        args = (SimClock(), SimClock(), HopConfig(), n_rounds, interval)
+        with pytest.raises(ValueError, match="^round_interval_s must keep every epoch finite, got"):
+            if to_csv:
+                write_session_csv(tmp_path / "session.csv", *args)
+            else:
+                run_sync_session(*args)
+        assert not (tmp_path / "session.csv").exists()
+
     def test_series_metadata(self):
         series = run_sync_session(SimClock(), SimClock(), HopConfig(), 7, 5.0)
         assert isinstance(series, TimeErrorSeries)
