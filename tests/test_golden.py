@@ -215,6 +215,31 @@ def _writer_cases() -> dict:
             2,
             synce_locked=False,
         ),
+        "session_noisy_quantized_asymmetric": lambda: _session_bytes(
+            SimClock(),
+            SimClock(),
+            HopConfig(5000.0, 5020.0, 0.7, 8, 0.7, 1234.5, 12.0),
+            500,
+            0.5,
+            rng=np.random.default_rng(31),
+        ),
+        # integer inputs still write float columns
+        "session_integer_inputs": lambda: _session_bytes(
+            SimClock(),
+            SimClock(),
+            HopConfig(50, 60, gain=1, turnaround_ns=1000, bias_ns=7),
+            50,
+            2,
+        ),
+        # t1 passes 2**53, past which a float no longer holds every integer ns
+        "session_t1_past_2_53": lambda: _session_bytes(
+            SimClock(),
+            SimClock(),
+            HopConfig(7.0, quantization_ns=3, jitter_ns=0.3),
+            40,
+            1e8,
+            rng=np.random.default_rng(5),
+        ),
         "schedule_int_phases": lambda: _written_bytes(
             PhaseSchedule((1, 2, -0.0), dwell_s=5).write_csv
         ),
