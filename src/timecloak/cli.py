@@ -27,7 +27,7 @@ from .config import (
 from .experiment import calibration_window, emit_outputs, run_experiment, sweep_noise_models
 from .keys import KeyExhaustedError, mock_qkd_source, save_keys
 from .linkbudget import ChannelParams, feasibility_report, report_csv, report_text
-from .stability import TimeErrorSeries, overlapping_adev
+from .stability import TimeErrorSeries, overlapping_adev, require_adev_interval
 from .tables import write_text
 
 EXIT_OK = 0
@@ -197,6 +197,7 @@ def _first_rejected_line(lines: list[str], columns: list[int]) -> int:
 
 def _cmd_adev(args) -> int:
     series = _read_series(args.input, args.value_column, args.tau0)
+    require_adev_interval(series.tau0_s, "the time_s step" if args.tau0 is None else "--tau0")
     curve = overlapping_adev(series)
     if args.out:
         curve.write_csv(args.out)

@@ -14,17 +14,25 @@ checks live in the dataclasses' ``__post_init__``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseKind, NoiseModelSpec, parse_noise_kind
-from .wrptp import require_finite
+from .stability import require_adev_interval
 
 MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
 
 
 class ConfigError(ValueError):
     """Invalid configuration key, value, or combination."""
+
+
+def require_finite(obj, error: type[ValueError] = ValueError) -> None:
+    """Reject NaN and +-inf in every float field of a dataclass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,12 @@ class ExperimentConfig:
             raise ConfigError(f"key.source must be 'mock' or 'file', got {self.key_source!r}")
         if self.key_source == "file" and not self.key_path:
             raise ConfigError("key.source = file requires key.path")
+        for key, seed in (("seed", self.seed), ("key.seed", self.key_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed!r}")
         if not self.dwell_s > 0 or not self.duration_s > 0:
             raise ConfigError("dwell_s and duration_s must be > 0")
+        require_adev_interval(self.dwell_s, "dwell_s", ConfigError)
         if self.calib_window_steps < 0:
             raise ConfigError("calib.window_steps must be >= 0")
         if self.tic_jitter_ns < 0:

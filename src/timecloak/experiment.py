@@ -27,7 +27,7 @@ from .keys import HexKeyStream, load_keys, mock_qkd_source
 from .noise import NoiseKind, PhaseSchedule, apply_schedule, generate_schedule, parse_noise_kind
 from .stability import AdevCurve, TimeErrorSeries, fit_loglog_slope, overlapping_adev
 from .tables import write_csv_pair, write_text
-from .wrptp import SimClock, run_sync_session
+from .wrptp import run_sync_session
 
 DEFAULT_SWEEP_BOUND_DEG = 360.0
 
@@ -92,10 +92,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     schedule = build_schedule(config)
 
     hop1, hop2 = (
-        run_sync_session(
-            SimClock(), SimClock(), hop, n, config.dwell_s,
-            rng=np.random.default_rng((config.seed, salt)),
-        )
+        run_sync_session(hop, n, config.dwell_s, rng=np.random.default_rng((config.seed, salt)))
         for salt, hop in ((1, config.hop1), (2, config.hop2))
     )
     base = TimeErrorSeries(hop1.samples_ns + hop2.samples_ns, config.dwell_s)

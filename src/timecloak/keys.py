@@ -123,6 +123,8 @@ def mock_qkd_source(seed: int, n_digits: int) -> HexKeyStream:
     """
     if n_digits <= 0:
         raise ValueError("n_digits must be > 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, 16, size=n_digits, dtype=np.uint8).tobytes()
     return HexKeyStream(digits, key_id=f"mock-{seed}")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import require_finite
 from .tables import csv_text
-from .wrptp import require_finite
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,13 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(total.tolist())
 
 
+def require_adev_interval(tau0_s: float, name: str, error: type[ValueError] = ValueError) -> None:
+    """Reject a positive interval below 2**-511 s, where the (m * tau0)**2 that
+    the Allan variance divides by underflows to a subnormal or to zero."""
+    if tau0_s < 2.0**-511:
+        raise error(f"{name} must be >= 2**-511 s for an Allan deviation, got {tau0_s!r}")
+
+
 def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
     """Overlapping Allan deviation of a time-error series.
 
@@ -163,6 +170,7 @@ def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
     n = len(x)
     if n < 3:
         raise ValueError("need at least 3 samples for an Allan deviation")
+    require_adev_interval(series.tau0_s, "tau0_s")
     if m_values is None:
         m_values = default_m_values(n)
     m_values = sorted(int(m) for m in m_values)

@@ -43,6 +43,12 @@ class TestKeygen:
         assert len(stream) == 64
         assert "wrote 64" in capsys.readouterr().out
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "key.hex"
+        argv = ["keygen", "--seed", "-1", "--digits", "8", "--out", str(out)]
+        assert _assert_clean_failure(argv, capsys) == "error: seed must be >= 0, got -1"
+        assert not out.exists()
+
 
 class TestRun:
     def test_small_run_produces_outputs(self, tmp_path, capsys):
@@ -102,6 +108,23 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "gain" in err[0]
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            (["dwell_s=1e-170", "duration_s=1e-167"], "dwell_s"),
+            (["seed=-1"], "seed"),
+            (["key.seed=-1"], "key.seed"),
+        ],
+        ids=["tiny_dwell", "negative_seed", "negative_key_seed"],
+    )
+    def test_bad_value_error_names_its_key(self, overrides, name, tmp_path, capsys):
+        argv = ["run", "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        err = _assert_clean_failure(argv, capsys)
+        assert err.startswith(f"error: {name} must be")
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_value_is_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -282,6 +305,7 @@ def _assert_clean_failure(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
 
 
 #: (time_s, error_ns) cells as Python float reprs
@@ -367,6 +391,20 @@ class TestAdevIngest:
         src = tmp_path / "series.csv"
         src.write_text("time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS))
         _assert_clean_failure(["adev", "--input", str(src), f"--tau0={tau0}"], capsys)
+
+    @pytest.mark.parametrize("tau0", ["1e-320", "1e-170"])
+    def test_tau0_whose_square_underflows_named(self, tau0, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS))
+        err = _assert_clean_failure(["adev", "--input", str(src), "--tau0", tau0], capsys)
+        assert err.startswith("error: --tau0 must be >= 2**-511 s") and err.endswith(tau0)
+
+    def test_time_step_whose_square_underflows_named(self, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        rows = "".join(f"{i}e-320,{v}\n" for i, v in enumerate(_VALUES))
+        src.write_text("time_s,error_ns\n" + rows)
+        err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        assert err.startswith("error: the time_s step must be >= 2**-511 s")
 
     def test_non_finite_time_step_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "series.csv"

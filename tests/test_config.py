@@ -248,6 +248,12 @@ FAULTS = {
     ),
     "bad_key_source": ({"key.source": "disk"}, "key.source must be 'mock' or 'file', got 'disk'"),
     "file_without_path": ({"key.source": "file"}, "key.source = file requires key.path"),
+    "negative_seed": ({"seed": "-1"}, "seed must be >= 0, got -1"),
+    "negative_key_seed": ({"key.seed": "-1"}, "key.seed must be >= 0, got -1"),
+    "dwell_whose_square_underflows": (
+        {"dwell_s": "1e-170", "duration_s": "1e-167"},
+        "dwell_s must be >= 2**-511 s for an Allan deviation, got 1e-170",
+    ),
     "bad_threshold": ({"model.T": "16"}, "sign_threshold must be a hex digit in [0, 15]"),
     "uneven_duration": ({"duration_s": "12"}, "duration_s must be an integer multiple of dwell_s"),
     "overflowing_step_count": (

@@ -34,7 +34,7 @@ from timecloak.config import ExperimentConfig, HopConfig
 from timecloak.experiment import emit_outputs, run_experiment
 from timecloak.keys import mock_qkd_source
 from timecloak.noise import NoiseKind, NoiseModelSpec, PhaseSchedule, generate_schedule
-from timecloak.wrptp import SimClock, write_session_csv
+from timecloak.wrptp import write_session_csv
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 ADEV_GOLDEN_PATH = Path(__file__).parent / "golden" / "adev_digests.json"
@@ -157,12 +157,8 @@ def _written_bytes(write) -> bytes:
         return path.read_bytes()
 
 
-def _session_bytes(master, slave, hop, n_rounds, round_interval_s, **kwargs) -> bytes:
-    return _written_bytes(
-        lambda path: write_session_csv(
-            path, master, slave, hop, n_rounds, round_interval_s, **kwargs
-        )
-    )
+def _session_bytes(hop, n_rounds, round_interval_s, rng=None) -> bytes:
+    return _written_bytes(lambda path: write_session_csv(path, hop, n_rounds, round_interval_s, rng))
 
 
 def _schedule_bytes(kind: NoiseKind, bound: float | None) -> bytes:
@@ -187,37 +183,7 @@ _LINKBUDGET_ARGV = ["linkbudget", "--loss-db", "13.5", "--mu", "0.5", "--csv", "
 def _writer_cases() -> dict:
     """case name -> zero-argument callable returning the bytes to hash."""
     cases = {
-        "session_noisy_quantized_unlocked": lambda: _session_bytes(
-            SimClock(true_offset_ns=3.5, drift_ppb=20.0, jitter_ns_rms=0.3),
-            SimClock(true_offset_ns=-250.0, drift_ppb=-40.0, jitter_ns_rms=0.2),
-            HopConfig(
-                delay_forward_ns=5000.0,
-                delay_backward_ns=5020.0,
-                jitter_ns=0.7,
-                quantization_ns=8,
-                gain=0.7,
-                turnaround_ns=1234.5,
-                bias_ns=12.0,
-            ),
-            500,
-            0.5,
-            synce_locked=False,
-            rng=np.random.default_rng(31),
-        ),
-        # integer inputs still write float columns
-        "session_int_inputs": lambda: _session_bytes(
-            SimClock(true_offset_ns=3),
-            SimClock(true_offset_ns=100, drift_ppb=7),
-            HopConfig(
-                delay_forward_ns=50, delay_backward_ns=60, gain=1, turnaround_ns=1000, bias_ns=7
-            ),
-            50,
-            2,
-            synce_locked=False,
-        ),
         "session_noisy_quantized_asymmetric": lambda: _session_bytes(
-            SimClock(),
-            SimClock(),
             HopConfig(5000.0, 5020.0, 0.7, 8, 0.7, 1234.5, 12.0),
             500,
             0.5,
@@ -225,16 +191,12 @@ def _writer_cases() -> dict:
         ),
         # integer inputs still write float columns
         "session_integer_inputs": lambda: _session_bytes(
-            SimClock(),
-            SimClock(),
             HopConfig(50, 60, gain=1, turnaround_ns=1000, bias_ns=7),
             50,
             2,
         ),
         # t1 passes 2**53, past which a float no longer holds every integer ns
         "session_t1_past_2_53": lambda: _session_bytes(
-            SimClock(),
-            SimClock(),
             HopConfig(7.0, quantization_ns=3, jitter_ns=0.3),
             40,
             1e8,

@@ -119,6 +119,10 @@ class TestMockSource:
         with pytest.raises(ValueError):
             mock_qkd_source(1, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            mock_qkd_source(-1, 8)
+
     def test_digit_range(self):
         stream = mock_qkd_source(3, 10_000)
         assert max(stream.digits) <= 15

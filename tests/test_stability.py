@@ -177,6 +177,18 @@ class TestOverlappingAdev:
         with pytest.raises(ValueError):
             overlapping_adev(TimeErrorSeries(np.zeros(2), 1.0))
 
+    @pytest.mark.parametrize("tau0", [1e-320, 1e-170, 1.4e-154])
+    def test_interval_whose_square_underflows_rejected(self, tau0):
+        # (m * tau0)**2 would be subnormal or zero, and the variance divides by it
+        series = TimeErrorSeries(np.arange(8.0), tau0)
+        with pytest.raises(ValueError, match=rf"^tau0_s must be >= 2\*\*-511 s .*, got {tau0!r}$"):
+            overlapping_adev(series)
+
+    def test_shortest_interval_accepted(self):
+        series = TimeErrorSeries(np.array([0.0, 1.0, 0.0, 1.0, 0.0]), 2.0**-511)
+        curve = overlapping_adev(series)
+        assert curve.taus_s[0] == 2.0**-511 and np.all(np.isfinite(curve.adev))
+
     def test_default_grid_is_octave_spaced(self):
         assert default_m_values(2001) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
         series = TimeErrorSeries(np.arange(41, dtype=float) ** 1.5, 1.0)
