@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error (also arithmetic overflow),
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import warnings
@@ -139,6 +140,8 @@ def _cmd_sweep(args) -> int:
 
 def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorSeries:
     """The value column of a CSV as a series; tau0 is inferred from time_s if None.
+    The interval must be finite, > 0 and fit an Allan deviation; an error
+    names --tau0 or the time_s step.
 
     The header is the first non-blank line, with a leading '#' dropped (the
     commented header np.savetxt writes). np.loadtxt parses only the needed
@@ -172,10 +175,15 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
                 line_no = header_lines + 1 + _first_rejected_line(rows, columns)
                 reason = re.sub(r" at row \d+", "", str(exc))
                 raise ConfigError(f"{path}: line {line_no}: {reason}") from None
+    name = "--tau0"
     if tau0 is None:
         if len(table) < 2:
             raise ConfigError("need at least two rows to infer tau0")
-        tau0 = float(table[1, 1] - table[0, 1])
+        first, second = table[:2, 1].tolist()
+        name, tau0 = "the time_s step", second - first
+    if not (math.isfinite(tau0) and tau0 > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {tau0!r}")
+    require_adev_interval(tau0, name, ConfigError)
     return TimeErrorSeries(table[:, 0], tau0)
 
 
@@ -197,7 +205,6 @@ def _first_rejected_line(lines: list[str], columns: list[int]) -> int:
 
 def _cmd_adev(args) -> int:
     series = _read_series(args.input, args.value_column, args.tau0)
-    require_adev_interval(series.tau0_s, "the time_s step" if args.tau0 is None else "--tau0")
     curve = overlapping_adev(series)
     if args.out:
         curve.write_csv(args.out)

@@ -38,7 +38,8 @@ def require_finite(obj, error: type[ValueError] = ValueError) -> None:
 @dataclass(frozen=True)
 class HopConfig:
     """Link, servo, and calibration settings of one synchronization hop, from
-    config key to session kernel (quantization_ns 0: integer-ns timestamps)."""
+    config key to session kernel (quantization_ns 0: integer-ns timestamps).
+    A whole quantization_ns or turnaround_ns is stored as an int."""
 
     delay_forward_ns: float = 0.0
     delay_backward_ns: float = 0.0
@@ -58,6 +59,9 @@ class HopConfig:
         if (q := self.quantization_ns) != int(q):
             raise ConfigError(f"HopConfig.quantization_ns must be a whole number, got {q!r}")
         object.__setattr__(self, "quantization_ns", int(q))  # so timestamps stay int ns
+        if (t := self.turnaround_ns) == int(t):
+            # a whole turnaround keeps t3 exact past 2**53 ns, whether given as 1000 or 1000.0
+            object.__setattr__(self, "turnaround_ns", int(t))
         if not 0 < self.gain < 2:
             # the proportional servo diverges outside this range
             raise ConfigError(f"servo gain must be in (0, 2), got {self.gain!r}")

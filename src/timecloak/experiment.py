@@ -205,8 +205,8 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         written.append(path)
 
     # both tic series come from run_experiment: equally long, one tau0
-    steps = range(len(result.tic1_series))
-    prefixes = map("{},{!r},".format, steps, map(result.tic1_series.tau0_s.__mul__, steps))
+    tau0 = result.tic1_series.tau0_s
+    prefixes = (f"{i},{i * tau0!r}," for i in range(len(result.tic1_series)))
     # iterating a buffer yields Python floats without a full-length list
     lasts = [map(repr, s.samples_ns.data) for s in (result.tic1_series, result.tic2_series)]
     write_csv_pair(written, "step_index,time_s,error_ns", prefixes, lasts)

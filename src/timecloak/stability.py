@@ -67,10 +67,6 @@ class TimeErrorSeries:
     def __len__(self) -> int:
         return len(self.samples_ns)
 
-    @property
-    def times_s(self) -> np.ndarray:
-        return np.arange(len(self.samples_ns)) * self.tau0_s
-
 
 @dataclass(frozen=True)
 class AdevCurve:

@@ -19,15 +19,21 @@ def csv_text(header: str, *columns: Iterable[str]) -> str:
 def write_csv_pair(paths, header: str, prefixes: Iterable[str], lasts: Iterable[Iterable[str]]):
     """Write to each path csv_text's bytes for rows of a shared prefix (cells up
     to the last comma) and its own last column, all equally long. A chunk of
-    prefixes is rendered once and written to every file before the next."""
+    prefixes is rendered once and written to every file before the next: the
+    chunk is interleaved into one list as prefix, last cell, LF per row, the
+    last cells swapped in per file, and each file gets one join of it."""
     prefixes, lasts = iter(prefixes), [iter(column) for column in lasts]
     with ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", encoding="ascii", newline="\n")) for p in paths]
         for fh in files:
             fh.write(header + "\n")
         while chunk := list(islice(prefixes, CHUNK_ROWS)):
+            k = len(chunk)
+            parts = ["\n"] * (3 * k)
+            parts[0::3] = chunk
             for fh, last in zip(files, lasts):
-                fh.write("\n".join(map(str.__add__, chunk, islice(last, len(chunk)))) + "\n")
+                parts[1::3] = list(islice(last, k))
+                fh.write("".join(parts))
 
 
 def write_text(path, text: str) -> None:

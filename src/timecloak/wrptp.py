@@ -127,24 +127,31 @@ def _session(
 
     q = hop.quantization_ns
     quantize = _quantizer(q)
+    d_fwd = hop.delay_forward_ns
     # t1 = quantize(round(i * round_interval_s * 1e9)); numpy gives the same ints while int64
-    # holds them and q is exact as a float. Buffers iterate as Python ints and floats.
-    if last_epoch_ns < 2.0**62 and q < 2**53:
+    # holds them and q is exact as a float. int64 -> float64 rounds half-even as int -> float
+    # does, so t1 + d_fwd for a float d_fwd is Python's too; an int d_fwd keeps the exact int
+    # sum of the lists. Buffers iterate as Python ints and floats.
+    if last_epoch_ns < 2.0**62 and q < 2**53 and isinstance(d_fwd, float):
         epochs = np.rint(np.arange(n_rounds) * round_interval_s * 1e9).astype(np.int64)
-        epochs = (np.rint(epochs / q).astype(np.int64) * q if q > 0 else epochs).data
+        epochs = np.rint(epochs / q).astype(np.int64) * q if q > 0 else epochs
+        arrivals = (epochs + d_fwd).data
+        epochs = epochs.data
     else:
         epochs = [quantize(round(i * round_interval_s * 1e9)) for i in range(n_rounds)]
-    d_fwd = hop.delay_forward_ns
+        arrivals = [t1 + d_fwd for t1 in epochs]
     d_bwd = hop.delay_backward_ns
     gain = hop.gain
     turnaround_ns = hop.turnaround_ns
+    # integer-ns timestamps plus an int turnaround: t2 + turnaround_ns is already an int
+    exact_turnaround = q == 0 and isinstance(turnaround_ns, int)
     bias_ns = hop.bias_ns
 
     residuals: list[float] = []
     offset = 0.0
-    for t1, noise2, noise4 in zip(epochs, noise[0].data, noise[1].data):
-        t2 = quantize(t1 + d_fwd + offset + noise2)
-        t3 = quantize(t2 + turnaround_ns)
+    for t1, arrival, noise2, noise4 in zip(epochs, arrivals, noise[0].data, noise[1].data):
+        t2 = quantize(arrival + offset + noise2)
+        t3 = t2 + turnaround_ns if exact_turnaround else quantize(t2 + turnaround_ns)
         t4 = quantize(t3 - offset + d_bwd + noise4)
         delay = ((t4 - t1) - (t3 - t2)) / 2.0
         recovered = (t2 - t1) - delay

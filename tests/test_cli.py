@@ -392,6 +392,19 @@ class TestAdevIngest:
         src.write_text("time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS))
         _assert_clean_failure(["adev", "--input", str(src), f"--tau0={tau0}"], capsys)
 
+    @pytest.mark.parametrize("tau0", ["0", "-1", "nan"])
+    def test_tau0_not_above_zero_named(self, tau0, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS))
+        err = _assert_clean_failure(["adev", "--input", str(src), f"--tau0={tau0}"], capsys)
+        assert err == f"error: --tau0 must be finite and > 0, got {float(tau0)!r}"
+
+    def test_decreasing_time_step_named(self, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n1,1.0\n0,2.0\n2,0.5\n")
+        err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        assert err == "error: the time_s step must be finite and > 0, got -1.0"
+
     @pytest.mark.parametrize("tau0", ["1e-320", "1e-170"])
     def test_tau0_whose_square_underflows_named(self, tau0, tmp_path, capsys):
         src = tmp_path / "series.csv"

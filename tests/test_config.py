@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from timecloak.cli import build_experiment_config, load_config_file, parse_overrides
 from timecloak.config import _KEYS, MAX_STEPS, ConfigError, ExperimentConfig, HopConfig
 from timecloak.noise import NoiseKind, NoiseModelSpec
+from timecloak.wrptp import _session
 
 EVERY_KEY = {
     "key.source": "file",
@@ -283,6 +284,23 @@ def test_whole_quantization_step_stored_as_int(step):
     hop = HopConfig(quantization_ns=step)
     assert type(hop.quantization_ns) is int and hop.quantization_ns == step
     assert hop == HopConfig(quantization_ns=int(step))
+
+
+@pytest.mark.parametrize("turnaround", [0.0, 1000.0, 800, np.int64(900)])
+def test_whole_turnaround_stored_as_int(turnaround):
+    hop = HopConfig(turnaround_ns=turnaround)
+    assert type(hop.turnaround_ns) is int and hop.turnaround_ns == turnaround
+
+
+def test_fractional_turnaround_kept_as_float():
+    assert HopConfig(turnaround_ns=1234.5).turnaround_ns == 1234.5
+
+
+def test_config_turnaround_gives_the_default_session_past_2_53_ns():
+    # the config parser reads 1000 as 1000.0; stored as a float, t3 would round past 2**53 ns
+    hop = build_experiment_config({"link.turnaround_ns": "1000", "link.delay_fwd_ns": "7"}).hop1
+    default = _session(HopConfig(delay_forward_ns=7.0), 4, 1e8)
+    assert _session(hop, 4, 1e8) == default == [-3.5, -7.5, -11.5, 0.5]
 
 
 @pytest.mark.parametrize("mapping, expected", VALID.values(), ids=VALID.keys())

@@ -37,10 +37,6 @@ class TestTimeErrorSeries:
         with pytest.raises(ValueError):
             series.samples_ns[0] = 1.0
 
-    def test_times_axis(self):
-        series = TimeErrorSeries(np.zeros(3), 5.0)
-        assert list(series.times_s) == [0.0, 5.0, 10.0]
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -286,6 +286,32 @@ class TestKernelMatchesSingleStepReference:
         round_interval_s=1e12,
         seed=0,
     )
+    # each side of the kernel's exact turnaround (integer ns and an int turnaround):
+    # exact, with numpy t1 + d_fwd past 2**53 and with the lists past 2**62; then rounded
+    @example(
+        hop=HopConfig(delay_forward_ns=7.0, jitter_ns=0.3, turnaround_ns=1000),
+        n_rounds=40,
+        round_interval_s=1e8,
+        seed=1,
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=3.5, jitter_ns=0.3, turnaround_ns=1000),
+        n_rounds=40,
+        round_interval_s=1e12,
+        seed=2,
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=7.0, jitter_ns=0.3, turnaround_ns=1234.5),
+        n_rounds=40,
+        round_interval_s=1e8,
+        seed=3,
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=7.0, quantization_ns=8, turnaround_ns=1000),
+        n_rounds=40,
+        round_interval_s=1e8,
+        seed=4,
+    )
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, hop, n_rounds, round_interval_s, seed):
         reference_rng = np.random.default_rng(seed)
