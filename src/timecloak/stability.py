@@ -8,14 +8,23 @@ with the sum running over i = 0 .. N-1-2m. Samples are converted from
 nanoseconds to seconds first, so the returned deviation is the usual
 dimensionless sigma_y. The squared second differences are summed exactly
 and rounded once: their high and low mantissa halves are accumulated per
-binary exponent, where float addition is exact (see _exact_sum), which
+binary exponent, where float addition is exact (see _blockwise_sum), which
 gives the same correctly rounded value as math.fsum. That keeps the result
 bit-identical to a literal evaluation of the defining sum at any series
 length.
+
+The terms of each averaging factor are built and bucketed block by block,
+_SUM_CHUNK terms at a time, in three buffers allocated once per
+overlapping_adev call, so no full-length array of terms exists. If a block
+holds a non-finite term (an overflowing square) or the bucket totals
+overflow, the whole term array of that factor is built and summed with
+math.fsum, which gives inf or raises OverflowError.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,13 +40,13 @@ RANDOM_WALK_PHASE_BAND = (-0.65, -0.35)
 
 DEFAULT_DECORRELATION_THRESHOLD = 1.0 / math.e
 
-#: terms per pass of _exact_sum: at most 2**26 keeps its bucket sums exact;
-#: small passes keep its temporaries small and in cache
-_SUM_CHUNK = 1 << 13
+#: terms per block of _blockwise_sum: at most 2**26 keeps its bucket sums
+#: exact; a block of float and int64 buffers stays in cache
+_SUM_CHUNK = 1 << 15
 #: int64 mask that clears the low 26 bits of a double's fraction
 _HIGH_MASK = -(1 << 26)
-#: bit pattern of +inf: finite non-negative doubles lie below it as unsigned ints
-_INF_BITS = 0x7FF0_0000_0000_0000
+#: sign and exponent field of +inf: finite non-negative doubles lie below it
+_INF_EXPONENT = 0x7FF
 
 
 @dataclass(frozen=True)
@@ -119,33 +128,72 @@ def default_m_values(n_samples: int) -> list[int]:
     return out
 
 
-def _exact_sum(terms: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array; equals math.fsum(terms.tolist()).
+def _sum_buffers(n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Term, exponent and high-part buffers for blocks of up to n_terms terms."""
+    size = min(_SUM_CHUNK, n_terms)
+    return np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
 
-    A finite non-negative double with exponent field e is an integer
-    multiple of u = 2**(max(e, 1) - 1075) below 2**53 * u. Clearing the low
-    26 fraction bits splits it exactly into a high part, a multiple of
-    2**26 * u, and a low part below 2**26 * u. Summed per exponent with
+
+def _blockwise_sum(n_terms: int, fill, buffers) -> float:
+    """Correctly rounded sum of n_terms float64 terms, built block by block.
+
+    fill(start, out) writes terms start .. start + len(out) - 1 into out;
+    buffers come from _sum_buffers. A finite non-negative double with
+    exponent field e is an integer multiple of u = 2**(max(e, 1) - 1075)
+    below 2**53 * u. Clearing the low 26 fraction bits splits it exactly
+    into a high part, a multiple of 2**26 * u, and a low part below
+    2**26 * u, which overwrites the term. Summed per exponent with
     np.bincount, up to 2**26 high or low parts stay below 2**53 of their
     unit, so every bucket sum is exact in any order. math.fsum then rounds
-    the total of the bucket sums once. Arrays holding a negative or
-    non-finite term, and sums that overflow, are left to math.fsum.
+    the total of the bucket sums once. If a term is negative or not finite,
+    or the bucket sums overflow, all terms are built in one array and left
+    to math.fsum.
     """
-    if terms.size and terms.view(np.uint64).max() >= _INF_BITS:
-        return math.fsum(terms.tolist())
-    bits = terms.view(np.int64)
+    terms, exponents, high = buffers
     sums = [np.zeros(0)]
-    for start in range(0, terms.size, _SUM_CHUNK):
-        chunk = bits[start : start + _SUM_CHUNK]
-        exponents = chunk >> 52
-        high = (chunk & _HIGH_MASK).view(np.float64)
-        for part in (high, terms[start : start + _SUM_CHUNK] - high):
-            buckets = np.bincount(exponents, weights=part)
-            sums.append(buckets[buckets != 0])
-    total = np.concatenate(sums)
-    if np.isinf(total).any():
-        return math.fsum(terms.tolist())
-    return math.fsum(total.tolist())
+    for start in range(0, n_terms, _SUM_CHUNK):
+        k = min(_SUM_CHUNK, n_terms - start)
+        block, block_exponents, block_high = terms[:k], exponents[:k], high[:k]
+        fill(start, block)
+        # as unsigned ints a sign bit gives an exponent above that of inf
+        np.right_shift(block.view(np.uint64), 52, out=block_exponents.view(np.uint64))
+        np.bitwise_and(block.view(np.int64), _HIGH_MASK, out=block_high)
+        high_part = block_high.view(np.float64)
+        buckets = np.bincount(block_exponents, weights=high_part)
+        if buckets.size > _INF_EXPONENT:
+            break
+        sums.append(buckets[buckets != 0])
+        block -= high_part
+        buckets = np.bincount(block_exponents, weights=block)
+        sums.append(buckets[buckets != 0])
+    else:
+        total = np.concatenate(sums)
+        if not np.isinf(total).any():
+            return math.fsum(total.tolist())
+    every_term = np.empty(n_terms)
+    fill(0, every_term)
+    return math.fsum(every_term.tolist())
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array; equals math.fsum(terms.tolist())."""
+
+    def fill(start: int, out: np.ndarray) -> None:
+        out[:] = terms[start : start + out.size]
+
+    return _blockwise_sum(terms.size, fill, _sum_buffers(terms.size))
+
+
+def _squared_differences(x: np.ndarray, m: int, start: int, out: np.ndarray) -> None:
+    """Write the Allan terms ((x[i+2m] - 2*x[i+m] + x[i]) / 1e9)**2 for
+    i = start .. start + len(out) - 1 into out."""
+    stop = start + out.size
+    # differences in ns keep exact cancellations; overflowing squares give inf
+    np.multiply(x[start + m : stop + m], 2.0, out=out)
+    np.subtract(x[start + 2 * m : stop + 2 * m], out, out=out)
+    out += x[start:stop]
+    out *= 1.0 / NS_PER_S
+    out *= out
 
 
 def require_adev_interval(tau0_s: float, name: str, error: type[ValueError] = ValueError) -> None:
@@ -169,19 +217,24 @@ def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
     require_adev_interval(series.tau0_s, "tau0_s")
     if m_values is None:
         m_values = default_m_values(n)
-    m_values = sorted(int(m) for m in m_values)
-    limit = (n - 1) // 2
-    taus, devs, sigmas = [], [], []
+    factors = []
     for m in m_values:
+        if not isinstance(m, numbers.Integral):
+            raise ValueError(f"averaging factor m={m!r} is not an integer")
+        factors.append(int(m))
+    limit = (n - 1) // 2
+    buffers = _sum_buffers(n - 2)
+    taus, devs, sigmas = [], [], []
+    previous = 0
+    for m in sorted(factors):
         if not 1 <= m <= limit:
             raise ValueError(f"averaging factor m={m} outside 1 <= m <= (N-1)/2 = {limit}")
-        # differences in ns keep exact cancellations; overflowing squares give inf
+        if m == previous:
+            raise ValueError(f"averaging factor m={m} given twice")
+        previous = m
+        fill = functools.partial(_squared_differences, x, m)
         with np.errstate(over="ignore"):
-            d = x[2 * m :] - 2.0 * x[m : n - m]
-            d += x[: n - 2 * m]
-            d *= 1.0 / NS_PER_S
-            d *= d
-        total = _exact_sum(d)
+            total = _blockwise_sum(n - 2 * m, fill, buffers)
         tau = m * series.tau0_s
         avar = total / (2.0 * tau * tau * (n - 2 * m))
         dev = math.sqrt(avar)

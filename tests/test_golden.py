@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from timecloak import stability
 from timecloak.cli import main
 from timecloak.config import ExperimentConfig, HopConfig
 from timecloak.experiment import emit_outputs, run_experiment
@@ -147,6 +148,14 @@ def test_adev_cases_match_recorded_cases():
 @pytest.mark.parametrize("name", sorted(ADEV_CASES))
 def test_adev_output_matches_golden_digest(name):
     assert adev_digest(*ADEV_CASES[name]) == json.loads(ADEV_GOLDEN_PATH.read_text())[name]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_adev_output_matches_golden_digest_at_any_block_size(monkeypatch, block):
+    # blocks that split the series, at one term, a prime stride and a round size
+    monkeypatch.setattr(stability, "_SUM_CHUNK", block)
+    recorded = json.loads(ADEV_GOLDEN_PATH.read_text())
+    assert {name: adev_digest(*case) for name, case in ADEV_CASES.items()} == recorded
 
 
 def _written_bytes(write) -> bytes:

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +157,23 @@ class TestOverlappingAdev:
             expected = brute_force_adev(values, 5.0, m)
             assert dev == expected
 
+    @given(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=3,
+            max_size=64,
+        ),
+        st.integers(1, 9),
+    )
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_brute_force_oracle_across_blocks(self, monkeypatch, values, block):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", block)
+        curve = overlapping_adev(TimeErrorSeries(np.array(values), 5.0))
+        for tau, dev in zip(curve.taus_s, curve.adev):
+            assert dev == brute_force_adev(values, 5.0, int(round(tau / 5.0)))
+
     def test_overflowing_squares_give_infinite_deviation(self):
         # finite samples whose second differences square to inf, as math.fsum gave
         series = TimeErrorSeries(np.array([0.0, 1e300, 0.0, 1e300, 0.0]), 1.0)
@@ -168,6 +187,27 @@ class TestOverlappingAdev:
             overlapping_adev(series, m_values=[11])
         with pytest.raises(ValueError, match="m=0"):
             overlapping_adev(series, m_values=[0])
+
+    @pytest.mark.parametrize("m", [1.5, 2.9, "3", np.float64(2.0)])
+    def test_non_integral_m_rejected(self, m):
+        series = TimeErrorSeries(np.arange(21.0) ** 2, 1.0)
+        message = rf"^averaging factor m={re.escape(repr(m))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            overlapping_adev(series, m_values=[1, m])
+
+    @pytest.mark.parametrize("m_values", [[1, 1], [4, 2, 4]])
+    def test_repeated_m_rejected(self, m_values):
+        series = TimeErrorSeries(np.arange(21.0) ** 2, 1.0)
+        repeated = max(m_values)
+        with pytest.raises(ValueError, match=rf"^averaging factor m={repeated} given twice$"):
+            overlapping_adev(series, m_values=m_values)
+
+    def test_numpy_integer_m_accepted(self):
+        series = TimeErrorSeries(np.random.default_rng(18).normal(size=21), 1.0)
+        curve = overlapping_adev(series, m_values=np.array([4, 1], dtype=np.int64))
+        expected = overlapping_adev(series, m_values=[1, 4])
+        assert curve.taus_s.tolist() == [1.0, 4.0]
+        assert curve.adev.tolist() == expected.adev.tolist()
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
@@ -227,6 +267,57 @@ class TestOverlappingAdev:
         curve = overlapping_adev(series)
         ratio = curve.sigma_adev / curve.adev
         assert np.all(np.diff(ratio) > 0)
+
+
+_RAISE_ALL = dict(over="raise", invalid="raise", divide="raise")
+
+
+class TestBlockwiseFallbacks:
+    """The sums fall back to math.fsum from a block after the first."""
+
+    @pytest.fixture(autouse=True)
+    def _blocks_of_four(self, monkeypatch):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", 4)
+
+    @pytest.mark.parametrize("errstate", [{}, _RAISE_ALL])
+    def test_overflowing_square_in_last_block_gives_inf(self, errstate):
+        # ten terms at m=1 in blocks of 4, 4 and 2; only the last term reads x[11]
+        x = np.random.default_rng(19).normal(0.0, 5.0, 12)
+        x[11] = 1e300
+        with np.errstate(**errstate):
+            curve = overlapping_adev(TimeErrorSeries(x, 1.0))
+        assert curve.adev[0] == math.inf
+        for tau, dev in zip(curve.taus_s, curve.adev):
+            assert dev == brute_force_adev(x, 1.0, int(tau))
+
+    @pytest.mark.parametrize("errstate", [{}, _RAISE_ALL])
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            # three finite squares of about 1.4e308 in the last block: its bucket sum overflows
+            [6e162, 0.0, 6e162, 0.0],
+            # squares in the third block and in the fifth and last: each bucket sum is finite
+            [0.0, 0.0, 0.0, 0.0, 6e162, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6e162, 0.0],
+        ],
+    )
+    def test_overflowing_bucket_totals_raise_like_fsum(self, errstate, tail):
+        x = np.concatenate([np.zeros(6), tail])
+        with pytest.raises(OverflowError):
+            brute_force_adev(x, 1.0, 1)
+        with np.errstate(**errstate), pytest.raises(OverflowError):
+            overlapping_adev(TimeErrorSeries(x, 1.0), m_values=[1])
+
+
+def test_peak_memory_stays_in_blocks():
+    # one full-length array of 2**19 terms alone would take 4 MiB
+    series = TimeErrorSeries(np.random.default_rng(20).normal(0.0, 1.0, 1 << 19), 1.0)
+    tracemalloc.start()
+    try:
+        overlapping_adev(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestSlopeFit:
