@@ -143,13 +143,16 @@ def sweep_noise_models(
     kinds: Iterable[str | NoiseKind],
     bounded_options: Iterable[bool] = (False, True),
 ) -> dict[tuple[str, bool], ExperimentResult]:
-    """One experiment per (kind, bounded) pair, sharing the base config's
-    seeds so the runs are directly comparable. Bounded runs use the base
-    config's model.bound_deg, or DEFAULT_SWEEP_BOUND_DEG when it is unset."""
+    """One experiment per distinct (kind, bounded) pair, in first-seen order,
+    sharing the base config's seeds so the runs are directly comparable.
+    Bounded runs use the base config's model.bound_deg, or
+    DEFAULT_SWEEP_BOUND_DEG when it is unset."""
     bound_deg = base_config.model.bound_deg or DEFAULT_SWEEP_BOUND_DEG  # a set bound is > 0
+    # an alias or a repeat names a run already in the sweep
+    kinds = dict.fromkeys(parse_noise_kind(k) if isinstance(k, str) else k for k in kinds)
+    bounded_options = dict.fromkeys(bounded_options)
     results: dict[tuple[str, bool], ExperimentResult] = {}
     for kind in kinds:
-        kind = parse_noise_kind(kind) if isinstance(kind, str) else kind
         for bounded in bounded_options:
             model = replace(base_config.model, kind=kind, bound_deg=bound_deg if bounded else None)
             results[(kind.value, bounded)] = run_experiment(replace(base_config, model=model))

@@ -133,10 +133,11 @@ class PhaseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phases_deg", tuple(map(float, self.phases_deg)))
-        if not self.dwell_s > 0:
-            raise ValueError("dwell_s must be > 0")
-        if not self.carrier_hz > 0:
-            raise ValueError("carrier_hz must be > 0")
+        # an infinite carrier would zero every delay, an infinite dwell overflow apply_schedule
+        if not (math.isfinite(self.dwell_s) and self.dwell_s > 0):
+            raise ValueError(f"dwell_s must be finite and > 0, got {self.dwell_s!r}")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz!r}")
 
     def __len__(self) -> int:
         return len(self.phases_deg)
@@ -393,8 +394,8 @@ def _walk_loop(steps: list[float], model: NoiseModelSpec) -> list[float]:
 def phase_to_delay(phase_deg, carrier_hz: float = DEFAULT_CARRIER_HZ):
     """Delay (ns) equivalent to a carrier phase shift: one full turn is one
     carrier period."""
-    if not carrier_hz > 0:
-        raise ValueError("carrier_hz must be > 0")
+    if not (math.isfinite(carrier_hz) and carrier_hz > 0):
+        raise ValueError(f"carrier_hz must be finite and > 0, got {carrier_hz!r}")
     return phase_deg / 360.0 * (1e9 / carrier_hz)
 
 

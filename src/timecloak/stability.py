@@ -8,7 +8,7 @@ with the sum running over i = 0 .. N-1-2m. Samples are converted from
 nanoseconds to seconds first, so the returned deviation is the usual
 dimensionless sigma_y. The squared second differences are summed exactly
 and rounded once: their high and low mantissa halves are accumulated per
-binary exponent, where float addition is exact (see _blockwise_sum), which
+binary exponent, where float addition is exact (see _allan_sum), which
 gives the same correctly rounded value as math.fsum. That keeps the result
 bit-identical to a literal evaluation of the defining sum at any series
 length.
@@ -22,9 +22,7 @@ math.fsum, which gives inf or raises OverflowError.
 """
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +38,7 @@ RANDOM_WALK_PHASE_BAND = (-0.65, -0.35)
 
 DEFAULT_DECORRELATION_THRESHOLD = 1.0 / math.e
 
-#: terms per block of _blockwise_sum: at most 2**26 keeps its bucket sums
+#: terms per block of _allan_sum: at most 2**26 keeps its bucket sums
 #: exact; a block of float and int64 buffers stays in cache
 _SUM_CHUNK = 1 << 15
 #: int64 mask that clears the low 26 bits of a double's fraction
@@ -128,34 +126,29 @@ def default_m_values(n_samples: int) -> list[int]:
     return out
 
 
-def _sum_buffers(n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Term, exponent and high-part buffers for blocks of up to n_terms terms."""
-    size = min(_SUM_CHUNK, n_terms)
-    return np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
+def _allan_sum(x: np.ndarray, m: int, buffers) -> float:
+    """Correctly rounded sum of the n - 2m Allan terms of factor m, in blocks.
 
-
-def _blockwise_sum(n_terms: int, fill, buffers) -> float:
-    """Correctly rounded sum of n_terms float64 terms, built block by block.
-
-    fill(start, out) writes terms start .. start + len(out) - 1 into out;
-    buffers come from _sum_buffers. A finite non-negative double with
-    exponent field e is an integer multiple of u = 2**(max(e, 1) - 1075)
-    below 2**53 * u. Clearing the low 26 fraction bits splits it exactly
-    into a high part, a multiple of 2**26 * u, and a low part below
-    2**26 * u, which overwrites the term. Summed per exponent with
-    np.bincount, up to 2**26 high or low parts stay below 2**53 of their
-    unit, so every bucket sum is exact in any order. math.fsum then rounds
-    the total of the bucket sums once. If a term is negative or not finite,
-    or the bucket sums overflow, all terms are built in one array and left
-    to math.fsum.
+    buffers are the float term, int64 exponent and int64 high-part arrays,
+    each at least min(_SUM_CHUNK, n - 2m) long. A finite non-negative
+    double with exponent field e is an integer multiple of
+    u = 2**(max(e, 1) - 1075) below 2**53 * u. Clearing the low 26 fraction
+    bits splits it exactly into a high part, a multiple of 2**26 * u, and a
+    low part below 2**26 * u, which overwrites the term. Summed per exponent
+    with np.bincount, up to 2**26 high or low parts stay below 2**53 of
+    their unit, so every bucket sum is exact in any order. math.fsum then
+    rounds the total of the bucket sums once. If a term is not finite, or
+    the bucket sums overflow, all terms are built in one array and left to
+    math.fsum.
     """
+    n_terms = x.size - 2 * m
     terms, exponents, high = buffers
-    sums = [np.zeros(0)]
+    sums = []
     for start in range(0, n_terms, _SUM_CHUNK):
         k = min(_SUM_CHUNK, n_terms - start)
         block, block_exponents, block_high = terms[:k], exponents[:k], high[:k]
-        fill(start, block)
-        # as unsigned ints a sign bit gives an exponent above that of inf
+        _squared_differences(x, m, start, block)
+        # exponent fields: an infinite term's is _INF_EXPONENT
         np.right_shift(block.view(np.uint64), 52, out=block_exponents.view(np.uint64))
         np.bitwise_and(block.view(np.int64), _HIGH_MASK, out=block_high)
         high_part = block_high.view(np.float64)
@@ -171,17 +164,8 @@ def _blockwise_sum(n_terms: int, fill, buffers) -> float:
         if not np.isinf(total).any():
             return math.fsum(total.tolist())
     every_term = np.empty(n_terms)
-    fill(0, every_term)
+    _squared_differences(x, m, 0, every_term)
     return math.fsum(every_term.tolist())
-
-
-def _exact_sum(terms: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array; equals math.fsum(terms.tolist())."""
-
-    def fill(start: int, out: np.ndarray) -> None:
-        out[:] = terms[start : start + out.size]
-
-    return _blockwise_sum(terms.size, fill, _sum_buffers(terms.size))
 
 
 def _squared_differences(x: np.ndarray, m: int, start: int, out: np.ndarray) -> None:
@@ -203,38 +187,23 @@ def require_adev_interval(tau0_s: float, name: str, error: type[ValueError] = Va
         raise error(f"{name} must be >= 2**-511 s for an Allan deviation, got {tau0_s!r}")
 
 
-def overlapping_adev(series: TimeErrorSeries, m_values=None) -> AdevCurve:
-    """Overlapping Allan deviation of a time-error series.
+def overlapping_adev(series: TimeErrorSeries) -> AdevCurve:
+    """Overlapping Allan deviation of a series at the factors default_m_values(N).
 
-    Each averaging factor m must satisfy 1 <= m <= (N-1)/2. The one-sigma
-    uncertainty uses the plain white-noise approximation with N-2m degrees
-    of freedom.
+    The one-sigma uncertainty uses the plain white-noise approximation with
+    N-2m degrees of freedom.
     """
     x = series.samples_ns
     n = len(x)
     if n < 3:
         raise ValueError("need at least 3 samples for an Allan deviation")
     require_adev_interval(series.tau0_s, "tau0_s")
-    if m_values is None:
-        m_values = default_m_values(n)
-    factors = []
-    for m in m_values:
-        if not isinstance(m, numbers.Integral):
-            raise ValueError(f"averaging factor m={m!r} is not an integer")
-        factors.append(int(m))
-    limit = (n - 1) // 2
-    buffers = _sum_buffers(n - 2)
+    size = min(_SUM_CHUNK, n - 2)
+    buffers = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
     taus, devs, sigmas = [], [], []
-    previous = 0
-    for m in sorted(factors):
-        if not 1 <= m <= limit:
-            raise ValueError(f"averaging factor m={m} outside 1 <= m <= (N-1)/2 = {limit}")
-        if m == previous:
-            raise ValueError(f"averaging factor m={m} given twice")
-        previous = m
-        fill = functools.partial(_squared_differences, x, m)
+    for m in default_m_values(n):
         with np.errstate(over="ignore"):
-            total = _blockwise_sum(n - 2 * m, fill, buffers)
+            total = _allan_sum(x, m, buffers)
         tau = m * series.tau0_s
         avar = total / (2.0 * tau * tau * (n - 2 * m))
         dev = math.sqrt(avar)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from timecloak import experiment
 from timecloak.config import ConfigError, ExperimentConfig, HopConfig, build_experiment_config
 from timecloak.experiment import (
+    DEFAULT_SWEEP_BOUND_DEG,
     build_schedule,
     calibration_window,
     emit_outputs,
@@ -14,7 +16,7 @@ from timecloak.experiment import (
     sweep_noise_models,
 )
 from timecloak.keys import KeyExhaustedError, mock_qkd_source, save_keys
-from timecloak.noise import apply_schedule, generate_schedule
+from timecloak.noise import NoiseKind, apply_schedule, generate_schedule
 from timecloak.stability import (
     NoiseClass,
     TimeErrorSeries,
@@ -194,6 +196,22 @@ class TestSweep:
         assert bounded.config.model.bound_deg == 90.0
         assert max(map(abs, bounded.schedule.phases_deg)) <= 90.0
         assert results[("rw", False)].config.model.bound_deg is None
+
+
+    def test_repeated_and_aliased_kinds_run_once(self, monkeypatch):
+        calls = []
+
+        def counting_run(config):
+            calls.append((config.model.kind, config.model.bound_deg))
+            return run_experiment(config)
+
+        monkeypatch.setattr(experiment, "run_experiment", counting_run)
+        base = _config(duration_s=50 * 5.0)
+        kinds = ["rw", "random_walk", NoiseKind.RANDOM_WALK, "white", "rw"]
+        results = sweep_noise_models(base, kinds, (True, False, True))
+        assert list(results) == [("rw", True), ("rw", False), ("white", True), ("white", False)]
+        walk, white, bound = NoiseKind.RANDOM_WALK, NoiseKind.WHITE, DEFAULT_SWEEP_BOUND_DEG
+        assert calls == [(walk, bound), (walk, None), (white, bound), (white, None)]
 
 
 class TestEmitOutputs:

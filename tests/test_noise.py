@@ -341,6 +341,9 @@ class TestPhaseToDelay:
     def test_rejects_bad_carrier(self):
         with pytest.raises(ValueError):
             phase_to_delay(10.0, 0.0)
+        # an infinite carrier would give zero delays and leave the series unencrypted
+        with pytest.raises(ValueError, match=r"^carrier_hz must be finite and > 0, got inf$"):
+            phase_to_delay(10.0, math.inf)
 
 
 def _integer_series(rng, n, tau0=5.0):
@@ -471,3 +474,15 @@ class TestModelSpecValidation:
             PhaseSchedule((1.0,), dwell_s=0.0)
         with pytest.raises(ValueError):
             PhaseSchedule((1.0,), carrier_hz=-1.0)
+
+    def test_schedule_rejects_infinite_dwell(self):
+        # apply_schedule would raise OverflowError from round(inf)
+        with pytest.raises(ValueError, match=r"^dwell_s must be finite and > 0, got inf$"):
+            PhaseSchedule((1.0,), dwell_s=math.inf)
+
+    def test_schedule_rejects_infinite_carrier(self):
+        # every delay would be 0, so apply_schedule would leave the series as it is
+        with pytest.raises(ValueError, match=r"^carrier_hz must be finite and > 0, got inf$"):
+            PhaseSchedule((10.0, 20.0), carrier_hz=math.inf)
+        with pytest.raises(ValueError, match="^carrier_hz must be finite"):
+            generate_schedule(mock_qkd_source(5, 4), NoiseModelSpec(), 2, carrier_hz=math.inf)
