@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
     result = run_experiment(config)
     written = emit_outputs(result, args.out)
     if config.calib_window_steps > 0:
-        bias = calibration_window(result, config.calib_window_steps)
+        bias = calibration_window(result)
         print(f"calibration bias estimate: {bias:.4f} ns")
     print(f"adev ratio at tau0: {result.summary.adev_ratio_tau0:.3g}")
     print(f"wrote {len(written)} files to {args.out}")
@@ -207,7 +207,7 @@ def _cmd_adev(args) -> int:
     series = _read_series(args.input, args.value_column, args.tau0)
     curve = overlapping_adev(series)
     if args.out:
-        curve.write_csv(args.out)
+        write_text(args.out, curve.csv_text())
         print(f"wrote {len(curve)} points to {args.out}")
     else:
         print(curve.csv_text(), end="")

@@ -144,9 +144,10 @@ def _to_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse the flat key-value grammar into a raw string mapping."""
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """Parse a file in the flat key-value grammar into a raw string mapping."""
     mapping: dict[str, str] = {}
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -156,10 +157,6 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping
-
-
-def load_config_file(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_overrides(items: list[str]) -> dict[str, str]:

@@ -125,16 +125,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, schedule, tic1, tic2, adev1, adev2, summary)
 
 
-def calibration_window(result: ExperimentResult, n_steps: int) -> float:
-    """Bias estimate: mean of the encrypted-path series over the leading
-    unencrypted window."""
-    if n_steps <= 0:
-        raise ValueError("calibration window must cover at least one step")
-    if n_steps > len(result.tic2_series):
-        raise ValueError(
-            f"calibration window of {n_steps} steps exceeds series length "
-            f"{len(result.tic2_series)}"
-        )
+def calibration_window(result: ExperimentResult) -> float:
+    """Bias estimate: mean of the encrypted-path series over the run's
+    leading unencrypted window of calib.window_steps steps."""
+    n_steps = result.config.calib_window_steps  # the config keeps it below the run's length
+    if n_steps == 0:
+        raise ValueError("calib.window_steps is 0: the run has no calibration window")
     return float(result.tic2_series.samples_ns[:n_steps].mean())
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +54,13 @@ class HexKeyStream:
 
     digits: bytes
     key_id: str = "anonymous"
-    cursor: int = 0
+    cursor: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.digits, (bytearray, memoryview)):
             self.digits = bytes(self.digits)
         if self.digits and np.frombuffer(self.digits, dtype=np.uint8).max() > 15:
             raise ValueError("key digits must be in [0, 15]")
-        if not 0 <= self.cursor <= len(self.digits):
-            raise ValueError("cursor out of range")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -74,8 +73,8 @@ class HexKeyStream:
     def take_digits(self, n: int, size: int) -> np.ndarray:
         """Consume size*n digits and return them as a read-only (n, size)
         uint8 array, decoded straight from the digit buffer."""
-        if n < 0:
-            raise ValueError("chunk count must be >= 0")
+        if n < 0 or size < 1:  # either would move the cursor back
+            raise ValueError(f"need n >= 0 and size >= 1, got n={n!r}, size={size!r}")
         needed = size * n
         if needed > self.remaining:
             raise KeyExhaustedError(
@@ -167,12 +166,16 @@ class KmsStore:
         if key_file.parent != self._dir or key_file.stem != stream.key_id:
             raise ValueError(f"key id {stream.key_id!r} does not name a file in {self._dir}")
         with self._lock:
-            # the file check catches a key another store added to the directory
-            if stream.key_id in self._keys or key_file.exists():
-                raise ValueError(f"key id {stream.key_id!r} already stored")
-            tmp_file = key_file.with_suffix(".tmp")  # renamed into place: a cut write leaves none
-            save_keys(stream, tmp_file)
-            os.replace(tmp_file, key_file)
+            # a file of its own, linked into place: the link refuses any existing key file
+            fd, tmp_file = tempfile.mkstemp(suffix=".tmp", dir=self._dir)
+            os.close(fd)
+            try:
+                save_keys(stream, tmp_file)
+                os.link(tmp_file, key_file)
+            except FileExistsError:
+                raise ValueError(f"key id {stream.key_id!r} already stored") from None
+            finally:
+                os.remove(tmp_file)
             self._keys[stream.key_id] = stream.digits
 
     def get(self, key_id: str, party: str) -> HexKeyStream:

@@ -133,11 +133,9 @@ class PhaseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phases_deg", tuple(map(float, self.phases_deg)))
-        # an infinite carrier would zero every delay, an infinite dwell overflow apply_schedule
         if not (math.isfinite(self.dwell_s) and self.dwell_s > 0):
             raise ValueError(f"dwell_s must be finite and > 0, got {self.dwell_s!r}")
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
-            raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz!r}")
+        _carrier_period_ns(self.carrier_hz)
 
     def __len__(self) -> int:
         return len(self.phases_deg)
@@ -391,12 +389,20 @@ def _walk_loop(steps: list[float], model: NoiseModelSpec) -> list[float]:
     return emitted
 
 
+def _carrier_period_ns(carrier_hz: float) -> float:
+    """One carrier period in ns. An infinite carrier would zero every delay; one
+    below about 5.6e-300 Hz has an infinite period, giving NaN delays."""
+    if not (math.isfinite(carrier_hz) and carrier_hz > 0):
+        raise ValueError(f"carrier_hz must be finite and > 0, got {carrier_hz!r}")
+    if math.isinf(period := 1e9 / float(carrier_hz)):  # a numpy scalar would warn
+        raise ValueError(f"carrier_hz must be large enough for a finite period, got {carrier_hz!r}")
+    return period
+
+
 def phase_to_delay(phase_deg, carrier_hz: float = DEFAULT_CARRIER_HZ):
     """Delay (ns) equivalent to a carrier phase shift: one full turn is one
     carrier period."""
-    if not (math.isfinite(carrier_hz) and carrier_hz > 0):
-        raise ValueError(f"carrier_hz must be finite and > 0, got {carrier_hz!r}")
-    return phase_deg / 360.0 * (1e9 / carrier_hz)
+    return phase_deg / 360.0 * _carrier_period_ns(carrier_hz)
 
 
 def _snap_to_grid(delays_ns: np.ndarray) -> np.ndarray:
@@ -416,7 +422,7 @@ def apply_schedule(series: TimeErrorSeries, schedule: PhaseSchedule, sign: int) 
         raise ValueError("sign must be +1 or -1")
     n = len(series.samples_ns)
     ratio = schedule.dwell_s / series.tau0_s
-    per_dwell = round(ratio)
+    per_dwell = round(ratio) if math.isfinite(ratio) else 0  # an overflowing ratio fits no dwell
     if per_dwell < 1 or abs(ratio - per_dwell) > 1e-9 * per_dwell:
         raise ValueError("series sampling interval must divide the schedule dwell")
     if n == 0:

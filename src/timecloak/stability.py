@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tables import csv_text, write_text
+from .tables import csv_text
 
 NS_PER_S = 1e9
 
@@ -36,7 +36,7 @@ NS_PER_S = 1e9
 WHITE_PHASE_BAND = (-1.15, -0.85)
 RANDOM_WALK_PHASE_BAND = (-0.65, -0.35)
 
-DEFAULT_DECORRELATION_THRESHOLD = 1.0 / math.e
+DECORRELATION_THRESHOLD = 1.0 / math.e
 
 #: terms per block of _allan_sum: at most 2**26 keeps its bucket sums
 #: exact; a block of float and int64 buffers stays in cache
@@ -104,10 +104,6 @@ class AdevCurve:
         """CSV columns tau_s, adev, sigma_adev (log-log plottable as-is)."""
         columns = (self.taus_s, self.adev, self.sigma_adev)
         return csv_text("tau_s,adev,sigma_adev", *(map(repr, c.tolist()) for c in columns))
-
-    def write_csv(self, path) -> None:
-        """Write csv_text() to path."""
-        write_text(path, self.csv_text())
 
 
 class NoiseClass(Enum):
@@ -239,10 +235,9 @@ def classify_noise(slope: float) -> NoiseClass:
     return NoiseClass.INDETERMINATE
 
 
-def decorrelation_steps(
-    series: TimeErrorSeries, threshold: float = DEFAULT_DECORRELATION_THRESHOLD
-) -> int:
-    """Smallest lag at which the normalized autocorrelation drops below threshold.
+def decorrelation_steps(series: TimeErrorSeries) -> int:
+    """Smallest lag at which the normalized autocorrelation drops below
+    DECORRELATION_THRESHOLD (1/e).
 
     Uses the biased sample autocorrelation of the mean-removed series. If no
     lag up to N-1 crosses the threshold the series length is returned
@@ -251,15 +246,13 @@ def decorrelation_steps(
     n = len(series)
     if n < 100:
         raise ValueError("need at least 100 samples to estimate decorrelation")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
     x = series.samples_ns - series.samples_ns.mean()
     spectrum = np.fft.rfft(x, 2 * n)
     acf = np.fft.irfft(spectrum * np.conj(spectrum))[:n]
     if acf[0] <= 0:
         raise ValueError("series has zero variance")
     rho = acf / acf[0]
-    below = np.nonzero(rho[1:] < threshold)[0]
+    below = np.nonzero(rho[1:] < DECORRELATION_THRESHOLD)[0]
     if below.size == 0:
         return n
     return int(below[0]) + 1

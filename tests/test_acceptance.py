@@ -248,7 +248,7 @@ def test_criterion_08_encrypted_mean_gap():
         hop2=HopConfig(bias_ns=29.188),
     )
     result = run_experiment(config)
-    bias = calibration_window(result, window)
+    bias = calibration_window(result)
     encrypted_mean = float(result.tic2_series.samples_ns[window:].mean())
     gap = encrypted_mean - bias
     ok = abs(gap - 8.85) <= 0.5

@@ -115,8 +115,9 @@ class TestRun:
             (["dwell_s=1e-170", "duration_s=1e-167"], "dwell_s"),
             (["seed=-1"], "seed"),
             (["key.seed=-1"], "key.seed"),
+            (["carrier_hz=1e-320", "duration_s=500"], "carrier_hz"),
         ],
-        ids=["tiny_dwell", "negative_seed", "negative_key_seed"],
+        ids=["tiny_dwell", "negative_seed", "negative_key_seed", "tiny_carrier"],
     )
     def test_bad_value_error_names_its_key(self, overrides, name, tmp_path, capsys):
         argv = ["run", "--out", str(tmp_path / "out")]

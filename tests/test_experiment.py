@@ -122,7 +122,7 @@ class TestCalibrationWindow:
     def test_noiseless_bias_recovery_is_exact(self):
         cfg = _config(calib_window_steps=50, tic_jitter_ns=0.0, **BIASED_HOPS)
         result = run_experiment(cfg)
-        assert calibration_window(result, 50) == pytest.approx(129.188)
+        assert calibration_window(result) == pytest.approx(129.188)
 
     def test_window_zeroes_leading_schedule(self):
         cfg = _config(calib_window_steps=50)
@@ -140,20 +140,15 @@ class TestCalibrationWindow:
             hop1=HopConfig(jitter_ns=jitter, bias_ns=100.0),
         )
         result = run_experiment(cfg)
-        estimate = calibration_window(result, window)
+        estimate = calibration_window(result)
         # session jitter propagates to the residuals at sigma/sqrt(2)
         standard_error = jitter / math.sqrt(2.0) / math.sqrt(window)
         assert abs(estimate - 100.0) < 5.0 * standard_error + 0.5  # + quantization floor
 
     def test_zero_window_rejected(self):
         result = run_experiment(_config())
-        with pytest.raises(ValueError):
-            calibration_window(result, 0)
-
-    def test_oversized_window_rejected(self):
-        result = run_experiment(_config())
-        with pytest.raises(ValueError, match="exceeds"):
-            calibration_window(result, 10_000)
+        with pytest.raises(ValueError, match="calib.window_steps"):
+            calibration_window(result)
 
 
 @pytest.fixture(scope="module")

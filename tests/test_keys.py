@@ -177,6 +177,16 @@ class TestTakeChunks:
             stream.take_digits(1, 2)
         assert stream.cursor == 6
 
+    @pytest.mark.parametrize("n, size", [(1, -1), (1, 0), (-1, 2)])
+    def test_bad_shape_is_refused_before_the_cursor_moves(self, n, size):
+        # take_digits(1, -1) once moved the cursor back a digit and handed it out again
+        stream = mock_qkd_source(1, 10)
+        stream.take_digits(2, 3)
+        with pytest.raises(ValueError, match=r"size >= 1, got n=-?\d+, size=-?\d+$"):
+            stream.take_digits(n, size)
+        assert stream.cursor == 6
+        assert stream.take_digits(1, 4).tobytes() == mock_qkd_source(1, 10).digits[6:]
+
     def test_exhaustion_does_not_consume(self):
         stream = HexKeyStream(bytes([1, 2, 3]))
         with pytest.raises(KeyExhaustedError):
@@ -282,6 +292,24 @@ class TestKmsStore:
         with pytest.raises(UnknownKeyError):
             second.get("mock-1", "A")
 
+    def test_interleaved_adds_of_one_id_keep_the_first(self, tmp_path, monkeypatch):
+        # store y adds the id with other digits while x's add is under way;
+        # without an exclusive publish both adds succeed and A and B get different digits
+        x, y = KmsStore(tmp_path), KmsStore(tmp_path)
+        save = keys_module.save_keys
+
+        def y_adds_first(stream, path):
+            monkeypatch.setattr(keys_module, "save_keys", save)
+            y.add(HexKeyStream(bytes([2] * 16), key_id="k"))
+            save(stream, path)
+
+        monkeypatch.setattr(keys_module, "save_keys", y_adds_first)
+        with pytest.raises(ValueError, match="already stored"):
+            x.add(HexKeyStream(bytes([1] * 16), key_id="k"))
+        assert x.key_ids() == []
+        assert KmsStore(tmp_path).get("k", "A").digits == y.get("k", "B").digits == bytes([2] * 16)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.A", "k.B", "k.hex"]
+
     def test_concurrent_gets_consume_exactly_once(self, tmp_path):
         store = KmsStore(tmp_path)
         store.add(mock_qkd_source(11, 64))
@@ -342,7 +370,7 @@ class TestKmsStore:
         monkeypatch.setattr(keys_module, "write_text", cut_write)
         with pytest.raises(OSError, match="write cut"):
             KmsStore(tmp_path).add(mock_qkd_source(1, 16))
-        assert not (tmp_path / "mock-1.hex").exists()
+        assert list(tmp_path.iterdir()) == []  # no key file and no temporary file
         assert KmsStore(tmp_path).key_ids() == []
 
     def test_old_consume_log_is_refused(self, tmp_path):

@@ -345,6 +345,15 @@ class TestPhaseToDelay:
         with pytest.raises(ValueError, match=r"^carrier_hz must be finite and > 0, got inf$"):
             phase_to_delay(10.0, math.inf)
 
+    @pytest.mark.parametrize("carrier_hz", [1e-320, 1e-300, 5.5e-300, np.float64(1e-320)])
+    def test_rejects_carrier_whose_period_overflows(self, carrier_hz):
+        # 1e9 / carrier_hz is inf, so a zero phase would give a NaN delay
+        with pytest.raises(ValueError, match="^carrier_hz must be large enough"):
+            phase_to_delay(0.0, carrier_hz)
+        with pytest.raises(ValueError, match="^carrier_hz must be large enough"):
+            PhaseSchedule((0.0, 10.0), carrier_hz=carrier_hz)
+        assert math.isfinite(phase_to_delay(360.0, 5.6e-300))
+
 
 def _integer_series(rng, n, tau0=5.0):
     return TimeErrorSeries(rng.integers(-10**6, 10**6, size=n).astype(float), tau0)
@@ -390,6 +399,13 @@ class TestApplySchedule:
         sched = PhaseSchedule((10.0,) * 10, dwell_s=5.0)
         with pytest.raises(ValueError):
             apply_schedule(series, sched, +1)
+
+    def test_overflowing_dwell_to_interval_ratio_does_not_divide(self):
+        # both finite, but dwell / tau0 overflows to inf
+        series = TimeErrorSeries(np.zeros(3), 1e-10)
+        sched = PhaseSchedule((1.0,), dwell_s=1e300)
+        with pytest.raises(ValueError, match="must divide the schedule dwell"):
+            apply_schedule(series, sched, 1)
 
     def test_schedule_too_short(self):
         series = TimeErrorSeries(np.zeros(10), 5.0)
@@ -476,7 +492,7 @@ class TestModelSpecValidation:
             PhaseSchedule((1.0,), carrier_hz=-1.0)
 
     def test_schedule_rejects_infinite_dwell(self):
-        # apply_schedule would raise OverflowError from round(inf)
+        # the field is named where it enters, not in apply_schedule
         with pytest.raises(ValueError, match=r"^dwell_s must be finite and > 0, got inf$"):
             PhaseSchedule((1.0,), dwell_s=math.inf)
 
