@@ -73,7 +73,7 @@ class HexKeyStream:
     def take_digits(self, n: int, size: int) -> np.ndarray:
         """Consume size*n digits and return them as a read-only (n, size)
         uint8 array, decoded straight from the digit buffer."""
-        if n < 0 or size < 1:  # either would move the cursor back
+        if n < 0 or size < 1:  # a negative size or count would move the cursor back
             raise ValueError(f"need n >= 0 and size >= 1, got n={n!r}, size={size!r}")
         needed = size * n
         if needed > self.remaining:
@@ -109,8 +109,8 @@ def load_keys(path: str | Path) -> HexKeyStream:
     return HexKeyStream(digits, key_id=p.stem)
 
 
-def save_keys(stream: HexKeyStream, path: str | Path) -> None:
-    """Write a stream back to its canonical hex file form."""
+def save_keys(stream: HexKeyStream, path: str | Path | int) -> None:
+    """Write a stream's canonical hex file form to path, a name or an open fd it closes."""
     write_text(path, stream.to_hex() + "\n")
 
 
@@ -168,9 +168,8 @@ class KmsStore:
         with self._lock:
             # a file of its own, linked into place: the link refuses any existing key file
             fd, tmp_file = tempfile.mkstemp(suffix=".tmp", dir=self._dir)
-            os.close(fd)
             try:
-                save_keys(stream, tmp_file)
+                save_keys(stream, fd)
                 os.link(tmp_file, key_file)
             except FileExistsError:
                 raise ValueError(f"key id {stream.key_id!r} already stored") from None
