@@ -73,8 +73,8 @@ def build_schedule(config: ExperimentConfig) -> PhaseSchedule:
         dwell_s=config.dwell_s,
         carrier_hz=config.carrier_hz,
     )
-    window = (0.0,) * config.calib_window_steps
-    return PhaseSchedule(window + generated.phases_deg, config.dwell_s, config.carrier_hz)
+    phases = np.concatenate((np.zeros(config.calib_window_steps), generated.phases))
+    return PhaseSchedule(phases, config.dwell_s, config.carrier_hz)
 
 
 def _safe_slope(curve: AdevCurve) -> float:
@@ -204,8 +204,12 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         written.append(path)
 
     # both tic series come from run_experiment: equally long, one tau0
-    tau0 = result.tic1_series.tau0_s
-    prefixes = (f"{i},{i * tau0!r}," for i in range(len(result.tic1_series)))
+    tau0, n = result.tic1_series.tau0_s, len(result.tic1_series)
+    # whole products below 2**53 are exact, and repr writes them as integer + ".0"
+    if tau0.is_integer() and (n - 1) * (t := int(tau0)) < 2**53:
+        prefixes = (f"{i},{i * t}.0," for i in range(n))
+    else:
+        prefixes = (f"{i},{i * tau0!r}," for i in range(n))
     # iterating a buffer yields Python floats without a full-length list
     lasts = [map(repr, s.samples_ns.data) for s in (result.tic1_series, result.tic2_series)]
     write_csv_pair(written, "step_index,time_s,error_ns", prefixes, lasts)

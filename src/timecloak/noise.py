@@ -43,8 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .keys import HexKeyStream
-from .stability import TimeErrorSeries
-from .tables import csv_text, write_text
+from .stability import TimeErrorSeries, finite_array
 
 DEFAULT_DIVISOR = 4.0
 DEFAULT_SIGN_THRESHOLD = 8
@@ -120,35 +119,36 @@ class NoiseModelSpec:
         return 2 if self.kind is NoiseKind.WHITE else 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSchedule:
     """A timed sequence of phase values held constant over dwell intervals.
 
-    Interval i covers [i*dwell_s, (i+1)*dwell_s), left-closed.
+    Interval i covers [i*dwell_s, (i+1)*dwell_s), left-closed. phases holds
+    the phases in degrees, copied into a read-only float64 array on
+    construction. Two schedules compare equal only if they are one object.
     """
 
-    phases_deg: tuple[float, ...]
+    phases: np.ndarray
     dwell_s: float = DEFAULT_DWELL_S
     carrier_hz: float = DEFAULT_CARRIER_HZ
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phases_deg", tuple(map(float, self.phases_deg)))
+        object.__setattr__(self, "phases", finite_array(self.phases, "phases"))
         if not (math.isfinite(self.dwell_s) and self.dwell_s > 0):
             raise ValueError(f"dwell_s must be finite and > 0, got {self.dwell_s!r}")
         _carrier_period_ns(self.carrier_hz)
 
     def __len__(self) -> int:
-        return len(self.phases_deg)
+        return len(self.phases)
+
+    @property
+    def phases_deg(self) -> tuple[float, ...]:
+        """The phases as a tuple of Python floats, built on each access."""
+        return tuple(self.phases.tolist())
 
     def delays_ns(self) -> np.ndarray:
         """Per-step delay equivalent of each phase at the carrier frequency."""
-        return phase_to_delay(np.asarray(self.phases_deg), self.carrier_hz)
-
-    def write_csv(self, path) -> None:
-        """CSV columns step_index, phase_deg, delay_ns."""
-        columns = (range(len(self)), self.phases_deg, self.delays_ns().tolist())
-        text = csv_text("step_index,phase_deg,delay_ns", *(map(repr, c) for c in columns))
-        write_text(path, text)
+        return phase_to_delay(self.phases, self.carrier_hz)
 
 
 def _pair_value(hi: int, lo: int) -> float:
@@ -309,7 +309,7 @@ def generate_schedule(
         if raw is None:
             return PhaseSchedule(_walk_loop(steps.tolist(), model), dwell_s, carrier_hz)
     if bound is None:
-        return PhaseSchedule(raw.tolist(), dwell_s, carrier_hz)
+        return PhaseSchedule(raw, dwell_s, carrier_hz)
     phases = [bound * math.sin(math.radians(p)) for p in raw.tolist()]
     return PhaseSchedule(phases, dwell_s, carrier_hz)
 
@@ -427,11 +427,10 @@ def apply_schedule(series: TimeErrorSeries, schedule: PhaseSchedule, sign: int) 
         raise ValueError("series sampling interval must divide the schedule dwell")
     if n == 0:
         return TimeErrorSeries(series.samples_ns, series.tau0_s)
-    idx = np.arange(n) // per_dwell
-    if idx[-1] >= len(schedule.phases_deg):
+    last = (n - 1) // per_dwell  # the dwell of the last sample
+    if last >= len(schedule):
         raise ValueError(
-            f"schedule too short: {len(schedule.phases_deg)} steps for {n} samples "
-            f"({per_dwell} per dwell)"
+            f"schedule too short: {len(schedule)} steps for {n} samples ({per_dwell} per dwell)"
         )
-    delays = _snap_to_grid(schedule.delays_ns())
-    return TimeErrorSeries(series.samples_ns + sign * delays[idx], series.tau0_s)
+    delays = sign * _snap_to_grid(schedule.delays_ns()[: last + 1])
+    return TimeErrorSeries(series.samples_ns + np.repeat(delays, per_dwell)[:n], series.tau0_s)

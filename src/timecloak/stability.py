@@ -47,7 +47,19 @@ _HIGH_MASK = -(1 << 26)
 _INF_EXPONENT = 0x7FF
 
 
-@dataclass(frozen=True)
+def finite_array(values, name: str) -> np.ndarray:
+    """values copied into a read-only 1-D float64 array. ValueError naming
+    the field if they are not one-dimensional or not all finite."""
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class TimeErrorSeries:
     """Uniformly sampled time errors of a signal against the reference clock.
 
@@ -59,13 +71,7 @@ class TimeErrorSeries:
     tau0_s: float
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples_ns, dtype=np.float64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("samples_ns must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples_ns must be finite (no NaN or inf)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples_ns", arr)
+        object.__setattr__(self, "samples_ns", finite_array(self.samples_ns, "samples_ns"))
         if not (math.isfinite(self.tau0_s) and self.tau0_s > 0):
             raise ValueError("tau0_s must be finite and > 0")
         # a float interval keeps times such as the CSV time_s column in float form
@@ -75,7 +81,7 @@ class TimeErrorSeries:
         return len(self.samples_ns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdevCurve:
     """Allan deviation with uncertainties over a set of averaging times."""
 

@@ -272,6 +272,19 @@ class TestEmitOutputs:
             expected = csv_text("step_index,time_s,error_ns", *(map(repr, c) for c in columns))
             assert (tmp_path / name).read_text() == expected
 
+    @pytest.mark.parametrize(
+        "n, tau0",
+        [(2, 2.0**52), (3, 2.0**52), (4, 2.0**52), (8, 2.0**50), (9, 2.0**50), (5, 2.5)],
+    )
+    def test_time_cells_are_repr_on_both_sides_of_2_53(self, n, tau0, tmp_path):
+        # a whole tau0 writes its time cells from integers while (n - 1) * tau0 < 2**53;
+        # at 3 * 2**52 > 1e16, repr writes an exponent, which the integer path would not
+        series = TimeErrorSeries(np.zeros(n), tau0)
+        result = replace(run_experiment(_config()), tic1_series=series, tic2_series=series)
+        emit_outputs(result, tmp_path)
+        rows = (tmp_path / "tic2.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [repr(i * tau0) for i in range(n)]
+
     def test_csv_line_endings(self, tmp_path):
         result = run_experiment(_config())
         emit_outputs(result, tmp_path / "out")

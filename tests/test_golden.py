@@ -7,9 +7,10 @@ quantized hops and one with a calibration window. The `timecloak adev`
 cases hash the curve it writes to a file and to standard output for a
 fixed series, with tau0 inferred from its time_s column and given by
 --tau0; their digests are in tests/golden/adev_digests.json. The writer
-cases hash the files no run writes: hop-session CSVs, phase-schedule CSVs,
-the `timecloak linkbudget` report on standard output and in its --csv
-file, and a `timecloak keygen` key file; their digests are in
+cases hash the files no run writes: hop-session CSVs, the `timecloak
+linkbudget` report on standard output and in its --csv file, and a
+`timecloak keygen` key file, plus the float64 bytes of phase schedules,
+which pin the schedule kernels bit for bit; their digests are in
 tests/golden/writer_digests.json. A refactor that changes any emitted
 byte fails here. To re-record after a
 change that is meant to alter outputs (say why in CHANGES.md):
@@ -173,7 +174,7 @@ def _session_bytes(hop, n_rounds, round_interval_s, rng=None) -> bytes:
 def _schedule_bytes(kind: NoiseKind, bound: float | None) -> bytes:
     model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=bound)
     stream = mock_qkd_source(13, model.digits_per_step * N_DWELLS)
-    return _written_bytes(generate_schedule(stream, model, N_DWELLS, dwell_s=DWELL_S).write_csv)
+    return generate_schedule(stream, model, N_DWELLS, dwell_s=DWELL_S).phases.tobytes()
 
 
 def _cli_bytes(argv: list[str]) -> tuple[bytes, bytes]:
@@ -211,9 +212,7 @@ def _writer_cases() -> dict:
             1e8,
             rng=np.random.default_rng(5),
         ),
-        "schedule_int_phases": lambda: _written_bytes(
-            PhaseSchedule((1, 2, -0.0), dwell_s=5).write_csv
-        ),
+        "schedule_int_phases": lambda: PhaseSchedule((1, 2, -0.0), dwell_s=5).phases.tobytes(),
         "linkbudget_stdout": lambda: _cli_bytes(_LINKBUDGET_ARGV)[0],
         "linkbudget_csv": lambda: _cli_bytes(_LINKBUDGET_ARGV)[1],
         "keygen_file": lambda: _cli_bytes(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -413,6 +414,27 @@ class TestApplySchedule:
         with pytest.raises(ValueError, match="too short"):
             apply_schedule(series, sched, +1)
 
+    @pytest.mark.parametrize("per_dwell", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_partial_last_dwell_matches_per_sample_indexing(self, per_dwell, sign):
+        # 7 samples leave the last of 2 or 3 sample dwells partly covered; the
+        # schedule has two dwells to spare
+        n = 7
+        rng = np.random.default_rng(per_dwell)
+        series = TimeErrorSeries(rng.normal(0.0, 100.0, n), 1.0)
+        needed = (n - 1) // per_dwell + 1
+        sched = PhaseSchedule(rng.uniform(-360.0, 360.0, needed + 2), dwell_s=float(per_dwell))
+        delays = np.round(sched.delays_ns() / DELAY_GRID_NS) * DELAY_GRID_NS
+        expected = series.samples_ns + sign * delays[np.arange(n) // per_dwell]
+        out = apply_schedule(series, sched, sign)
+        assert out.samples_ns.tobytes() == expected.tobytes()
+        exact = PhaseSchedule(sched.phases[:needed], dwell_s=float(per_dwell))
+        assert apply_schedule(series, exact, sign).samples_ns.tobytes() == expected.tobytes()
+        short = PhaseSchedule(sched.phases[: needed - 1], dwell_s=float(per_dwell))
+        message = f"schedule too short: {needed - 1} steps for {n} samples ({per_dwell} per dwell)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_schedule(series, short, sign)
+
     def test_sign_validated(self):
         series = TimeErrorSeries(np.zeros(2), 5.0)
         sched = PhaseSchedule((10.0, 20.0), dwell_s=5.0)
@@ -490,6 +512,26 @@ class TestModelSpecValidation:
             PhaseSchedule((1.0,), dwell_s=0.0)
         with pytest.raises(ValueError):
             PhaseSchedule((1.0,), carrier_hz=-1.0)
+
+    @pytest.mark.parametrize("phases", [(1.0, math.nan), (math.inf,), (0.0, -math.inf)])
+    def test_schedule_rejects_non_finite_phases(self, phases):
+        with pytest.raises(ValueError, match=r"^phases must be finite \(no NaN or inf\)$"):
+            PhaseSchedule(phases)
+
+    @pytest.mark.parametrize("phases", [1.0, [[1.0, 2.0]], np.zeros((2, 0))])
+    def test_schedule_rejects_input_that_is_not_one_dimensional(self, phases):
+        with pytest.raises(ValueError, match="^phases must be one-dimensional$"):
+            PhaseSchedule(phases)
+
+    def test_schedule_holds_a_read_only_float64_copy(self):
+        source = np.array([1, 2, -0.0])
+        sched = PhaseSchedule(source)
+        source[0] = 9.0
+        assert sched.phases.dtype == np.float64 and not sched.phases.flags.writeable
+        assert sched.phases.tobytes() == np.array([1.0, 2.0, -0.0]).tobytes()
+        assert sched.phases_deg == (1.0, 2.0, -0.0)
+        assert all(type(p) is float for p in sched.phases_deg)
+        assert len(sched) == 3 and PhaseSchedule(()).phases.shape == (0,)
 
     def test_schedule_rejects_infinite_dwell(self):
         # the field is named where it enters, not in apply_schedule

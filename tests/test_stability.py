@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import brute_force_adev
 from timecloak import stability
 from timecloak.keys import mock_qkd_source
-from timecloak.noise import NoiseKind, NoiseModelSpec, generate_schedule
+from timecloak.noise import NoiseKind, NoiseModelSpec, PhaseSchedule, generate_schedule
 from timecloak.stability import (
     AdevCurve,
     NoiseClass,
@@ -48,6 +48,22 @@ class TestTimeErrorSeries:
     def test_rejects_non_finite_tau0(self, bad):
         with pytest.raises(ValueError, match="tau0_s"):
             TimeErrorSeries(np.zeros(4), bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TimeErrorSeries(np.zeros(4), 1.0),
+        lambda: AdevCurve(np.array([1.0, 2.0]), np.ones(2), np.ones(2)),
+        lambda: PhaseSchedule((1.0, 2.0)),
+    ],
+    ids=["series", "curve", "schedule"],
+)
+def test_equality_is_identity_and_hash_works(make):
+    # equal-valued arrays would make a field-wise == ambiguous, and hash fail
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 #: roots v of Allan terms (v / 1e9)**2: zero, subnormal squares, terms in [1, 4),
