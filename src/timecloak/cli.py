@@ -145,17 +145,21 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
 
     The header is the first non-blank line, with a leading '#' dropped (the
     commented header np.savetxt writes). np.loadtxt parses only the needed
-    columns; it skips blank lines and '#' comments and rejects an empty or
-    non-numeric cell. Its error counts data rows only, so the message names
-    the file line instead, found by _first_rejected_line.
+    columns, by absolute path, or through the open handle for a pipe or a name
+    numpy would decompress. It skips blank lines and '#' comments and rejects
+    an empty or non-numeric cell. Its error counts data rows only, so the
+    message names the file line instead, found by _first_rejected_line.
     """
     with open(path, encoding="utf-8") as fh:
-        for header_lines, line in enumerate(fh, 1):
-            header = line.strip().removeprefix("#").strip()
-            if header:
-                break
-        else:
-            raise ConfigError(f"{path}: expected a CSV header row")
+        try:
+            for header_lines, line in enumerate(fh, 1):
+                header = line.strip().removeprefix("#").strip()
+                if header:
+                    break
+            else:
+                raise ConfigError(f"{path}: expected a CSV header row")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
         names = [name.strip() for name in header.split(",")]
         if value_column not in names:
             raise ConfigError(f"{path}: no column {value_column!r} (has {', '.join(names)})")
@@ -164,11 +168,17 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
             if "time_s" not in names:
                 raise ConfigError("--tau0 is required when the CSV has no time_s column")
             columns.append(names.index("time_s"))
+        reopen = fh.seekable() and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))
+        source, skip = (Path(path).absolute(), header_lines) if reopen else (fh, 0)
         with warnings.catch_warnings():
             # a table without rows is reported below, not as a warning
             warnings.simplefilter("ignore", UserWarning)
             try:
-                table = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
+                table = np.loadtxt(
+                    source, delimiter=",", usecols=columns, ndmin=2, skiprows=skip, encoding="utf-8"
+                )
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}: not UTF-8 text") from None
             except ValueError as exc:
                 fh.seek(0)
                 rows = fh.readlines()[header_lines:]

@@ -281,9 +281,8 @@ def generate_schedule(
     which case the bounded value is fed back).
 
     Every value equals what white_phase, rw_step, rw_lag_step, rw_mem_step
-    and bound_phase give step by step. The digits are decoded once:
-    magnitudes are exact integers divided once, and the signed steps go to
-    array operations or to one sequential loop, see _walk_loop.
+    and bound_phase give step by step, see _emitted_phases. A walk that
+    overflows raises ValueError naming the divisor.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -292,6 +291,19 @@ def generate_schedule(
     _validate_window(model, n_steps)
 
     digits = stream.take_digits(n_steps, model.digits_per_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            phases = np.asarray(_emitted_phases(digits, model), dtype=np.float64)
+        except ValueError:  # math.sin of an infinite phase
+            phases = [math.inf]
+    if not np.isfinite(phases).all():
+        raise ValueError(f"divisor {model.divisor!r} is too small: the phases overflow")
+    return PhaseSchedule(phases, dwell_s, carrier_hz)
+
+
+def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray | list[float]:
+    """Phases from decoded digits: magnitudes are exact integers divided once, and
+    the signed steps go to array operations or to one sequential loop (_walk_loop)."""
     pairs = digits[:, -2:].astype(np.float64)
     magnitudes = (16.0 * pairs[:, 0] + pairs[:, 1]) / model.divisor
     bound = model.bound_deg
@@ -300,18 +312,16 @@ def generate_schedule(
     else:
         steps = np.where(digits[:, 0] >= model.sign_threshold, magnitudes, -magnitudes)
         on_raw_state = bound is None or not model.bound_recursion
+        raw = None
         if model.kind is NoiseKind.RANDOM_WALK and on_raw_state:
             raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
         elif model.kind is NoiseKind.RW_LAG and on_raw_state:
             raw = _lag_walk(steps, model.lag, model.bias_deg)
-        else:
-            raw = None
         if raw is None:
-            return PhaseSchedule(_walk_loop(steps.tolist(), model), dwell_s, carrier_hz)
+            return _walk_loop(steps.tolist(), model)
     if bound is None:
-        return PhaseSchedule(raw, dwell_s, carrier_hz)
-    phases = [bound * math.sin(math.radians(p)) for p in raw.tolist()]
-    return PhaseSchedule(phases, dwell_s, carrier_hz)
+        return raw
+    return [bound * math.sin(math.radians(p)) for p in raw.tolist()]
 
 
 def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None:

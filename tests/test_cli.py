@@ -1,9 +1,12 @@
 import contextlib
+import gzip
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import threading
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +128,19 @@ class TestRun:
             argv += ["--set", item]
         err = _assert_clean_failure(argv, capsys)
         assert err.startswith(f"error: {name} must be")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bound", [[], ["model.bound_deg=360"]], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize(
+        "kind, divisor", [("white", "1e-306"), ("rw", "1e-305"), ("rw_lag", "1e-305"), ("rw_mem", "1e-305")]
+    )
+    def test_overflowing_phases_name_the_divisor(self, kind, divisor, bound, tmp_path, capsys):
+        # white overflows in 255 / divisor, a walk in its running sum (400 steps)
+        argv = ["run", "--out", str(tmp_path / "out")]
+        for item in [f"model.kind={kind}", f"model.C={divisor}", "duration_s=2000", *bound]:
+            argv += ["--set", item]
+        err = _assert_clean_failure(argv, capsys)
+        assert err == f"error: divisor {float(divisor)!r} is too small: the phases overflow"
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_value_is_config_error(self, tmp_path, capsys):
@@ -386,6 +402,100 @@ class TestAdevIngest:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {src}: {message}") and "row" not in captured.err
+
+    def test_named_file_is_parsed_by_its_absolute_path(self, tmp_path, monkeypatch, capsys):
+        # numpy reads a path in large chunks; an open handle one line at a time
+        calls = []
+
+        def spy(source, *args, **kwargs):
+            calls.append((source, kwargs.get("skiprows")))
+            return loadtxt(source, *args, **kwargs)
+
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.chdir(tmp_path)
+        Path("series.csv").write_text(_PARITY_CASES["comment_lines"])
+        assert main(["adev", "--input", "series.csv"]) == 0
+        ((source, skiprows),) = calls
+        assert isinstance(os.fspath(source), str) and os.path.isabs(source)
+        assert os.path.samefile(source, "series.csv") and skiprows == 1
+        assert capsys.readouterr().out == _curve_text(_genfromtxt_curve(tmp_path / "series.csv"))
+
+    def test_fifo_is_read_through_the_open_handle(self, tmp_path):
+        # a second open of a FIFO would wait for a writer that never comes
+        text = _PARITY_CASES["comment_lines"]
+        fifo = tmp_path / "series.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        env = dict(os.environ, PYTHONPATH=str(Path(timecloak.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "timecloak.cli", "adev", "--input", str(fifo)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            writer.join(timeout=10)
+            if writer.is_alive():  # the reader never opened the FIFO: release the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        src = tmp_path / "series.csv"
+        src.write_text(text)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == _curve_text(_genfromtxt_curve(src))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix_is_not_decompressed(self, suffix, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text(_PARITY_CASES["comment_lines"])
+        named = tmp_path / f"series.csv{suffix}"
+        named.write_text(_PARITY_CASES["comment_lines"])
+        assert main(["adev", "--input", str(named)]) == 0
+        assert capsys.readouterr().out == _curve_text(_genfromtxt_curve(src))
+
+    def test_relative_name_that_looks_like_a_url_is_read_locally(self, tmp_path, monkeypatch, capsys):
+        # "http://host/s.csv" names the file http:/host/s.csv under the working directory
+        def no_network(*args, **kwargs):
+            raise AssertionError("the input was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        src = tmp_path / "http:" / "host" / "s.csv"
+        src.write_text(_PARITY_CASES["comment_lines"])
+        assert main(["adev", "--input", "http://host/s.csv"]) == 0
+        assert capsys.readouterr().out == _curve_text(_genfromtxt_curve(src))
+
+    def test_dot_dot_after_a_symlink_reads_the_file_open_reads(self, tmp_path, monkeypatch, capsys):
+        # link/../s.csv is real/s.csv to the OS; a lexical normpath would make it ./s.csv
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        (tmp_path / "s.csv").write_text(_PARITY_CASES["value_column_first"])
+        target = tmp_path / "real" / "s.csv"
+        target.write_text(_PARITY_CASES["comment_lines"])
+        assert main(["adev", "--input", "link/../s.csv"]) == 0
+        assert capsys.readouterr().out == _curve_text(_genfromtxt_curve(target))
+
+    @pytest.mark.parametrize("name", ["series.csv", "series.csv.gz"], ids=["by_path", "by_handle"])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_text_that_is_not_utf8_fails_cleanly(self, where, name, tmp_path, capsys):
+        # the body's bad byte lies past the header's read-ahead (8 KiB)
+        rows = "".join(f"{i},{i % 7}.25\n" for i in range(4000)).encode("ascii")
+        header = b"time_s,error_ns\n"
+        text = b"time_s,err\xffor_ns\n" + rows if where == "header" else header + rows + b"9,\xff\n"
+        src = tmp_path / name
+        src.write_bytes(text)
+        err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        assert err == f"error: {src}: not UTF-8 text"
+
+    def test_gzip_compressed_input_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "series.csv.gz"
+        src.write_bytes(gzip.compress(_PARITY_CASES["comment_lines"].encode("ascii")))
+        err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        assert err == f"error: {src}: not UTF-8 text"
 
     @pytest.mark.parametrize("tau0", ["inf", "-inf", "nan"])
     def test_non_finite_tau0_fails_cleanly(self, tau0, tmp_path, capsys):

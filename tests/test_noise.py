@@ -176,6 +176,28 @@ class TestGenerateSchedule:
         with pytest.raises(KeyExhaustedError):
             generate_schedule(stream, NoiseModelSpec(), 2)
 
+    @pytest.mark.parametrize("errstate", ["warn", "raise"])
+    @pytest.mark.parametrize(
+        "bound, recursion", [(None, False), (360.0, False), (360.0, True)],
+        ids=["unbounded", "bounded", "bounded_state"],
+    )
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("divisor", [1e-305, 1e-306])
+    def test_overflowing_phases_name_the_divisor(self, divisor, kind, bound, recursion, errstate):
+        # 1e-306 overflows 255 / divisor itself; 1e-305 overflows a walk's running sum
+        # on its raw state, but not the white phases or a walk fed back bounded states
+        model = NoiseModelSpec(
+            kind=kind, divisor=divisor, lag=20, memory=10, bound_deg=bound, bound_recursion=recursion
+        )
+        stream = mock_qkd_source(1, 3 * 400)
+        with np.errstate(all=errstate):  # run_experiment raises on overflow
+            if divisor == 1e-305 and (kind is NoiseKind.WHITE or recursion):
+                assert np.all(np.isfinite(generate_schedule(stream, model, 400).phases))
+            else:
+                with pytest.raises(ValueError) as info:
+                    generate_schedule(stream, model, 400)
+                assert str(info.value) == f"divisor {divisor!r} is too small: the phases overflow"
+
     def test_white_range_with_default_divisor(self):
         stream = mock_qkd_source(2, 2 * 4096)
         sched = generate_schedule(stream, NoiseModelSpec(), 4096)
