@@ -145,10 +145,11 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
 
     The header is the first non-blank line, with a leading '#' dropped (the
     commented header np.savetxt writes). np.loadtxt parses only the needed
-    columns, by absolute path, or through the open handle for a pipe or a name
-    numpy would decompress. It skips blank lines and '#' comments and rejects
-    an empty or non-numeric cell. Its error counts data rows only, so the
-    message names the file line instead, found by _first_rejected_line.
+    columns, by absolute path, or from the handle's lines, read once, for a
+    pipe or a name numpy would decompress. It skips blank lines and '#'
+    comments and rejects an empty or non-numeric cell. Its error counts data
+    rows only, so the message names the file line instead, found by
+    _first_rejected_line.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -169,20 +170,22 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
                 raise ConfigError("--tau0 is required when the CSV has no time_s column")
             columns.append(names.index("time_s"))
         reopen = fh.seekable() and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))
-        source, skip = (Path(path).absolute(), header_lines) if reopen else (fh, 0)
         with warnings.catch_warnings():
             # a table without rows is reported below, not as a warning
             warnings.simplefilter("ignore", UserWarning)
             try:
+                lines = None if reopen else fh.readlines()  # a pipe cannot be read twice
+                source, skip = (Path(path).absolute(), header_lines) if reopen else (lines, 0)
                 table = np.loadtxt(
                     source, delimiter=",", usecols=columns, ndmin=2, skiprows=skip, encoding="utf-8"
                 )
             except UnicodeDecodeError:
                 raise ConfigError(f"{path}: not UTF-8 text") from None
             except ValueError as exc:
-                fh.seek(0)
-                rows = fh.readlines()[header_lines:]
-                line_no = header_lines + 1 + _first_rejected_line(rows, columns)
+                if reopen:
+                    fh.seek(0)
+                    lines = fh.readlines()[header_lines:]
+                line_no = header_lines + 1 + _first_rejected_line(lines, columns)
                 reason = re.sub(r" at row \d+", "", str(exc))
                 raise ConfigError(f"{path}: line {line_no}: {reason}") from None
     name = "--tau0"

@@ -3,14 +3,13 @@
 Hexadecimal key streams with consume-once semantics, a deterministic mock
 source standing in for the key-delivery hardware, and a two-party key store
 in a directory that hands identical digits to parties A and B exactly once
-each: every retrieval creates a claim file that can be created only once.
+each: every retrieval reads the key file and creates a claim file that can
+be created only once, so the directory is the store's only state.
 """
 from __future__ import annotations
 
 import os
-import re
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .tables import write_text
 PARTIES = ("A", "B")
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-_NOT_HEX_OR_SPACE = re.compile(rb"[^0-9a-fA-F\s]")  # bytes \s is _WHITESPACE
+_HEX_OR_SPACE = b"0123456789abcdefABCDEF" + _WHITESPACE
 # hex character -> digit value, and digit value -> lowercase hex character
 _VALUES = bytes.maketrans(b"0123456789abcdefABCDEF", bytes(range(16)) + bytes(range(10, 16)))
 _CHARS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
@@ -99,10 +98,10 @@ def load_keys(path: str | Path) -> HexKeyStream:
     """
     p = Path(path)
     raw = p.read_bytes()
-    bad = _NOT_HEX_OR_SPACE.search(raw)
-    if bad is not None:
-        ch = chr(raw[bad.start()])
-        raise HexParseError(f"{p}: invalid hex character {ch!r} at offset {bad.start()}")
+    bad = raw.translate(None, _HEX_OR_SPACE)  # every byte that is neither, in order
+    if bad:
+        offset = raw.index(bad[0])
+        raise HexParseError(f"{p}: invalid hex character {chr(bad[0])!r} at offset {offset}")
     digits = raw.translate(_VALUES, _WHITESPACE)
     if not digits:
         raise HexParseError(f"{p}: no hexadecimal digits")
@@ -137,64 +136,65 @@ class KmsStore:
     ``<key_id>.hex`` file, and each retrieval creates an empty claim file
     ``<key_id>.<party>`` that can be created only once, so the refusal holds
     across threads, reopened stores and stores open on the same directory.
+    Every retrieval reads the key file, so a corrupt file fails only its id.
     """
 
     def __init__(self, directory: str | Path):
-        """Open the store in directory, creating it if needed, and load the
-        key files already there."""
-        self._lock = threading.Lock()
+        """Open the store in directory, creating it if needed."""
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         old_log = self._dir / "consumed.txt"
         if old_log.exists():
             raise ValueError(f"{old_log}: consume log of an older store format, not read")
-        self._keys = {s.key_id: s.digits for s in map(load_keys, sorted(self._dir.glob("*.hex")))}
 
     @classmethod
     def open_dir(cls, directory: str | Path) -> "KmsStore":
         """The same as KmsStore(directory)."""
         return cls(directory)
 
-    def key_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._keys)
+    def _key_file(self, key_id: str) -> Path | None:
+        """The key file of key_id, or None if the id names no file directly in the directory."""
+        key_file = self._dir / f"{key_id}.hex"
+        direct = key_file.parent == self._dir and key_file.stem == key_id and "\0" not in key_id
+        return key_file if direct else None
 
     def add(self, stream: HexKeyStream) -> None:
-        """Register a key under its id and write its key file whole. An id
-        that does not name a file directly in the directory is refused."""
-        key_file = self._dir / f"{stream.key_id}.hex"
-        if key_file.parent != self._dir or key_file.stem != stream.key_id:
+        """Write a key's file whole under its id. An id already stored, or one
+        that does not name a file directly in the directory, is refused."""
+        key_file = self._key_file(stream.key_id)
+        if key_file is None:
             raise ValueError(f"key id {stream.key_id!r} does not name a file in {self._dir}")
-        with self._lock:
-            # a file of its own, linked into place: the link refuses any existing key file
-            fd, tmp_file = tempfile.mkstemp(suffix=".tmp", dir=self._dir)
-            try:
-                save_keys(stream, fd)
-                os.link(tmp_file, key_file)
-            except FileExistsError:
-                raise ValueError(f"key id {stream.key_id!r} already stored") from None
-            finally:
-                os.remove(tmp_file)
-            self._keys[stream.key_id] = stream.digits
+        # a file of its own, linked into place: the link refuses any existing key file
+        fd, tmp_file = tempfile.mkstemp(suffix=".tmp", dir=self._dir)
+        try:
+            save_keys(stream, fd)
+            os.link(tmp_file, key_file)
+        except FileExistsError:
+            raise ValueError(f"key id {stream.key_id!r} already stored") from None
+        finally:
+            os.remove(tmp_file)
 
     def get(self, key_id: str, party: str) -> HexKeyStream:
-        """Retrieve a key for one party by creating its claim file. The claim
-        is synced to disk before the digits are returned; if that fails, the
-        claim stays and the party gets nothing."""
+        """Retrieve a key for one party: parse its key file (a missing or corrupt
+        one makes no claim), then create the party's claim file and sync it to
+        disk. If the sync fails, the claim stays and the party gets nothing."""
         if party not in PARTIES:
             raise ValueError(f"party must be one of {PARTIES}, got {party!r}")
-        with self._lock:
-            digits = self._keys.get(key_id)
-            if digits is None:
-                raise UnknownKeyError(key_id)
-            claim = self._dir / f"{key_id}.{party}"
-            try:
-                os.close(os.open(claim, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-            except FileExistsError:
-                raise KeyConsumedError(f"party {party} already took key {key_id!r}") from None
-            dir_fd = os.open(self._dir, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-            return HexKeyStream(digits, key_id=key_id)
+        key_file = self._key_file(key_id)
+        if key_file is None:
+            raise UnknownKeyError(key_id)
+        try:
+            stream = load_keys(key_file)
+        except FileNotFoundError:
+            raise UnknownKeyError(key_id) from None
+        claim = self._dir / f"{key_id}.{party}"
+        try:
+            os.close(os.open(claim, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            raise KeyConsumedError(f"party {party} already took key {key_id!r}") from None
+        dir_fd = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+        return stream

@@ -415,11 +415,6 @@ def phase_to_delay(phase_deg, carrier_hz: float = DEFAULT_CARRIER_HZ):
     return phase_deg / 360.0 * _carrier_period_ns(carrier_hz)
 
 
-def _snap_to_grid(delays_ns: np.ndarray) -> np.ndarray:
-    # power-of-two grid: the snapped values add/subtract exactly in float64
-    return np.round(delays_ns / DELAY_GRID_NS) * DELAY_GRID_NS
-
-
 def apply_schedule(series: TimeErrorSeries, schedule: PhaseSchedule, sign: int) -> TimeErrorSeries:
     """Add sign * (per-dwell delay) to a time-error series.
 
@@ -442,5 +437,10 @@ def apply_schedule(series: TimeErrorSeries, schedule: PhaseSchedule, sign: int) 
         raise ValueError(
             f"schedule too short: {len(schedule)} steps for {n} samples ({per_dwell} per dwell)"
         )
-    delays = sign * _snap_to_grid(schedule.delays_ns()[: last + 1])
+    delays = schedule.delays_ns()[: last + 1]
+    largest = float(np.abs(delays).max())
+    if largest / DELAY_GRID_NS == math.inf:  # Python floats: no numpy overflow warning
+        raise ValueError(f"delay {largest!r} ns is too large for the 2**-20 ns delay grid")
+    # power-of-two grid: the snapped values add/subtract exactly in float64
+    delays = sign * (np.round(delays / DELAY_GRID_NS) * DELAY_GRID_NS)
     return TimeErrorSeries(series.samples_ns + np.repeat(delays, per_dwell)[:n], series.tau0_s)

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .stability import TimeErrorSeries
-from .tables import csv_text, write_text
 
 if TYPE_CHECKING:
     from .config import HopConfig
@@ -60,7 +59,7 @@ def exchange(
     between calls.
 
     This is the single-step reference that the session kernel behind
-    run_sync_session and write_session_csv reproduces round by round.
+    run_sync_session reproduces round by round.
     """
     if epoch_ns < 0:
         raise ValueError("epoch_ns must be >= 0")
@@ -100,11 +99,9 @@ def _session(
     n_rounds: int,
     round_interval_s: float,
     rng: np.random.Generator | None = None,
-    rows: list | None = None,
 ) -> list[float]:
     """The session kernel: validates, draws all jitter, then runs every round
-    in one loop and returns each round's residual_ns; a rows list, if given,
-    also gets (t1, t2, t3, t4, delay_ns, offset_ns, residual_ns) per round.
+    in one loop and returns each round's residual_ns.
 
     Each round does on plain numbers what exchange, compute_delay_offset
     and servo_step do, in the same floating-point order, starting from a
@@ -157,8 +154,6 @@ def _session(
         recovered = (t2 - t1) - delay
         offset = offset - gain * recovered
         residuals.append(offset + bias_ns)
-        if rows is not None:
-            rows.append((t1, t2, t3, t4, delay, recovered, residuals[-1]))
     return residuals
 
 
@@ -177,21 +172,3 @@ def run_sync_session(
     """
     residuals = _session(hop, n_rounds, round_interval_s, rng)
     return TimeErrorSeries(np.array(residuals), round_interval_s)
-
-
-def write_session_csv(
-    path,
-    hop: HopConfig,
-    n_rounds: int,
-    round_interval_s: float,
-    rng: np.random.Generator | None = None,
-) -> None:
-    """Run a session as run_sync_session does and write one CSV row per round:
-    round_index, epoch_s, t1..t4, D_ns, O_ns, residual_ns."""
-    rows: list[tuple] = []
-    _session(hop, n_rounds, round_interval_s, rng, rows)
-    *stamps, delay, offset, residual = zip(*rows)
-    epochs = (i * round_interval_s for i in range(n_rounds))
-    columns = (range(n_rounds), map(float, epochs), *stamps, delay, offset, residual)
-    header = "round_index,epoch_s,t1,t2,t3,t4,D_ns,O_ns,residual_ns"
-    write_text(path, csv_text(header, *(map(repr, column) for column in columns)))

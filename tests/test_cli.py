@@ -196,6 +196,24 @@ class TestRun:
             argv += ["--set", item]
         _assert_clean_failure(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["model.kind=rw", "model.C=1e-300", "duration_s=50000"],
+            ["model.kind=white", "model.C=1e-304"],
+        ],
+        ids=["rw", "white"],
+    )
+    def test_delays_too_large_for_the_grid_fail_cleanly(self, overrides, tmp_path, capsys):
+        # the phases are finite, but a delay over the 2**-20 ns grid step overflows
+        argv = ["run", "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        err = _assert_clean_failure(argv, capsys)
+        assert err.startswith("error: delay ")
+        assert err.endswith(" ns is too large for the 2**-20 ns delay grid")
+        assert not (tmp_path / "out").exists()
+
     def test_calibration_estimate_printed(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_RUN + "calib.window_steps = 20\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -315,6 +333,37 @@ def _curve_text(curve):
     return "tau_s,adev,sigma_adev\n" + "".join(f"{t!r},{d!r},{s!r}\n" for t, d, s in rows)
 
 
+def _adev_of_fifo(fifo, text) -> subprocess.CompletedProcess:
+    """`timecloak adev` run in a subprocess on a FIFO that a thread fills with text."""
+    # a second open of a FIFO would wait for a writer that never comes
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    env = dict(os.environ, PYTHONPATH=str(Path(timecloak.__file__).parents[1]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "timecloak.cli", "adev", "--input", str(fifo)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        writer.join(timeout=10)
+        if writer.is_alive():  # the reader never opened the FIFO: release the writer
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+
+
+#: (text, message) pairs: input whose np.loadtxt error must name the file line
+_LINE_ERRORS = [
+    (
+        "\n\ntime_s,error_ns\n# site B\n0,1\n\n# gap\n1,2\n2,x\n3,4\n",
+        "line 9: could not convert string 'x' to float64, column 2.",
+    ),
+    ("time_s,error_ns\r\n0,1\r\n# note\r\n1\r\n2,3\r\n", "line 4: invalid column index 1"),
+]
+
+
 def _assert_clean_failure(argv, capsys):
     capsys.readouterr()
     assert main(argv) == 2
@@ -383,17 +432,7 @@ class TestAdevIngest:
         src.write_text("time_s,error_ns\n" + "\n".join(rows) + "\n")
         _assert_clean_failure(["adev", "--input", str(src)], capsys)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (
-                "\n\ntime_s,error_ns\n# site B\n0,1\n\n# gap\n1,2\n2,x\n3,4\n",
-                "line 9: could not convert string 'x' to float64, column 2.",
-            ),
-            ("time_s,error_ns\r\n0,1\r\n# note\r\n1\r\n2,3\r\n", "line 4: invalid column index 1"),
-        ],
-        ids=["bad_cell", "short_row"],
-    )
+    @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=["bad_cell", "short_row"])
     def test_error_names_the_file_line(self, text, message, tmp_path, capsys):
         # np.loadtxt's own message counts data rows, skipping blank and comment lines
         src = tmp_path / "series.csv"
@@ -422,29 +461,25 @@ class TestAdevIngest:
         assert capsys.readouterr().out == _curve_text(_genfromtxt_curve(tmp_path / "series.csv"))
 
     def test_fifo_is_read_through_the_open_handle(self, tmp_path):
-        # a second open of a FIFO would wait for a writer that never comes
         text = _PARITY_CASES["comment_lines"]
-        fifo = tmp_path / "series.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
-        writer.start()
-        env = dict(os.environ, PYTHONPATH=str(Path(timecloak.__file__).parents[1]))
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "timecloak.cli", "adev", "--input", str(fifo)],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=60,
-            )
-        finally:
-            writer.join(timeout=10)
-            if writer.is_alive():  # the reader never opened the FIFO: release the writer
-                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        proc = _adev_of_fifo(tmp_path / "series.fifo", text)
         src = tmp_path / "series.csv"
         src.write_text(text)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == _curve_text(_genfromtxt_curve(src))
+
+    @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=["bad_cell", "short_row"])
+    def test_fifo_error_names_the_file_line_as_a_file_would(self, text, message, tmp_path, capsys):
+        # a pipe cannot be rewound to find the rejected line
+        fifo = tmp_path / "series.fifo"
+        proc = _adev_of_fifo(fifo, text)
+        src = tmp_path / "series.csv"
+        src.write_text(text)
+        file_err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        err = proc.stderr
+        assert err == file_err.replace(str(src), str(fifo)) + "\n"
+        assert err.startswith(f"error: {fifo}: {message}") and "row" not in err
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_with_a_compressed_suffix_is_not_decompressed(self, suffix, tmp_path, capsys):

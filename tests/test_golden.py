@@ -7,11 +7,11 @@ quantized hops and one with a calibration window. The `timecloak adev`
 cases hash the curve it writes to a file and to standard output for a
 fixed series, with tau0 inferred from its time_s column and given by
 --tau0; their digests are in tests/golden/adev_digests.json. The writer
-cases hash the files no run writes: hop-session CSVs, the `timecloak
-linkbudget` report on standard output and in its --csv file, and a
-`timecloak keygen` key file, plus the float64 bytes of phase schedules,
-which pin the schedule kernels bit for bit; their digests are in
-tests/golden/writer_digests.json. A refactor that changes any emitted
+cases hash the files no run writes: the `timecloak linkbudget` report on
+standard output and in its --csv file and a `timecloak keygen` key file,
+plus the float64 bytes of phase schedules and of hop-session residuals,
+which pin the schedule and session kernels bit for bit; their digests are
+in tests/golden/writer_digests.json. A refactor that changes any emitted
 byte fails here. To re-record after a
 change that is meant to alter outputs (say why in CHANGES.md):
 
@@ -36,7 +36,7 @@ from timecloak.config import ExperimentConfig, HopConfig
 from timecloak.experiment import emit_outputs, run_experiment
 from timecloak.keys import mock_qkd_source
 from timecloak.noise import NoiseKind, NoiseModelSpec, PhaseSchedule, generate_schedule
-from timecloak.wrptp import write_session_csv
+from timecloak.wrptp import run_sync_session
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 ADEV_GOLDEN_PATH = Path(__file__).parent / "golden" / "adev_digests.json"
@@ -159,16 +159,8 @@ def test_adev_output_matches_golden_digest_at_any_block_size(monkeypatch, block)
     assert {name: adev_digest(*case) for name, case in ADEV_CASES.items()} == recorded
 
 
-def _written_bytes(write) -> bytes:
-    """Bytes that write(path) puts in a fresh file."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out"
-        write(path)
-        return path.read_bytes()
-
-
 def _session_bytes(hop, n_rounds, round_interval_s, rng=None) -> bytes:
-    return _written_bytes(lambda path: write_session_csv(path, hop, n_rounds, round_interval_s, rng))
+    return run_sync_session(hop, n_rounds, round_interval_s, rng).samples_ns.tobytes()
 
 
 def _schedule_bytes(kind: NoiseKind, bound: float | None) -> bytes:
@@ -199,7 +191,7 @@ def _writer_cases() -> dict:
             0.5,
             rng=np.random.default_rng(31),
         ),
-        # integer inputs still write float columns
+        # integer inputs still give float residuals
         "session_integer_inputs": lambda: _session_bytes(
             HopConfig(50, 60, gain=1, turnaround_ns=1000, bias_ns=7),
             50,

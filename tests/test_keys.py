@@ -20,6 +20,11 @@ from timecloak.keys import (
 )
 
 
+def _stored_ids(directory) -> list[str]:
+    """The key ids a store directory holds: the stems of its key files."""
+    return sorted(path.stem for path in directory.glob("*.hex"))
+
+
 def _write_key(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
@@ -74,6 +79,13 @@ class TestLoadKeys:
         with pytest.raises(HexParseError, match="offset 3"):
             load_keys(_write_key(tmp_path, "bad2.hex", "ab1x"))
 
+    @pytest.mark.parametrize("text, offset", [("0x1x", 1), ("ab\nGz G", 3), ("FF\xffFF\xff", 2)])
+    def test_repeated_invalid_character_names_its_first_offset(self, tmp_path, text, offset):
+        path = tmp_path / "twice.hex"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(HexParseError, match=rf"at offset {offset}$"):
+            load_keys(path)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(HexParseError, match="no hexadecimal digits"):
             load_keys(_write_key(tmp_path, "empty.hex", " \n "))
@@ -91,6 +103,7 @@ class TestLoadKeys:
     @example(b"ab\x85")
     @example(b"\t0F\xff")
     @example(b"\x0b\x0c \r\n")
+    @example(b"0g1g\xff")
     def test_matches_byte_by_byte_oracle(self, tmp_path_factory, raw):
         _assert_matches_oracle(tmp_path_factory.mktemp("oracle") / "k.hex", raw)
 
@@ -264,7 +277,7 @@ class TestKmsStore:
         store.get("mock-5", "A")
 
         reopened = KmsStore.open_dir(tmp_path / "kms")
-        assert reopened.key_ids() == ["mock-5"]
+        assert _stored_ids(tmp_path / "kms") == ["mock-5"]
         # A's consumption survived the reopen, B's retrieval still works
         with pytest.raises(KeyConsumedError):
             reopened.get("mock-5", "A")
@@ -276,7 +289,7 @@ class TestKmsStore:
         store.get("mock-1", "A")
 
         reopened = KmsStore(tmp_path / "kms")
-        assert reopened.key_ids() == ["mock-1"]
+        assert _stored_ids(tmp_path / "kms") == ["mock-1"]
         with pytest.raises(ValueError, match="already stored"):
             reopened.add(mock_qkd_source(1, 16))
         with pytest.raises(KeyConsumedError):
@@ -289,8 +302,28 @@ class TestKmsStore:
         first.get("mock-1", "A")
         with pytest.raises(ValueError, match="already stored"):
             second.add(mock_qkd_source(1, 16))
-        with pytest.raises(UnknownKeyError):
+        # the second store reads the key file, and finds A's claim
+        with pytest.raises(KeyConsumedError):
             second.get("mock-1", "A")
+
+    def test_key_added_after_a_store_opened_is_served(self, tmp_path):
+        early, late = KmsStore(tmp_path), KmsStore(tmp_path)
+        late.add(mock_qkd_source(3, 16))
+        assert early.get("mock-3", "A").digits == mock_qkd_source(3, 16).digits
+
+    def test_corrupt_key_file_fails_only_its_own_id(self, tmp_path):
+        (tmp_path / "bad.hex").write_text("xyz\n")
+        store = KmsStore(tmp_path)
+        store.add(mock_qkd_source(1, 16))
+        assert store.get("mock-1", "A").digits == mock_qkd_source(1, 16).digits
+        with pytest.raises(HexParseError, match="bad.hex: invalid hex character 'x' at offset 0"):
+            store.get("bad", "A")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.hex", "mock-1.A", "mock-1.hex"]
+
+    def test_unknown_key_makes_no_claim(self, tmp_path):
+        with pytest.raises(UnknownKeyError):
+            KmsStore(tmp_path).get("nope", "B")
+        assert list(tmp_path.iterdir()) == []
 
     def test_interleaved_adds_of_one_id_keep_the_first(self, tmp_path, monkeypatch):
         # store y adds the id with other digits while x's add is under way;
@@ -306,7 +339,7 @@ class TestKmsStore:
         monkeypatch.setattr(keys_module, "save_keys", y_adds_first)
         with pytest.raises(ValueError, match="already stored"):
             x.add(HexKeyStream(bytes([1] * 16), key_id="k"))
-        assert x.key_ids() == []
+        assert _stored_ids(tmp_path) == ["k"]  # y's key, not x's
         assert KmsStore(tmp_path).get("k", "A").digits == y.get("k", "B").digits == bytes([2] * 16)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k.A", "k.B", "k.hex"]
 
@@ -371,7 +404,6 @@ class TestKmsStore:
         with pytest.raises(OSError, match="write cut"):
             KmsStore(tmp_path).add(mock_qkd_source(1, 16))
         assert list(tmp_path.iterdir()) == []  # no key file and no temporary file
-        assert KmsStore(tmp_path).key_ids() == []
 
     def test_old_consume_log_is_refused(self, tmp_path):
         (tmp_path / "consumed.txt").write_text("mock-1,A\n")
@@ -384,12 +416,24 @@ class TestKmsStore:
         with pytest.raises(ValueError, match="does not name a file"):
             store.add(HexKeyStream(bytes([1, 2, 3]), key_id=key_id))
         assert list(tmp_path.rglob("*")) == [tmp_path / "store"]
-        assert store.key_ids() == []
+
+    @pytest.mark.parametrize("key_id", ["../x", "a/b", "", "x\0"])
+    def test_get_of_an_id_that_names_no_file_in_the_directory_is_unknown(self, tmp_path, key_id):
+        # a key file outside the store, and one in a subdirectory, are not read or claimed
+        (tmp_path / "x.hex").write_text("ab\n")
+        (tmp_path / "store" / "a").mkdir(parents=True)
+        (tmp_path / "store" / "a" / "b.hex").write_text("ab\n")
+        before = sorted(tmp_path.rglob("*"))
+        store = KmsStore(tmp_path / "store")
+        for party in ("A", "B"):
+            with pytest.raises(UnknownKeyError):
+                store.get(key_id, party)
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_dotted_id_is_stored_and_reopened(self, tmp_path):
         KmsStore(tmp_path).add(HexKeyStream(bytes([1, 2, 3]), key_id="a.b"))
         reopened = KmsStore(tmp_path)
-        assert reopened.key_ids() == ["a.b"]
+        assert _stored_ids(tmp_path) == ["a.b"]
         assert reopened.get("a.b", "A").digits == bytes([1, 2, 3])
 
     def test_store_needs_a_directory(self):

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -429,6 +430,22 @@ class TestApplySchedule:
         sched = PhaseSchedule((1.0,), dwell_s=1e300)
         with pytest.raises(ValueError, match="must divide the schedule dwell"):
             apply_schedule(series, sched, 1)
+
+    @pytest.mark.parametrize("errstate", ["warn", "raise"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_delay_too_large_for_the_grid_is_named(self, monkeypatch, errstate, sign):
+        # finite delays; the largest one that fits passes, the next float up overflows
+        edge = sys.float_info.max * DELAY_GRID_NS  # exact: the grid is a power of two
+        series = TimeErrorSeries(np.zeros(3), 5.0)
+        sched = PhaseSchedule((0.0,) * 3, dwell_s=5.0)
+        over = math.nextafter(edge, math.inf)
+        with np.errstate(over=errstate):
+            monkeypatch.setattr(PhaseSchedule, "delays_ns", lambda _: np.array([1.0, -edge, 2.0]))
+            assert apply_schedule(series, sched, sign).samples_ns[1] == -sign * edge
+            monkeypatch.setattr(PhaseSchedule, "delays_ns", lambda _: np.array([1.0, -over, 2.0]))
+            with pytest.raises(ValueError) as info:
+                apply_schedule(series, sched, sign)
+        assert str(info.value) == f"delay {over!r} ns is too large for the 2**-20 ns delay grid"
 
     def test_schedule_too_short(self):
         series = TimeErrorSeries(np.zeros(10), 5.0)

@@ -15,7 +15,6 @@ from timecloak.wrptp import (
     exchange,
     run_sync_session,
     servo_step,
-    write_session_csv,
 )
 
 
@@ -217,16 +216,10 @@ class TestRunSyncSession:
     @pytest.mark.parametrize(
         "n_rounds, interval", [(3, math.nan), (3, math.inf), (3, 1e300), (1, math.inf)]
     )
-    @pytest.mark.parametrize("to_csv", [False, True], ids=["run_sync_session", "write_session_csv"])
-    def test_interval_with_non_finite_epochs_rejected(self, to_csv, n_rounds, interval, tmp_path):
+    def test_interval_with_non_finite_epochs_rejected(self, n_rounds, interval):
         # 1e300 s is finite, but the last epoch in ns is not
-        args = (HopConfig(), n_rounds, interval)
         with pytest.raises(ValueError, match="^round_interval_s must keep every epoch finite, got"):
-            if to_csv:
-                write_session_csv(tmp_path / "session.csv", *args)
-            else:
-                run_sync_session(*args)
-        assert not (tmp_path / "session.csv").exists()
+            run_sync_session(HopConfig(), n_rounds, interval)
 
     def test_series_metadata(self):
         series = run_sync_session(HopConfig(), 7, 5.0)
@@ -239,18 +232,19 @@ class TestRunSyncSession:
             run_sync_session(HopConfig(jitter_ns=1.0), 5, 1.0)
 
 
-def _reference_rounds(hop, n_rounds, round_interval_s, rng):
-    """The session as a loop over the single-step reference functions:
-    exchange, compute_delay_offset and servo_step on a shared generator."""
+def _reference_residuals(hop, n_rounds, round_interval_s, rng):
+    """The session's residuals from a loop over the single-step reference
+    functions: exchange, compute_delay_offset and servo_step on a shared
+    generator."""
     offset = 0.0
-    rounds = []
+    residuals = []
     for i in range(n_rounds):
         epoch_ns = int(round(i * round_interval_s * 1e9))
         quartet = exchange(hop, epoch_ns, offset, rng)
-        delay, recovered = compute_delay_offset(quartet)
+        _, recovered = compute_delay_offset(quartet)
         offset = servo_step(offset, recovered, hop.gain)
-        rounds.append((*quartet, delay, recovered, offset + hop.bias_ns))
-    return rounds
+        residuals.append(offset + hop.bias_ns)
+    return residuals
 
 
 _jitter = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
@@ -315,43 +309,14 @@ class TestKernelMatchesSingleStepReference:
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, hop, n_rounds, round_interval_s, seed):
         reference_rng = np.random.default_rng(seed)
-        expected = _reference_rounds(hop, n_rounds, round_interval_s, reference_rng)
+        expected = _reference_residuals(hop, n_rounds, round_interval_s, reference_rng)
         rng = np.random.default_rng(seed)
-        got = []
-        residuals = _session(hop, n_rounds, round_interval_s, rng=rng, rows=got)
-        # repr tells ints from floats and -0.0 from 0.0, as the CSV output would
-        assert repr(got) == repr(expected)
-        assert repr(residuals) == repr([r[-1] for r in expected])
+        residuals = _session(hop, n_rounds, round_interval_s, rng=rng)
+        # repr tells ints from floats and -0.0 from 0.0
+        assert repr(residuals) == repr(expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
         rng = np.random.default_rng(seed)
         series = run_sync_session(hop, n_rounds, round_interval_s, rng=rng)
-        residuals = np.array([r[-1] for r in expected])
-        assert series.samples_ns.tobytes() == residuals.tobytes()
+        assert series.samples_ns.tobytes() == np.array(expected).tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
-class TestSessionCsv:
-    def test_columns_and_rows(self, tmp_path):
-        path = tmp_path / "session.csv"
-        write_session_csv(
-            path,
-            HopConfig(delay_forward_ns=150, delay_backward_ns=50, turnaround_ns=50),
-            n_rounds=4,
-            round_interval_s=1.0,
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "round_index,epoch_s,t1,t2,t3,t4,D_ns,O_ns,residual_ns"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert first[2:6] == ["0", "150", "200", "250"]
-        assert float(first[6]) == 100.0
-        assert float(first[7]) == 50.0
-
-    def test_deterministic_bytes(self, tmp_path):
-        kwargs = dict(n_rounds=50, round_interval_s=1.0)
-        hop = HopConfig(delay_forward_ns=50, delay_backward_ns=50, jitter_ns=1.5)
-        for name in ("a.csv", "b.csv"):
-            rng = np.random.default_rng((1, 2))
-            write_session_csv(tmp_path / name, hop, rng=rng, **kwargs)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
