@@ -80,13 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     adev.add_argument("--out", help="write the curve CSV here instead of stdout")
 
     budget = sub.add_parser("linkbudget", help="channel feasibility report")
-    budget.add_argument("--loss-db", type=float, default=ChannelParams.loss_db)
-    budget.add_argument("--efficiency", type=float, default=ChannelParams.det_efficiency)
-    budget.add_argument("--dark-cps", type=float, default=ChannelParams.dark_rate_cps)
-    budget.add_argument("--background-cps", type=float, default=ChannelParams.background_rate_cps)
-    budget.add_argument("--rep-rate-hz", type=float, default=ChannelParams.rep_rate_hz)
-    budget.add_argument("--mu", type=float, default=ChannelParams.mean_photon_mu)
-    budget.add_argument("--dead-time-us", type=float, default=ChannelParams.dead_time_s * 1e6)
+    # an option left out keeps the ChannelParams default
+    budget.add_argument("--loss-db", type=float)
+    budget.add_argument("--efficiency", type=float)
+    budget.add_argument("--dark-cps", type=float)
+    budget.add_argument("--background-cps", type=float)
+    budget.add_argument("--rep-rate-hz", type=float)
+    budget.add_argument("--mu", type=float)
+    budget.add_argument("--dead-time-us", type=float)
     budget.add_argument("--csv", help="also write the report as CSV to this path")
 
     return parser
@@ -151,43 +152,44 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
     rows only, so the message names the file line instead, found by
     _first_rejected_line.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             for header_lines, line in enumerate(fh, 1):
                 header = line.strip().removeprefix("#").strip()
                 if header:
                     break
             else:
                 raise ConfigError(f"{path}: expected a CSV header row")
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path}: not UTF-8 text") from None
-        names = [name.strip() for name in header.split(",")]
-        if value_column not in names:
-            raise ConfigError(f"{path}: no column {value_column!r} (has {', '.join(names)})")
-        columns = [names.index(value_column)]
-        if tau0 is None:
-            if "time_s" not in names:
-                raise ConfigError("--tau0 is required when the CSV has no time_s column")
-            columns.append(names.index("time_s"))
-        reopen = fh.seekable() and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))
-        with warnings.catch_warnings():
-            # a table without rows is reported below, not as a warning
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                lines = None if reopen else fh.readlines()  # a pipe cannot be read twice
-                source, skip = (Path(path).absolute(), header_lines) if reopen else (lines, 0)
-                table = np.loadtxt(
-                    source, delimiter=",", usecols=columns, ndmin=2, skiprows=skip, encoding="utf-8"
-                )
-            except UnicodeDecodeError:
-                raise ConfigError(f"{path}: not UTF-8 text") from None
-            except ValueError as exc:
-                if reopen:
-                    fh.seek(0)
-                    lines = fh.readlines()[header_lines:]
-                line_no = header_lines + 1 + _first_rejected_line(lines, columns)
-                reason = re.sub(r" at row \d+", "", str(exc))
-                raise ConfigError(f"{path}: line {line_no}: {reason}") from None
+            names = [name.strip() for name in header.split(",")]
+            if value_column not in names:
+                raise ConfigError(f"{path}: no column {value_column!r} (has {', '.join(names)})")
+            columns = [names.index(value_column)]
+            if tau0 is None:
+                if "time_s" not in names:
+                    raise ConfigError("--tau0 is required when the CSV has no time_s column")
+                columns.append(names.index("time_s"))
+            reopen = fh.seekable() and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))
+            with warnings.catch_warnings():
+                # a table without rows is reported below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    lines = None if reopen else fh.readlines()  # a pipe cannot be read twice
+                    source, skip = (Path(path).absolute(), header_lines) if reopen else (lines, 0)
+                    table = np.loadtxt(
+                        source, delimiter=",", usecols=columns, ndmin=2, skiprows=skip,
+                        encoding="utf-8",
+                    )
+                except UnicodeDecodeError:
+                    raise  # a ValueError too, but not a bad cell
+                except ValueError as exc:
+                    if reopen:  # reading past the bad cell may meet bytes that are not UTF-8
+                        fh.seek(0)
+                        lines = fh.readlines()[header_lines:]
+                    line_no = header_lines + 1 + _first_rejected_line(lines, columns)
+                    reason = re.sub(r" at row \d+", "", str(exc))
+                    raise ConfigError(f"{path}: line {line_no}: {reason}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     name = "--tau0"
     if tau0 is None:
         if len(table) < 2:
@@ -228,15 +230,16 @@ def _cmd_adev(args) -> int:
 
 
 def _cmd_linkbudget(args) -> int:
-    params = ChannelParams(
-        loss_db=args.loss_db,
-        det_efficiency=args.efficiency,
-        dark_rate_cps=args.dark_cps,
-        background_rate_cps=args.background_cps,
-        rep_rate_hz=args.rep_rate_hz,
-        mean_photon_mu=args.mu,
-        dead_time_s=args.dead_time_us * 1e-6,
-    )
+    given = {
+        "loss_db": args.loss_db,
+        "det_efficiency": args.efficiency,
+        "dark_rate_cps": args.dark_cps,
+        "background_rate_cps": args.background_cps,
+        "rep_rate_hz": args.rep_rate_hz,
+        "mean_photon_mu": args.mu,
+        "dead_time_s": None if args.dead_time_us is None else args.dead_time_us / 1e6,
+    }
+    params = ChannelParams(**{name: value for name, value in given.items() if value is not None})
     report = feasibility_report(params)
     print(report_text(report))
     if args.csv:

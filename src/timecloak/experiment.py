@@ -87,7 +87,8 @@ def _safe_slope(curve: AdevCurve) -> float:
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full chain and analyze both monitoring paths. Finite inputs
-    whose arithmetic overflows raise FloatingPointError."""
+    whose arithmetic overflows raise FloatingPointError; in a summary mean
+    or standard deviation, its message names the field."""
     n = config.n_steps
     schedule = build_schedule(config)
 
@@ -112,11 +113,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ratio = (
         float(adev2.adev[0] / adev1.adev[0]) if adev1.adev[0] > 0 else math.inf
     )
+    moments = {}
+    for label, series in (("tic1", tic1), ("tic2", tic2)):
+        for stat in ("mean", "std"):
+            field = f"{label}_{stat}_ns"
+            try:
+                moments[field] = float(getattr(series.samples_ns, stat)())
+            except FloatingPointError as exc:  # finite samples whose sum or square overflows
+                raise FloatingPointError(f"{field}: {exc}") from None
     summary = ExperimentSummary(
-        tic1_mean_ns=float(tic1.samples_ns.mean()),
-        tic1_std_ns=float(tic1.samples_ns.std()),
-        tic2_mean_ns=float(tic2.samples_ns.mean()),
-        tic2_std_ns=float(tic2.samples_ns.std()),
+        **moments,
         adev_ratio_tau0=ratio,
         tic1_slope=_safe_slope(adev1),
         tic2_slope=_safe_slope(adev2),

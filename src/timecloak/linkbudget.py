@@ -57,35 +57,6 @@ class LinkBudgetReport:
     feasible: bool
 
 
-def counts_per_pulse(rate_cps: float, rep_rate_hz: float) -> float:
-    """Convert a count rate to counts per transmitted pulse."""
-    if not rep_rate_hz > 0:
-        raise ValueError("rep_rate_hz must be > 0")
-    return rate_cps / rep_rate_hz
-
-
-def signal_counts_per_pulse(mu: float, loss_db: float, det_efficiency: float) -> float:
-    """Detected signal counts per pulse: source mean photon number through
-    channel attenuation and detector efficiency, linear model."""
-    if not mu > 0:
-        raise ValueError("mu must be > 0")
-    return mu * 10.0 ** (-loss_db / 10.0) * det_efficiency
-
-
-def saturation_limit(dead_time_s: float) -> float:
-    """Dead-time-limited maximum count rate of the detector."""
-    if not dead_time_s > 0:
-        raise ValueError("dead_time_s must be > 0")
-    return 1.0 / dead_time_s
-
-
-def observed_rate(incident_cps: float, dead_time_s: float) -> float:
-    """Count rate actually registered by a non-paralyzable detector."""
-    if incident_cps < 0:
-        raise ValueError("incident_cps must be >= 0")
-    return incident_cps / (1.0 + incident_cps * dead_time_s)
-
-
 def feasibility_report(params: ChannelParams) -> LinkBudgetReport:
     """Assemble the channel verdict.
 
@@ -96,15 +67,14 @@ def feasibility_report(params: ChannelParams) -> LinkBudgetReport:
     rate (mean_photon_mu=1e15 at 0 dB) it rounds to the saturation rate,
     and the last term alone makes the verdict infeasible.
     """
-    background_pp = counts_per_pulse(params.background_rate_cps, params.rep_rate_hz)
-    signal_pp = signal_counts_per_pulse(
-        params.mean_photon_mu, params.loss_db, params.det_efficiency
-    )
-    saturation = saturation_limit(params.dead_time_s)
+    background_pp = params.background_rate_cps / params.rep_rate_hz
+    signal_pp = params.mean_photon_mu * 10.0 ** (-params.loss_db / 10.0) * params.det_efficiency
+    saturation = 1.0 / params.dead_time_s
     incident = (
         signal_pp * params.rep_rate_hz + params.background_rate_cps + params.dark_rate_cps
     )
-    total = observed_rate(incident, params.dead_time_s)
+    # the non-paralyzable dead-time response
+    total = incident / (1.0 + incident * params.dead_time_s)
     stray = params.background_rate_cps + params.dark_rate_cps
     feasible = total < saturation and stray < saturation and signal_pp > background_pp
     return LinkBudgetReport(

@@ -90,9 +90,11 @@ class AdevCurve:
     sigma_adev: np.ndarray
 
     def __post_init__(self) -> None:
-        taus = np.asarray(self.taus_s, dtype=np.float64)
-        dev = np.asarray(self.adev, dtype=np.float64)
-        sig = np.asarray(self.sigma_adev, dtype=np.float64)
+        # copies, made read-only below: the caller's arrays stay its own; an
+        # overflowing Allan sum makes an infinite deviation, so inf is kept
+        taus = np.array(self.taus_s, dtype=np.float64)
+        dev = np.array(self.adev, dtype=np.float64)
+        sig = np.array(self.sigma_adev, dtype=np.float64)
         if not (len(taus) == len(dev) == len(sig)):
             raise ValueError("curve arrays must have equal length")
         if len(taus) and np.any(np.diff(taus) <= 0):

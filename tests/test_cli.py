@@ -18,6 +18,7 @@ import timecloak
 from timecloak.cli import main
 from timecloak.config import _KEYS
 from timecloak.keys import load_keys
+from timecloak.linkbudget import ChannelParams, feasibility_report, report_csv
 from timecloak.stability import TimeErrorSeries, overlapping_adev
 
 
@@ -212,6 +213,23 @@ class TestRun:
         err = _assert_clean_failure(argv, capsys)
         assert err.startswith("error: delay ")
         assert err.endswith(" ns is too large for the 2**-20 ns delay grid")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["model.kind=rw", "model.C=1e-290", "duration_s=50000"],
+            ["carrier_hz=1e-290", "duration_s=500"],
+        ],
+        ids=["small_divisor", "small_carrier"],
+    )
+    def test_summary_overflow_names_its_field(self, overrides, tmp_path, capsys):
+        # the delays fit the grid, but the square of the encrypted series does not
+        argv = ["run", "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        err = _assert_clean_failure(argv, capsys)
+        assert err == "error: tic2_std_ns: overflow encountered in square"
         assert not (tmp_path / "out").exists()
 
     def test_calibration_estimate_printed(self, tmp_path, capsys):
@@ -526,6 +544,14 @@ class TestAdevIngest:
         err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
         assert err == f"error: {src}: not UTF-8 text"
 
+    def test_bad_cell_before_text_that_is_not_utf8_fails_cleanly(self, tmp_path, capsys):
+        # finding the bad cell's line reads on, past the bad byte
+        rows = "".join(f"{i},{i % 7}.25\n" for i in range(1, 200_001)).encode("ascii")
+        src = tmp_path / "series.csv"
+        src.write_bytes(b"time_s,error_ns\n0,x\n" + rows + b"9,\xff\n")
+        err = _assert_clean_failure(["adev", "--input", str(src), "--tau0", "1"], capsys)
+        assert err == f"error: {src}: not UTF-8 text"
+
     def test_gzip_compressed_input_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "series.csv.gz"
         src.write_bytes(gzip.compress(_PARITY_CASES["comment_lines"].encode("ascii")))
@@ -593,6 +619,18 @@ class TestLinkBudget:
     def test_infeasible_parameters(self, capsys):
         assert main(["linkbudget", "--background-cps", "90000"]) == 0
         assert "no" in capsys.readouterr().out.splitlines()[-1]
+
+    def test_defaults_are_channel_params(self, tmp_path):
+        dest = tmp_path / "budget.csv"
+        assert main(["linkbudget", "--csv", str(dest)]) == 0
+        assert dest.read_text() == report_csv(feasibility_report(ChannelParams()))
+
+    def test_dead_time_converts_exactly(self, tmp_path):
+        dest = tmp_path / "budget.csv"
+        argv = ["linkbudget", "--loss-db", "13.5", "--mu", "0.5", "--dead-time-us", "25"]
+        assert main([*argv, "--csv", str(dest)]) == 0
+        params = ChannelParams(loss_db=13.5, mean_photon_mu=0.5, dead_time_s=25e-6)
+        assert dest.read_text() == report_csv(feasibility_report(params))
 
     @pytest.mark.parametrize(
         "option, value",

@@ -4,77 +4,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timecloak.linkbudget import (
-    ChannelParams,
-    counts_per_pulse,
-    feasibility_report,
-    observed_rate,
-    report_csv,
-    report_text,
-    saturation_limit,
-    signal_counts_per_pulse,
-)
+from timecloak.linkbudget import ChannelParams, feasibility_report, report_csv, report_text
+
+
+def _report(**fields):
+    return feasibility_report(ChannelParams(**fields))
 
 
 class TestCountsPerPulse:
     def test_reference_background(self):
-        assert counts_per_pulse(6500.0, 1e9) == 6.5e-6
+        assert _report(background_rate_cps=6500.0, rep_rate_hz=1e9).background_per_pulse == 6.5e-6
 
     def test_lower_background_edge(self):
-        assert counts_per_pulse(3500.0, 1e9) == 3.5e-6
+        assert _report(background_rate_cps=3500.0, rep_rate_hz=1e9).background_per_pulse == 3.5e-6
 
     def test_zero_rate(self):
-        assert counts_per_pulse(0.0, 1e9) == 0.0
-
-    def test_rejects_zero_rep_rate(self):
-        with pytest.raises(ValueError):
-            counts_per_pulse(100.0, 0.0)
+        assert _report(background_rate_cps=0.0, rep_rate_hz=1e9).background_per_pulse == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
         st.floats(min_value=1e3, max_value=1e10, allow_nan=False),
     )
     def test_unit_sanity(self, rate, rep):
-        back = counts_per_pulse(rate, rep) * rep
+        back = _report(background_rate_cps=rate, rep_rate_hz=rep).background_per_pulse * rep
         assert back == pytest.approx(rate, rel=1e-12, abs=1e-300)
 
 
 class TestSignalCountsPerPulse:
     def test_reference_operating_point(self):
-        assert signal_counts_per_pulse(1.5, 10.0, 0.2) == pytest.approx(0.03, rel=1e-12)
+        signal = _report(mean_photon_mu=1.5, loss_db=10.0, det_efficiency=0.2).signal_per_pulse
+        assert signal == pytest.approx(0.03, rel=1e-12)
 
     def test_lossless_unit_efficiency(self):
-        assert signal_counts_per_pulse(0.1, 0.0, 1.0) == 0.1
+        signal = _report(mean_photon_mu=0.1, loss_db=0.0, det_efficiency=1.0).signal_per_pulse
+        assert signal == 0.1
 
     def test_infinite_loss_limit(self):
-        assert signal_counts_per_pulse(1.5, 1e6, 0.2) == 0.0
-
-    def test_rejects_non_positive_mu(self):
-        with pytest.raises(ValueError):
-            signal_counts_per_pulse(0.0, 10.0, 0.2)
+        signal = _report(mean_photon_mu=1.5, loss_db=1e6, det_efficiency=0.2).signal_per_pulse
+        assert signal == 0.0
 
 
 class TestSaturationLimit:
     def test_reference_dead_time(self):
-        assert saturation_limit(25e-6) == 40_000.0
+        assert _report(dead_time_s=25e-6).saturation_cps == 40_000.0
 
     def test_one_second(self):
-        assert saturation_limit(1.0) == 1.0
+        assert _report(dead_time_s=1.0).saturation_cps == 1.0
 
     def test_one_millisecond(self):
-        assert saturation_limit(1e-3) == 1000.0
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            saturation_limit(0.0)
+        assert _report(dead_time_s=1e-3).saturation_cps == 1000.0
 
 
 class TestObservedRate:
+    # incident = signal_per_pulse * rep_rate_hz + background + dark: at 0 dB,
+    # unit efficiency and no stray counts it is mean_photon_mu * rep_rate_hz
+    _LOSSLESS = dict(loss_db=0.0, det_efficiency=1.0, dark_rate_cps=0.0, background_rate_cps=0.0)
+
     def test_asymptote_is_saturation(self):
-        assert observed_rate(1e12, 25e-6) < saturation_limit(25e-6)
+        report = _report(**self._LOSSLESS, mean_photon_mu=1e3, dead_time_s=25e-6)
+        assert report.total_rate_cps < report.saturation_cps
 
     def test_linear_at_low_rate(self):
-        assert observed_rate(10.0, 25e-6) == pytest.approx(10.0, rel=1e-3)
+        report = _report(**self._LOSSLESS, mean_photon_mu=1e-8, dead_time_s=25e-6)
+        assert report.total_rate_cps == pytest.approx(10.0, rel=1e-3)
 
 
 class TestFeasibilityReport:
@@ -159,6 +151,10 @@ class TestFeasibilityReport:
             ChannelParams(loss_db=-1.0)
         with pytest.raises(ValueError):
             ChannelParams(dead_time_s=0.0)
+        with pytest.raises(ValueError):
+            ChannelParams(rep_rate_hz=0.0)
+        with pytest.raises(ValueError):
+            ChannelParams(mean_photon_mu=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ChannelParams)])

@@ -1,11 +1,18 @@
-"""Every ``python`` code block of README.md runs as written."""
+"""Every ``python`` code block of README.md runs as written, and every
+command line of its "Command line" section parses."""
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from timecloak.cli import _build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+SHELL = re.search(r"^## Command line\n\n```sh\n(.*?)^```", TEXT, re.M | re.S).group(1)
+COMMANDS = [words for line in SHELL.splitlines() if (words := shlex.split(line, comments=True))]
 
 
 def test_readme_has_python_blocks():
@@ -16,3 +23,13 @@ def test_readme_has_python_blocks():
 def test_python_block_runs(code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the examples write relative paths
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_has_command_lines():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("words", COMMANDS, ids=[" ".join(w[:2]) for w in COMMANDS])
+def test_command_line_parses(words):
+    assert words[0] == "timecloak"
+    _build_parser().parse_args(words[1:])  # argparse exits on an unknown option

@@ -434,6 +434,17 @@ class TestAdevCurve:
         with pytest.raises(ValueError):
             AdevCurve(np.array([1.0, 2.0]), -np.ones(2), np.ones(2))
 
+    def test_callers_arrays_stay_writable_and_unchanged(self):
+        # inf is kept: an overflowing Allan sum gives an infinite deviation
+        taus, dev, sig = np.array([1.0, 2.0]), np.array([0.5, np.inf]), np.array([0.05, 0.02])
+        curve = AdevCurve(taus, dev, sig)
+        assert taus.flags.writeable and dev.flags.writeable and sig.flags.writeable
+        assert dev.tolist() == curve.adev.tolist() == [0.5, math.inf]
+        taus[0] = dev[0] = sig[0] = 3.0
+        assert curve.taus_s.tolist() == [1.0, 2.0]
+        assert curve.adev.tolist() == [0.5, math.inf]
+        assert curve.sigma_adev.tolist() == [0.05, 0.02]
+
     def test_csv_round_trip(self, tmp_path):
         curve = AdevCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.05, 0.02]))
         path = tmp_path / "curve.csv"
