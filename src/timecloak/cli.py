@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    ConfigError,
+    MAX_STEPS,
     ExperimentConfig,
     build_experiment_config,
     load_config_file,
@@ -102,6 +102,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_keygen(args) -> int:
+    if args.digits > 3 * MAX_STEPS:  # 3 digits per walk step: the most one run can take
+        raise ValueError(f"--digits must be <= {3 * MAX_STEPS}, got {args.digits}")
     stream = mock_qkd_source(args.seed, args.digits)
     save_keys(stream, args.out)
     print(f"wrote {args.digits} hex digits to {args.out}")
@@ -124,7 +126,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
-        raise ConfigError("--kinds must name at least one noise kind")
+        raise ValueError("--kinds must name at least one noise kind")
     bounded_options = {"yes": (True,), "no": (False,), "both": (False, True)}[args.bounded]
     results = sweep_noise_models(config, kinds, bounded_options)
     out = Path(args.out)
@@ -159,14 +161,14 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
                 if header:
                     break
             else:
-                raise ConfigError(f"{path}: expected a CSV header row")
+                raise ValueError(f"{path}: expected a CSV header row")
             names = [name.strip() for name in header.split(",")]
             if value_column not in names:
-                raise ConfigError(f"{path}: no column {value_column!r} (has {', '.join(names)})")
+                raise ValueError(f"{path}: no column {value_column!r} (has {', '.join(names)})")
             columns = [names.index(value_column)]
             if tau0 is None:
                 if "time_s" not in names:
-                    raise ConfigError("--tau0 is required when the CSV has no time_s column")
+                    raise ValueError("--tau0 is required when the CSV has no time_s column")
                 columns.append(names.index("time_s"))
             reopen = fh.seekable() and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))
             with warnings.catch_warnings():
@@ -187,18 +189,18 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
                         lines = fh.readlines()[header_lines:]
                     line_no = header_lines + 1 + _first_rejected_line(lines, columns)
                     reason = re.sub(r" at row \d+", "", str(exc))
-                    raise ConfigError(f"{path}: line {line_no}: {reason}") from None
+                    raise ValueError(f"{path}: line {line_no}: {reason}") from None
     except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
+        raise ValueError(f"{path}: not UTF-8 text") from None
     name = "--tau0"
     if tau0 is None:
         if len(table) < 2:
-            raise ConfigError("need at least two rows to infer tau0")
+            raise ValueError("need at least two rows to infer tau0")
         first, second = table[:2, 1].tolist()
         name, tau0 = "the time_s step", second - first
     if not (math.isfinite(tau0) and tau0 > 0):
-        raise ConfigError(f"{name} must be finite and > 0, got {tau0!r}")
-    require_adev_interval(tau0, name, ConfigError)
+        raise ValueError(f"{name} must be finite and > 0, got {tau0!r}")
+    require_adev_interval(tau0, name)
     return TimeErrorSeries(table[:, 0], tau0)
 
 
@@ -274,8 +276,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
-        # ConfigError, domain validation failures, and finite inputs whose
-        # arithmetic overflows
+        # invalid configuration or input, and finite inputs whose arithmetic
+        # overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

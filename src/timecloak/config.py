@@ -17,22 +17,18 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseKind, NoiseModelSpec, parse_noise_kind
+from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseModelSpec, parse_noise_kind
 from .stability import require_adev_interval
 
 MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
 
 
-class ConfigError(ValueError):
-    """Invalid configuration key, value, or combination."""
-
-
-def require_finite(obj, error: type[ValueError] = ValueError) -> None:
+def require_finite(obj) -> None:
     """Reject NaN and +-inf in every float field of a dataclass."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,21 +46,21 @@ class HopConfig:
     bias_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self, ConfigError)
+        require_finite(self)
         for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns",
                      "turnaround_ns"):
             value = getattr(self, name)
             if value < 0:
-                raise ConfigError(f"HopConfig.{name} must be >= 0, got {value!r}")
+                raise ValueError(f"HopConfig.{name} must be >= 0, got {value!r}")
         if (q := self.quantization_ns) != int(q):
-            raise ConfigError(f"HopConfig.quantization_ns must be a whole number, got {q!r}")
+            raise ValueError(f"HopConfig.quantization_ns must be a whole number, got {q!r}")
         object.__setattr__(self, "quantization_ns", int(q))  # so timestamps stay int ns
         if (t := self.turnaround_ns) == int(t):
             # a whole turnaround keeps t3 exact past 2**53 ns, whether given as 1000 or 1000.0
             object.__setattr__(self, "turnaround_ns", int(t))
         if not 0 < self.gain < 2:
             # the proportional servo diverges outside this range
-            raise ConfigError(f"servo gain must be in (0, 2), got {self.gain!r}")
+            raise ValueError(f"servo gain must be in (0, 2), got {self.gain!r}")
 
 
 @dataclass(frozen=True)
@@ -85,32 +81,32 @@ class ExperimentConfig:
     hop2: HopConfig = field(default_factory=HopConfig)  # encrypting site -> reference site
 
     def __post_init__(self) -> None:
-        require_finite(self, ConfigError)
+        require_finite(self)
         if self.key_source not in ("mock", "file"):
-            raise ConfigError(f"key.source must be 'mock' or 'file', got {self.key_source!r}")
+            raise ValueError(f"key.source must be 'mock' or 'file', got {self.key_source!r}")
         if self.key_source == "file" and not self.key_path:
-            raise ConfigError("key.source = file requires key.path")
+            raise ValueError("key.source = file requires key.path")
         for key, seed in (("seed", self.seed), ("key.seed", self.key_seed)):
             if seed < 0:
-                raise ConfigError(f"{key} must be >= 0, got {seed!r}")
+                raise ValueError(f"{key} must be >= 0, got {seed!r}")
         if not self.dwell_s > 0 or not self.duration_s > 0:
-            raise ConfigError("dwell_s and duration_s must be > 0")
-        require_adev_interval(self.dwell_s, "dwell_s", ConfigError)
+            raise ValueError("dwell_s and duration_s must be > 0")
+        require_adev_interval(self.dwell_s, "dwell_s")
         if self.calib_window_steps < 0:
-            raise ConfigError("calib.window_steps must be >= 0")
+            raise ValueError("calib.window_steps must be >= 0")
         if self.tic_jitter_ns < 0:
-            raise ConfigError("tic.jitter_ns must be >= 0")
+            raise ValueError("tic.jitter_ns must be >= 0")
         steps = self.duration_s / self.dwell_s
         if not math.isfinite(steps):
-            raise ConfigError(
+            raise ValueError(
                 f"duration_s / dwell_s must be finite, got {self.duration_s!r} / {self.dwell_s!r}"
             )
         if steps > MAX_STEPS:
-            raise ConfigError(f"duration_s / dwell_s must be <= {MAX_STEPS}, got {steps!r}")
+            raise ValueError(f"duration_s / dwell_s must be <= {MAX_STEPS}, got {steps!r}")
         if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError("duration_s must be an integer multiple of dwell_s")
+            raise ValueError("duration_s must be an integer multiple of dwell_s")
         if self.calib_window_steps >= round(steps):
-            raise ConfigError("calibration window must leave at least one encrypted step")
+            raise ValueError("calibration window must leave at least one encrypted step")
 
     @property
     def n_steps(self) -> int:
@@ -125,14 +121,14 @@ def _to_int(key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        raise ValueError(f"{key}: expected an integer, got {value!r}") from None
 
 
 def _to_float(key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        raise ValueError(f"{key}: expected a number, got {value!r}") from None
 
 
 def _to_bool(key: str, value: str) -> bool:
@@ -141,7 +137,7 @@ def _to_bool(key: str, value: str) -> bool:
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"{key}: expected a boolean, got {value!r}")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -153,7 +149,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping
@@ -164,7 +160,7 @@ def parse_overrides(items: list[str]) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for item in items:
         if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
+            raise ValueError(f"override {item!r}: expected key=value")
         key, _, value = item.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping
@@ -172,13 +168,6 @@ def parse_overrides(items: list[str]) -> dict[str, str]:
 
 def _to_bound(key: str, value: str) -> float | None:
     return None if value.lower() in ("", "none") else _to_float(key, value)
-
-
-def _to_kind(key: str, value: str) -> NoiseKind:
-    try:
-        return parse_noise_kind(value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # hopN.<suffix> -> (HopConfig field, parser, shared key that sets both hops)
@@ -197,7 +186,7 @@ _KEYS = {
     "key.source": ("", "key_source", lambda key, value: value.strip().lower()),
     "key.seed": ("", "key_seed", _to_int),
     "key.path": ("", "key_path", lambda key, value: value),
-    "model.kind": ("model", "kind", _to_kind),
+    "model.kind": ("model", "kind", lambda key, value: parse_noise_kind(value)),
     "model.C": ("model", "divisor", _to_float),
     "model.T": ("model", "sign_threshold", _to_int),
     "model.M": ("model", "lag", _to_int),
@@ -224,15 +213,12 @@ def build_experiment_config(mapping: dict[str, str]) -> ExperimentConfig:
     """Turn a raw key-value mapping into a validated ExperimentConfig."""
     for key in mapping:
         if key not in _KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            raise ValueError(f"unknown configuration key {key!r}")
     sections: dict[str, dict] = {"": {}, "model": {}, "shared": {}, "hop1": {}, "hop2": {}}
     for key, value in mapping.items():
         section, name, parse = _KEYS[key]
         sections[section][name] = parse(key, value)
-    try:
-        model = NoiseModelSpec(**sections["model"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    model = NoiseModelSpec(**sections["model"])
     shared = sections["shared"]
     hop1 = HopConfig(**{**shared, **sections["hop1"]})
     hop2 = HopConfig(**{**shared, **sections["hop2"]})

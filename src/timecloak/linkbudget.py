@@ -65,7 +65,9 @@ def feasibility_report(params: ChannelParams) -> LinkBudgetReport:
     and the reported detector rate below saturation. The dead-time response
     stays below saturation only in exact arithmetic: at an extreme incident
     rate (mean_photon_mu=1e15 at 0 dB) it rounds to the saturation rate,
-    and the last term alone makes the verdict infeasible.
+    and the last term alone makes the verdict infeasible. A value that
+    overflows to inf or nan from finite parameters is a ValueError naming
+    the first such field.
     """
     background_pp = params.background_rate_cps / params.rep_rate_hz
     signal_pp = params.mean_photon_mu * 10.0 ** (-params.loss_db / 10.0) * params.det_efficiency
@@ -77,13 +79,15 @@ def feasibility_report(params: ChannelParams) -> LinkBudgetReport:
     total = incident / (1.0 + incident * params.dead_time_s)
     stray = params.background_rate_cps + params.dark_rate_cps
     feasible = total < saturation and stray < saturation and signal_pp > background_pp
-    return LinkBudgetReport(
+    report = LinkBudgetReport(
         background_per_pulse=background_pp,
         signal_per_pulse=signal_pp,
         total_rate_cps=total,
         saturation_cps=saturation,
         feasible=feasible,
     )
+    require_finite(report)
+    return report
 
 
 def report_text(report: LinkBudgetReport) -> str:

@@ -184,11 +184,11 @@ def _squared_differences(x: np.ndarray, m: int, start: int, out: np.ndarray) -> 
     out *= out
 
 
-def require_adev_interval(tau0_s: float, name: str, error: type[ValueError] = ValueError) -> None:
+def require_adev_interval(tau0_s: float, name: str) -> None:
     """Reject a positive interval below 2**-511 s, where the (m * tau0)**2 that
     the Allan variance divides by underflows to a subnormal or to zero."""
     if tau0_s < 2.0**-511:
-        raise error(f"{name} must be >= 2**-511 s for an Allan deviation, got {tau0_s!r}")
+        raise ValueError(f"{name} must be >= 2**-511 s for an Allan deviation, got {tau0_s!r}")
 
 
 def overlapping_adev(series: TimeErrorSeries) -> AdevCurve:

@@ -58,8 +58,8 @@ def exchange(
     callers running many exchanges share one, so that draws never repeat
     between calls.
 
-    This is the single-step reference that the session kernel behind
-    run_sync_session reproduces round by round.
+    This is the single-step reference that the session kernel,
+    run_sync_session, reproduces round by round.
     """
     if epoch_ns < 0:
         raise ValueError("epoch_ns must be >= 0")
@@ -94,20 +94,25 @@ def servo_step(offset_ns: float, recovered_ns: float, gain: float = 1.0) -> floa
     return offset_ns - gain * recovered_ns
 
 
-def _session(
+def run_sync_session(
     hop: HopConfig,
     n_rounds: int,
     round_interval_s: float,
     rng: np.random.Generator | None = None,
-) -> list[float]:
-    """The session kernel: validates, draws all jitter, then runs every round
-    in one loop and returns each round's residual_ns.
+) -> TimeErrorSeries:
+    """Run a synchronization session over a hop and return the residual
+    time errors, one sample per round.
 
-    Each round does on plain numbers what exchange, compute_delay_offset
-    and servo_step do, in the same floating-point order, starting from a
-    slave at offset 0. All jitter comes from one standard-normal call, in
-    the order the rounds of exchange() draw it: t2 then t4 of each round.
-    The hop's gain is in (0, 2): HopConfig checks it.
+    The residual is the slave clock after the servo correction by hop.gain
+    plus the hop's constant bias_ns, the stand-in for uncompensated hardware
+    delays. rng is needed when the hop has jitter.
+
+    This is the session kernel: it validates, draws all jitter, then runs
+    every round in one loop. Each round does on plain numbers what exchange,
+    compute_delay_offset and servo_step do, in the same floating-point
+    order, starting from a slave at offset 0. All jitter comes from one
+    standard-normal call, in the order the rounds of exchange() draw it: t2
+    then t4 of each round. The hop's gain is in (0, 2): HopConfig checks it.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -154,21 +159,4 @@ def _session(
         recovered = (t2 - t1) - delay
         offset = offset - gain * recovered
         residuals.append(offset + bias_ns)
-    return residuals
-
-
-def run_sync_session(
-    hop: HopConfig,
-    n_rounds: int,
-    round_interval_s: float,
-    rng: np.random.Generator | None = None,
-) -> TimeErrorSeries:
-    """Run a synchronization session over a hop and return the residual
-    time errors, one sample per round.
-
-    The residual is the slave clock after the servo correction by hop.gain
-    plus the hop's constant bias_ns, the stand-in for uncompensated hardware
-    delays. rng is needed when the hop has jitter.
-    """
-    residuals = _session(hop, n_rounds, round_interval_s, rng)
     return TimeErrorSeries(np.array(residuals), round_interval_s)

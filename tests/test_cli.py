@@ -53,6 +53,14 @@ class TestKeygen:
         assert _assert_clean_failure(argv, capsys) == "error: seed must be >= 0, got -1"
         assert not out.exists()
 
+    def test_more_digits_than_a_run_takes_fails_cleanly(self, tmp_path, capsys):
+        # rejected before the generator allocates 10**13 bytes
+        out = tmp_path / "key.hex"
+        argv = ["keygen", "--seed", "1", "--digits", "10000000000000", "--out", str(out)]
+        message = "error: --digits must be <= 201326592, got 10000000000000"
+        assert _assert_clean_failure(argv, capsys) == message
+        assert not out.exists()
+
 
 class TestRun:
     def test_small_run_produces_outputs(self, tmp_path, capsys):
@@ -649,3 +657,20 @@ class TestLinkBudget:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "must be finite" in err[0]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rep-rate-hz", "1e-320"], "background_per_pulse must be finite, got inf"),
+            (["--dead-time-us", "1e-305"], "saturation_cps must be finite, got inf"),
+            (
+                ["--mu", "1e308", "--loss-db", "0", "--efficiency", "1"],
+                "total_rate_cps must be finite, got nan",
+            ),
+        ],
+    )
+    def test_overflowing_report_fails_cleanly(self, argv, message, tmp_path, capsys):
+        dest = tmp_path / "budget.csv"
+        line = _assert_clean_failure(["linkbudget", *argv, "--csv", str(dest)], capsys)
+        assert line == f"error: LinkBudgetReport.{message}"
+        assert not dest.exists()

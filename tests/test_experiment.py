@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from timecloak import experiment
-from timecloak.config import ConfigError, ExperimentConfig, HopConfig, build_experiment_config
+from timecloak.config import ExperimentConfig, HopConfig, build_experiment_config
 from timecloak.experiment import (
     DEFAULT_SWEEP_BOUND_DEG,
     build_schedule,
@@ -294,15 +294,15 @@ class TestEmitOutputs:
 
 class TestConfigValidation:
     def test_duration_must_align_with_dwell(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig(duration_s=12.0, dwell_s=5.0)
 
     def test_window_must_leave_encrypted_steps(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig(duration_s=50.0, dwell_s=5.0, calib_window_steps=10)
 
     def test_file_source_needs_path(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             ExperimentConfig(key_source="file")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -310,16 +310,16 @@ class TestConfigValidation:
         "field", [f.name for f in fields(ExperimentConfig) if f.type == "float"]
     )
     def test_non_finite_experiment_field_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ValueError, match=field):
             _config(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [f.name for f in fields(HopConfig) if f.type == "float"])
     def test_non_finite_hop_field_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ValueError, match=field):
             HopConfig(**{field: value})
 
     @pytest.mark.parametrize("gain", [0.0, -0.5, 2.0, 2.5])
     def test_hop_gain_outside_stable_range_rejected(self, gain):
-        with pytest.raises(ConfigError, match="gain"):
+        with pytest.raises(ValueError, match="gain"):
             HopConfig(gain=gain)

@@ -1,5 +1,6 @@
-"""Every ``python`` code block of README.md runs as written, and every
-command line of its "Command line" section parses."""
+"""Every ``python`` code block of README.md runs as written, every
+command line of its "Command line" section parses, and the config block of
+its "Configuration format" section builds."""
 import re
 import shlex
 from pathlib import Path
@@ -7,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from timecloak.cli import _build_parser
+from timecloak.config import build_experiment_config, load_config_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
 SHELL = re.search(r"^## Command line\n\n```sh\n(.*?)^```", TEXT, re.M | re.S).group(1)
+CONFIG = re.search(r"^## Configuration format\n.*?^```\n(.*?)^```", TEXT, re.M | re.S).group(1)
 COMMANDS = [words for line in SHELL.splitlines() if (words := shlex.split(line, comments=True))]
 
 
@@ -33,3 +36,11 @@ def test_readme_has_command_lines():
 def test_command_line_parses(words):
     assert words[0] == "timecloak"
     _build_parser().parse_args(words[1:])  # argparse exits on an unknown option
+
+
+def test_config_block_builds(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(CONFIG, encoding="utf-8")
+    config = build_experiment_config(load_config_file(path))
+    assert config.n_steps == 2000
+    assert config.hop2.delay_forward_ns == 60.0
