@@ -11,8 +11,11 @@ cases hash the files no run writes: the `timecloak linkbudget` report on
 standard output and in its --csv file and a `timecloak keygen` key file,
 plus the float64 bytes of phase schedules and of hop-session residuals,
 which pin the schedule and session kernels bit for bit; their digests are
-in tests/golden/writer_digests.json. A refactor that changes any emitted
-byte fails here. To re-record after a
+in tests/golden/writer_digests.json. The sweep case hashes every file
+and the standard output of one small `timecloak sweep` over all four
+kinds, bounded and unbounded, with noisy hops, counter jitter and a
+calibration window; its digests are in tests/golden/sweep_digests.json.
+A refactor that changes any emitted byte fails here. To re-record after a
 change that is meant to alter outputs (say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -41,6 +44,7 @@ from timecloak.wrptp import run_sync_session
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 ADEV_GOLDEN_PATH = Path(__file__).parent / "golden" / "adev_digests.json"
 WRITER_GOLDEN_PATH = Path(__file__).parent / "golden" / "writer_digests.json"
+SWEEP_GOLDEN_PATH = Path(__file__).parent / "golden" / "sweep_digests.json"
 N_DWELLS = 2000
 DWELL_S = 5.0
 
@@ -236,6 +240,43 @@ def test_writer_output_matches_golden_digest(name):
     assert writer_digest(name) == json.loads(WRITER_GOLDEN_PATH.read_text())[name]
 
 
+SWEEP_SETTINGS = {
+    "duration_s": "1000",  # 200 dwells of 5 s
+    "seed": "21",
+    "key.seed": "22",
+    "model.M": "30",
+    "model.bound_deg": "90",
+    "calib.window_steps": "40",
+    "calib.bias_ns": "12",
+    "tic.jitter_ns": "0.2",
+    "link.jitter_ns": "0.4",
+    "hop1.delay_fwd_ns": "5000",
+    "hop1.delay_bwd_ns": "5020",
+    "hop2.quantization_ns": "8",
+}
+
+
+def sweep_digests() -> dict[str, str]:
+    """SHA-256 of the standard output and of every file of one `timecloak sweep`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep"
+        argv = ["sweep", "--kinds", "white,rw,rw_lag,rw_mem", "--bounded", "both"]
+        argv += [arg for key, value in SWEEP_SETTINGS.items() for arg in ("--set", f"{key}={value}")]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([*argv, "--out", str(out)]) == 0
+        text = stdout.getvalue().replace(str(out), "OUT")  # its last line names the directory
+        digests = {"stdout": hashlib.sha256(text.encode("ascii")).hexdigest()}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            name = path.relative_to(out).as_posix()
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return digests
+
+
+def test_sweep_output_matches_golden_digests():
+    assert sweep_digests() == json.loads(SWEEP_GOLDEN_PATH.read_text())
+
+
 def _record() -> None:
     digests = {name: emitted_digests(config) for name, config in sorted(CASES.items())}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
@@ -247,6 +288,9 @@ def _record() -> None:
     writers = {name: writer_digest(name) for name in sorted(WRITER_CASES)}
     WRITER_GOLDEN_PATH.write_text(json.dumps(writers, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(writers)} writer cases in {WRITER_GOLDEN_PATH}")
+    sweep = sweep_digests()
+    SWEEP_GOLDEN_PATH.write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(sweep)} sweep outputs in {SWEEP_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
