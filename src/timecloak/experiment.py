@@ -84,35 +84,32 @@ def _safe_slope(curve: AdevCurve) -> float:
         return math.nan
 
 
-@np.errstate(over="raise", invalid="raise", divide="raise")
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full chain and analyze both monitoring paths. Finite inputs
-    whose arithmetic overflows raise FloatingPointError; in a summary mean
-    or standard deviation, its message names the field."""
+def _simulate_hops(config: ExperimentConfig) -> TimeErrorSeries:
+    """Hop stage, which reads no noise model: both sessions' summed time error."""
     n = config.n_steps
-    schedule = build_schedule(config)
-
     hop1, hop2 = (
         run_sync_session(hop, n, config.dwell_s, rng=np.random.default_rng((config.seed, salt)))
         for salt, hop in ((1, config.hop1), (2, config.hop2))
     )
-    base = TimeErrorSeries(hop1.samples_ns + hop2.samples_ns, config.dwell_s)
+    return TimeErrorSeries(hop1.samples_ns + hop2.samples_ns, config.dwell_s)
 
+
+def _codec(config: ExperimentConfig, schedule: PhaseSchedule, base: TimeErrorSeries):
+    """Codec stage: encrypt, decrypt, then add the counter jitter; returns tic1, tic2."""
     tic2 = apply_schedule(base, schedule, +1)
-    decrypted = apply_schedule(tic2, schedule, -1)
+    tic1 = apply_schedule(tic2, schedule, -1)
     if config.tic_jitter_ns > 0:
         rng = np.random.default_rng((config.seed, 3))
-        tic1 = TimeErrorSeries(
-            decrypted.samples_ns + rng.normal(0.0, config.tic_jitter_ns, n), config.dwell_s
-        )
-    else:
-        tic1 = decrypted
+        jitter = rng.normal(0.0, config.tic_jitter_ns, config.n_steps)
+        tic1 = TimeErrorSeries(tic1.samples_ns + jitter, config.dwell_s)
+    return tic1, tic2
 
+
+def _analyze(config: ExperimentConfig, schedule: PhaseSchedule, tic1, tic2) -> ExperimentResult:
+    """Analysis stage: both Allan deviations and the summary."""
     adev1 = overlapping_adev(tic1)
     adev2 = overlapping_adev(tic2)
-    ratio = (
-        float(adev2.adev[0] / adev1.adev[0]) if adev1.adev[0] > 0 else math.inf
-    )
+    ratio = float(adev2.adev[0] / adev1.adev[0]) if adev1.adev[0] > 0 else math.inf
     moments = {}
     for label, series in (("tic1", tic1), ("tic2", tic2)):
         for stat in ("mean", "std"):
@@ -131,6 +128,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, schedule, tic1, tic2, adev1, adev2, summary)
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _run_stages(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
+    """Each config's run, stage by stage. The configs differ at most in their
+    noise model, which no hop reads, so the first config's hops serve all."""
+    results, base = [], None
+    for config in configs:
+        schedule = build_schedule(config)
+        if base is None:
+            base = _simulate_hops(config)
+        tic1, tic2 = _codec(config, schedule, base)
+        results.append(_analyze(config, schedule, tic1, tic2))
+    return results
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the full chain and analyze both monitoring paths. Finite inputs
+    whose arithmetic overflows raise FloatingPointError; in a summary mean
+    or standard deviation, its message names the field."""
+    return _run_stages([config])[0]
+
+
 def calibration_window(result: ExperimentResult) -> float:
     """Bias estimate: mean of the encrypted-path series over the run's
     leading unencrypted window of calib.window_steps steps."""
@@ -147,18 +165,18 @@ def sweep_noise_models(
 ) -> dict[tuple[str, bool], ExperimentResult]:
     """One experiment per distinct (kind, bounded) pair, in first-seen order,
     sharing the base config's seeds so the runs are directly comparable.
+    The runs share one hop simulation and differ only in their schedule.
     Bounded runs use the base config's model.bound_deg, or
     DEFAULT_SWEEP_BOUND_DEG when it is unset."""
     bound_deg = base_config.model.bound_deg or DEFAULT_SWEEP_BOUND_DEG  # a set bound is > 0
-    # an alias or a repeat names a run already in the sweep
-    kinds = dict.fromkeys(parse_noise_kind(k) if isinstance(k, str) else k for k in kinds)
-    bounded_options = dict.fromkeys(bounded_options)
-    results: dict[tuple[str, bool], ExperimentResult] = {}
+    bounded_options = tuple(bounded_options)
+    configs: dict[tuple[str, bool], ExperimentConfig] = {}  # an alias or a repeat is a key again
     for kind in kinds:
+        kind = parse_noise_kind(kind) if isinstance(kind, str) else kind
         for bounded in bounded_options:
             model = replace(base_config.model, kind=kind, bound_deg=bound_deg if bounded else None)
-            results[(kind.value, bounded)] = run_experiment(replace(base_config, model=model))
-    return results
+            configs[(kind.value, bounded)] = replace(base_config, model=model)
+    return dict(zip(configs, _run_stages(list(configs.values()))))
 
 
 _FIG_DELAYS_GP = """\

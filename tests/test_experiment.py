@@ -25,6 +25,7 @@ from timecloak.stability import (
     overlapping_adev,
 )
 from timecloak.tables import CHUNK_ROWS, csv_text
+from timecloak.wrptp import run_sync_session
 
 
 def _config(**kwargs) -> ExperimentConfig:
@@ -195,18 +196,42 @@ class TestSweep:
 
     def test_repeated_and_aliased_kinds_run_once(self, monkeypatch):
         calls = []
+        analyze = experiment._analyze
 
-        def counting_run(config):
+        def counting_run(config, *stage_inputs):
             calls.append((config.model.kind, config.model.bound_deg))
-            return run_experiment(config)
+            return analyze(config, *stage_inputs)
 
-        monkeypatch.setattr(experiment, "run_experiment", counting_run)
+        monkeypatch.setattr(experiment, "_analyze", counting_run)
         base = _config(duration_s=50 * 5.0)
         kinds = ["rw", "random_walk", NoiseKind.RANDOM_WALK, "white", "rw"]
         results = sweep_noise_models(base, kinds, (True, False, True))
         assert list(results) == [("rw", True), ("rw", False), ("white", True), ("white", False)]
         walk, white, bound = NoiseKind.RANDOM_WALK, NoiseKind.WHITE, DEFAULT_SWEEP_BOUND_DEG
         assert calls == [(walk, bound), (walk, None), (white, bound), (white, None)]
+
+    def test_hops_are_simulated_once_per_sweep(self, monkeypatch):
+        sessions = []
+
+        def counting_session(hop, *args, **kwargs):
+            sessions.append(hop)
+            return run_sync_session(hop, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_sync_session", counting_session)
+        base = _config(duration_s=50 * 5.0, **BIASED_HOPS)
+        results = sweep_noise_models(base, ["white", "rw", "rw_mem"])
+        assert len(results) == 6
+        assert sessions == [base.hop1, base.hop2]
+
+    def test_shared_hops_match_separate_runs(self):
+        base = _config(duration_s=50 * 5.0, hop1=HopConfig(jitter_ns=0.5), tic_jitter_ns=0.3)
+        for (kind, bounded), result in sweep_noise_models(base, ["white", "rw_mem"]).items():
+            model = replace(base.model, kind=NoiseKind(kind), bound_deg=360.0 if bounded else None)
+            alone = run_experiment(replace(base, model=model))
+            for name in ("tic1_series", "tic2_series"):
+                got, want = getattr(result, name), getattr(alone, name)
+                assert got.samples_ns.tobytes() == want.samples_ns.tobytes()
+            assert result.summary == alone.summary
 
 
 class TestEmitOutputs:
