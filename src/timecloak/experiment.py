@@ -16,6 +16,7 @@ counter alone.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -84,6 +85,16 @@ def _safe_slope(curve: AdevCurve) -> float:
         return math.nan
 
 
+@contextmanager
+def _computing(quantity: str):
+    """Name the quantity being computed in an ArithmeticError raised inside."""
+    try:
+        yield
+    except ArithmeticError as exc:  # finite inputs whose arithmetic overflows
+        raise type(exc)(f"{quantity}: {exc}") from None
+
+
+@_computing("hop1 + hop2 time error")
 def _simulate_hops(config: ExperimentConfig) -> TimeErrorSeries:
     """Hop stage, which reads no noise model: both sessions' summed time error."""
     n = config.n_steps
@@ -96,28 +107,32 @@ def _simulate_hops(config: ExperimentConfig) -> TimeErrorSeries:
 
 def _codec(config: ExperimentConfig, schedule: PhaseSchedule, base: TimeErrorSeries):
     """Codec stage: encrypt, decrypt, then add the counter jitter; returns tic1, tic2."""
-    tic2 = apply_schedule(base, schedule, +1)
-    tic1 = apply_schedule(tic2, schedule, -1)
+    with _computing("tic2_series and tic1_series"):
+        tic2 = apply_schedule(base, schedule, +1)
+        tic1 = apply_schedule(tic2, schedule, -1)
     if config.tic_jitter_ns > 0:
         rng = np.random.default_rng((config.seed, 3))
-        jitter = rng.normal(0.0, config.tic_jitter_ns, config.n_steps)
-        tic1 = TimeErrorSeries(tic1.samples_ns + jitter, config.dwell_s)
+        with _computing("tic.jitter_ns counter jitter on tic1_series"):
+            # Generator.normal(0.0, scale) bit for bit, under numpy's overflow check
+            jitter = 0.0 + config.tic_jitter_ns * rng.standard_normal(config.n_steps)
+            tic1 = TimeErrorSeries(tic1.samples_ns + jitter, config.dwell_s)
     return tic1, tic2
 
 
 def _analyze(config: ExperimentConfig, schedule: PhaseSchedule, tic1, tic2) -> ExperimentResult:
     """Analysis stage: both Allan deviations and the summary."""
-    adev1 = overlapping_adev(tic1)
-    adev2 = overlapping_adev(tic2)
-    ratio = float(adev2.adev[0] / adev1.adev[0]) if adev1.adev[0] > 0 else math.inf
+    with _computing("adev1"):
+        adev1 = overlapping_adev(tic1)
+    with _computing("adev2"):
+        adev2 = overlapping_adev(tic2)
+    with _computing("adev_ratio_tau0"):
+        ratio = float(adev2.adev[0] / adev1.adev[0]) if adev1.adev[0] > 0 else math.inf
     moments = {}
     for label, series in (("tic1", tic1), ("tic2", tic2)):
         for stat in ("mean", "std"):
             field = f"{label}_{stat}_ns"
-            try:
+            with _computing(field):  # a sum or square of finite samples can overflow
                 moments[field] = float(getattr(series.samples_ns, stat)())
-            except FloatingPointError as exc:  # finite samples whose sum or square overflows
-                raise FloatingPointError(f"{field}: {exc}") from None
     summary = ExperimentSummary(
         **moments,
         adev_ratio_tau0=ratio,
@@ -144,8 +159,8 @@ def _run_stages(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full chain and analyze both monitoring paths. Finite inputs
-    whose arithmetic overflows raise FloatingPointError; in a summary mean
-    or standard deviation, its message names the field."""
+    whose arithmetic overflows raise FloatingPointError (OverflowError in
+    Python float code); its message names the quantity being computed."""
     return _run_stages([config])[0]
 
 

@@ -290,6 +290,33 @@ class TestSweep:
         assert "--bound-deg" in capsys.readouterr().err
 
 
+#: finite settings whose arithmetic overflows -> the quantity the error names
+OVERFLOW_PROBES = {
+    "link.jitter_ns=1e200": "adev_ratio_tau0",  # both deviations inf: inf / inf
+    "link.delay_fwd_ns=1e308": "adev_ratio_tau0",
+    "link.delay_bwd_ns=1e308": "adev_ratio_tau0",
+    "calib.bias_ns=1e308": "hop1 + hop2 time error",
+    "calib.bias_ns=-1e308": "hop1 + hop2 time error",
+    "link.jitter_ns=1e308": "hop1 + hop2 time error",  # inside a session
+    "calib.bias_ns=8.98846567431157e307,model.kind=rw,model.bias_deg=1e300": (
+        "tic2_series and tic1_series"  # the hop sum is about the largest float
+    ),
+    "tic.jitter_ns=1e308": "tic.jitter_ns counter jitter on tic1_series",
+    "link.jitter_ns=2e162": "adev1",  # the Allan sum overflows in math.fsum
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("settings, quantity", OVERFLOW_PROBES.items(), ids=list(OVERFLOW_PROBES))
+def test_overflow_error_names_its_quantity(command, settings, quantity, tmp_path, capsys):
+    argv = [command, "--out", str(tmp_path / "out"), "--set", "duration_s=50"]
+    for setting in settings.split(","):
+        argv += ["--set", setting]
+    err = _assert_clean_failure(argv, capsys)
+    assert err.startswith(f"error: {quantity}: "), err
+    assert not (tmp_path / "out").exists()
+
+
 class TestAdev:
     def test_analyzes_emitted_series(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_RUN)

@@ -233,6 +233,11 @@ class TestSweep:
                 assert got.samples_ns.tobytes() == want.samples_ns.tobytes()
             assert result.summary == alone.summary
 
+    def test_overflow_raises_for_library_callers(self):
+        cfg = build_experiment_config({"calib.bias_ns": "1e308", "duration_s": "50"})
+        with pytest.raises(FloatingPointError, match=r"^hop1 \+ hop2 time error: overflow"):
+            sweep_noise_models(cfg, ["rw"])
+
 
 class TestEmitOutputs:
     def test_file_set_and_row_counts(self, tmp_path):
