@@ -223,16 +223,6 @@ class TestSweep:
         assert len(results) == 6
         assert sessions == [base.hop1, base.hop2]
 
-    def test_shared_hops_match_separate_runs(self):
-        base = _config(duration_s=50 * 5.0, hop1=HopConfig(jitter_ns=0.5), tic_jitter_ns=0.3)
-        for (kind, bounded), result in sweep_noise_models(base, ["white", "rw_mem"]).items():
-            model = replace(base.model, kind=NoiseKind(kind), bound_deg=360.0 if bounded else None)
-            alone = run_experiment(replace(base, model=model))
-            for name in ("tic1_series", "tic2_series"):
-                got, want = getattr(result, name), getattr(alone, name)
-                assert got.samples_ns.tobytes() == want.samples_ns.tobytes()
-            assert result.summary == alone.summary
-
     def test_overflow_raises_for_library_callers(self):
         cfg = build_experiment_config({"calib.bias_ns": "1e308", "duration_s": "50"})
         with pytest.raises(FloatingPointError, match=r"^hop1 \+ hop2 time error: overflow"):

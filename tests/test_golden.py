@@ -261,7 +261,8 @@ def sweep_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep"
         argv = ["sweep", "--kinds", "white,rw,rw_lag,rw_mem", "--bounded", "both"]
-        argv += [arg for key, value in SWEEP_SETTINGS.items() for arg in ("--set", f"{key}={value}")]
+        for key, value in SWEEP_SETTINGS.items():
+            argv += ["--set", f"{key}={value}"]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             assert main([*argv, "--out", str(out)]) == 0
