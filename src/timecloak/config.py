@@ -103,6 +103,10 @@ class ExperimentConfig:
             )
         if steps > MAX_STEPS:
             raise ValueError(f"duration_s / dwell_s must be <= {MAX_STEPS}, got {steps!r}")
+        if round(steps) < 1:  # a ratio below 1e-9 passes the integer-multiple check
+            raise ValueError(
+                f"duration_s / dwell_s must be >= 1, got {self.duration_s!r} / {self.dwell_s!r}"
+            )
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration_s must be an integer multiple of dwell_s")
         if self.calib_window_steps >= round(steps):

@@ -108,7 +108,11 @@ def _simulate_hops(config: ExperimentConfig) -> TimeErrorSeries:
 def _codec(config: ExperimentConfig, schedule: PhaseSchedule, base: TimeErrorSeries):
     """Codec stage: encrypt, decrypt, then add the counter jitter; returns tic1, tic2."""
     with _computing("tic2_series and tic1_series"):
-        tic2 = apply_schedule(base, schedule, +1)
+        try:
+            tic2 = apply_schedule(base, schedule, +1)
+        except ValueError as exc:  # the schedule fits the series: a delay beyond the grid
+            keys = "model.bound_deg, model.C, model.bias_deg and carrier_hz"
+            raise ValueError(f"{exc}; {keys} set the delays") from None
         tic1 = apply_schedule(tic2, schedule, -1)
     if config.tic_jitter_ns > 0:
         rng = np.random.default_rng((config.seed, 3))

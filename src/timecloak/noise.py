@@ -29,7 +29,8 @@ stride lag, so every increment is known before the running sum. Near a
 huge phase (1e17 degrees, where one ulp is 16) a small step can vanish,
 the echoed sign is then 0 instead of the step's, and that schedule falls
 back to the step-by-step loop. The loop also builds the memory walk and
-every walk whose recursion runs on the bounded state.
+every walk whose recursion runs on the bounded state, the only schedules
+it bounds; the raw phases of any other are bounded in one array pass.
 """
 from __future__ import annotations
 
@@ -294,7 +295,7 @@ def generate_schedule(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             phases = np.asarray(_emitted_phases(digits, model), dtype=np.float64)
-        except ValueError:  # math.sin of an infinite phase
+        except ValueError:  # math.sin of an infinite phase fed back by _walk_loop
             phases = [math.inf]
     if not np.isfinite(phases).all():
         raise ValueError(f"divisor {model.divisor!r} is too small: the phases overflow")
@@ -302,8 +303,8 @@ def generate_schedule(
 
 
 def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray | list[float]:
-    """Phases from decoded digits: magnitudes are exact integers divided once, and
-    the signed steps go to array operations or to one sequential loop (_walk_loop)."""
+    """Phases from decoded digits: exact integer magnitudes divided once, signed steps
+    summed by array operations or by _walk_loop, raw phases bounded in one array pass."""
     pairs = digits[:, -2:].astype(np.float64)
     magnitudes = (16.0 * pairs[:, 0] + pairs[:, 1]) / model.divisor
     bound = model.bound_deg
@@ -311,17 +312,19 @@ def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray | l
         raw = magnitudes
     else:
         steps = np.where(digits[:, 0] >= model.sign_threshold, magnitudes, -magnitudes)
-        on_raw_state = bound is None or not model.bound_recursion
+        if bound is not None and model.bound_recursion:
+            return _walk_loop(steps.tolist(), model)
         raw = None
-        if model.kind is NoiseKind.RANDOM_WALK and on_raw_state:
+        if model.kind is NoiseKind.RANDOM_WALK:
             raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
-        elif model.kind is NoiseKind.RW_LAG and on_raw_state:
+        elif model.kind is NoiseKind.RW_LAG:
             raw = _lag_walk(steps, model.lag, model.bias_deg)
         if raw is None:
-            return _walk_loop(steps.tolist(), model)
-    if bound is None:
-        return raw
-    return [bound * math.sin(math.radians(p)) for p in raw.tolist()]
+            raw = np.array(_walk_loop(steps.tolist(), model))
+    if bound is not None:  # as bound_phase, in place: numpy's radians and sin round as math's
+        np.sin(np.radians(raw, out=raw), out=raw)
+        raw *= bound
+    return raw
 
 
 def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None:
@@ -353,9 +356,9 @@ def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None
 
 
 def _walk_loop(steps: list[float], model: NoiseModelSpec) -> list[float]:
-    """Emitted phases of any walk, one step at a time: the kernel for the
-    memory walk, for walks whose recursion runs on the bounded state, and
-    for a lag walk whose steps a large phase absorbs.
+    """Phases of any walk, one step at a time, bounded only if the bound is fed
+    back: the kernel for the memory walk, for walks whose recursion runs on the
+    bounded state, and for a lag walk whose steps a large phase absorbs.
 
     The first steps (up to the lag, before the memory, all of a plain walk)
     are plain walk steps. The window holds the last lag or memory
@@ -387,13 +390,9 @@ def _walk_loop(steps: list[float], model: NoiseModelSpec) -> list[float]:
             for increment in window:
                 total += increment
             value = prev + (total + step) / depth
-        if bound is not None:
-            bounded = bound * math.sin(math.radians(value))
-            emitted.append(bounded)
-            if feed_back:
-                value = bounded
-        else:
-            emitted.append(value)
+        if feed_back:
+            value = bound * math.sin(math.radians(value))
+        emitted.append(value)
         window.appendleft(value - prev)
         prev = value
     return emitted

@@ -38,6 +38,9 @@ seed = 2
 calib.bias_ns = 64.5
 """
 
+#: the config keys a delay-grid error names
+DELAY_KEYS = "model.bound_deg, model.C, model.bias_deg and carrier_hz"
+
 
 class TestKeygen:
     def test_writes_hex_file(self, tmp_path, capsys):
@@ -128,8 +131,10 @@ class TestRun:
             (["seed=-1"], "seed"),
             (["key.seed=-1"], "key.seed"),
             (["carrier_hz=1e-320", "duration_s=500"], "carrier_hz"),
+            # no step; the ratio, below 1e-9, passes the integer-multiple check
+            (["dwell_s=1e12", "duration_s=50"], "duration_s / dwell_s"),
         ],
-        ids=["tiny_dwell", "negative_seed", "negative_key_seed", "tiny_carrier"],
+        ids=["tiny_dwell", "negative_seed", "negative_key_seed", "tiny_carrier", "no_step"],
     )
     def test_bad_value_error_names_its_key(self, overrides, name, tmp_path, capsys):
         argv = ["run", "--out", str(tmp_path / "out")]
@@ -220,7 +225,7 @@ class TestRun:
             argv += ["--set", item]
         err = _assert_clean_failure(argv, capsys)
         assert err.startswith("error: delay ")
-        assert err.endswith(" ns is too large for the 2**-20 ns delay grid")
+        assert err.endswith(f" ns is too large for the 2**-20 ns delay grid; {DELAY_KEYS} set the delays")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -288,6 +293,17 @@ class TestSweep:
             main(["sweep", "--bound-deg", "90", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "--bound-deg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_delay_beyond_the_grid_names_its_keys(command, tmp_path, capsys):
+    # the bounded phases are finite, but 1e308 degrees is no delay on the grid
+    argv = [command, "--out", str(tmp_path / "out")]
+    argv += ["--set", "model.bound_deg=1e308", "--set", "duration_s=50"]
+    err = _assert_clean_failure(argv, capsys)
+    assert err.startswith("error: delay ")
+    assert err.endswith(f"delay grid; {DELAY_KEYS} set the delays")
+    assert not (tmp_path / "out").exists()
 
 
 #: finite settings whose arithmetic overflows -> the quantity the error names

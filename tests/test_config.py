@@ -269,6 +269,10 @@ FAULTS = {
         {"duration_s": str(2**26 + 1), "dwell_s": "1"},
         "duration_s / dwell_s must be <= 67108864, got 67108865.0",
     ),
+    "no_step": (
+        {"duration_s": "50", "dwell_s": "1e12"},
+        "duration_s / dwell_s must be >= 1, got 50.0 / 1000000000000.0",
+    ),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timecloak import noise
 from timecloak.keys import HexKeyStream, KeyExhaustedError, mock_qkd_source
 from timecloak.noise import (
     DELAY_GRID_NS,
@@ -350,6 +351,43 @@ class TestArraySchedulesMatchStepwise:
         # repr tells -0.0 from 0.0, as the CSV output would
         assert repr(schedule.phases_deg) == repr(expected)
         assert stream.cursor == reference.cursor == model.digits_per_step * n_steps
+
+    @pytest.mark.parametrize("bound", [360.0, 1e300])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_raw_state_bound_across_magnitudes(self, kind, bound):
+        # raw phases of both signs from 1e-300 to 1e300 degrees: steps scaled by the
+        # divisor, or a bias that absorbs the steps (the lag walk falls back to its
+        # loop); plus -0.0 phases from zero digits below the sign threshold
+        key = mock_qkd_source(8, 60).digits
+        cases = [(4.0, -0.0, bytes(60))]
+        for scale in (1e-300, 1e-150, 1e-5, 1.0, 1e17, 1e150, 1e300):
+            cases += [(1.0 / scale, 0.0, key), (4.0, scale, _ABSORBED_DIGITS), (4.0, -scale, key)]
+        for divisor, bias, digits in cases:
+            model = NoiseModelSpec(
+                kind=kind, divisor=divisor, lag=3, memory=3, bias_deg=bias, bound_deg=bound
+            )
+            n_steps = len(digits) // model.digits_per_step
+            schedule = generate_schedule(HexKeyStream(digits), model, n_steps)
+            expected = tuple(_reference_schedule(HexKeyStream(digits), model, n_steps))
+            assert repr(schedule.phases_deg) == repr(expected), (divisor, bias)
+
+    def test_only_a_fed_back_bound_calls_math_sin(self, monkeypatch):
+        # the raw-state bound is one array pass, whatever path built the raw phases
+        class SinCalled(Exception):
+            pass
+
+        def no_sin(x):
+            raise SinCalled
+
+        monkeypatch.setattr(noise.math, "sin", no_sin)
+        for kind in NoiseKind:
+            model = NoiseModelSpec(kind=kind, lag=3, memory=3, bound_deg=360.0)
+            assert len(generate_schedule(mock_qkd_source(5, 120), model, 40)) == 40
+        absorbed = NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=3, bias_deg=1e17, bound_deg=360.0)
+        assert len(generate_schedule(HexKeyStream(_ABSORBED_DIGITS), absorbed, 20)) == 20
+        fed_back = NoiseModelSpec(kind=NoiseKind.RANDOM_WALK, bound_deg=360.0, bound_recursion=True)
+        with pytest.raises(SinCalled):
+            generate_schedule(mock_qkd_source(5, 120), fed_back, 40)
 
 
 class TestPhaseToDelay:
