@@ -78,6 +78,22 @@ def _cases() -> dict[str, ExperimentConfig]:
         ),
         hop2=HopConfig(delay_forward_ns=60, delay_backward_ns=40, jitter_ns=2.5, gain=1.9),
     )
+    # the benchmark's headline hops: noisy, asymmetric hop 1, integer-ns timestamps
+    headline_hop = dict(jitter_ns=0.1, gain=0.7, bias_ns=12.0)
+    cases["rw_noisy_integer_ns_hops"] = _config(
+        NoiseModelSpec(kind=NoiseKind.RANDOM_WALK),
+        calib_window_steps=200,
+        hop1=HopConfig(delay_forward_ns=5000.0, delay_backward_ns=5020.0, **headline_hop),
+        hop2=HopConfig(**headline_hop),
+    )
+    # 100 dwells of 1e5 s: the last epochs pass 2**53 ns
+    cases["rw_long_epochs"] = _config(
+        NoiseModelSpec(kind=NoiseKind.RANDOM_WALK),
+        dwell_s=1e5,
+        duration_s=1e7,
+        hop1=HopConfig(delay_forward_ns=5000.0, delay_backward_ns=5020.0, **headline_hop),
+        hop2=HopConfig(delay_forward_ns=60.0, delay_backward_ns=40.0, jitter_ns=2.5),
+    )
     cases["white_calibration_window"] = _config(
         NoiseModelSpec(kind=NoiseKind.WHITE),
         calib_window_steps=200,
