@@ -103,14 +103,17 @@ class ExperimentConfig:
             )
         if steps > MAX_STEPS:
             raise ValueError(f"duration_s / dwell_s must be <= {MAX_STEPS}, got {steps!r}")
-        if round(steps) < 1:  # a ratio below 1e-9 passes the integer-multiple check
-            raise ValueError(
-                f"duration_s / dwell_s must be >= 1, got {self.duration_s!r} / {self.dwell_s!r}"
-            )
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration_s must be an integer multiple of dwell_s")
+        if round(steps) < 3:  # also a ratio below 1e-9, which passes the integer-multiple check
+            raise ValueError(  # the fewest samples an Allan deviation takes
+                f"duration_s / dwell_s must be >= 3, got {self.duration_s!r} / {self.dwell_s!r}"
+            )
         if self.calib_window_steps >= round(steps):
-            raise ValueError("calibration window must leave at least one encrypted step")
+            raise ValueError(
+                "calib.window_steps must leave at least one encrypted step, got "
+                f"{self.calib_window_steps!r} of {round(steps)} steps"
+            )
 
     @property
     def n_steps(self) -> int:

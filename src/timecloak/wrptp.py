@@ -12,6 +12,13 @@ plain-counter pole of the phase-detector model); sub-nanosecond effects
 enter only through jitter draws before rounding. The slave is syntonized
 to the master, as White Rabbit's SyncE keeps it, so it does not drift
 between rounds; a session starts it at the master's time.
+
+A session of integer-ns rounds holds its timestamps as integer-valued
+float64 and rounds with v + R - R, R = 1.5 * 2**52, which is Python's
+half-even round() while |v| <= 2**51. Its results are kept only while
+every timestamp stays below 2**50 ns (about 13 days of epochs), where
+each step is exact. A quantized hop, or a session that reaches 2**50 ns,
+runs on Python ints, exact at any size. Both give the same bytes.
 """
 from __future__ import annotations
 
@@ -113,6 +120,13 @@ def run_sync_session(
     order, starting from a slave at offset 0. All jitter comes from one
     standard-normal call, in the order the rounds of exchange() draw it: t2
     then t4 of each round. The hop's gain is in (0, 2): HopConfig checks it.
+
+    A hop with integer-ns timestamps (quantization_ns 0) runs on float64
+    timestamps, rounded half-even by adding and subtracting 1.5 * 2**52,
+    while every timestamp stays below 2**50 ns. A quantized hop, a session
+    whose epochs and delays reach 2**50 ns (about 13 days), and one whose
+    offsets or jitter take a timestamp there run on exact Python ints. An
+    overflowing float raises OverflowError there, in round().
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -126,22 +140,88 @@ def run_sync_session(
         if rng is None:
             raise ValueError("a noisy session needs a random generator (rng)")
         noise = hop.jitter_ns * rng.standard_normal((n_rounds, 2)).T
+    epochs = np.rint(np.arange(n_rounds) * round_interval_s * 1e9)  # t1 in ns, before quantizing
 
+    delays_ns = (hop.delay_forward_ns, hop.turnaround_ns, hop.delay_backward_ns)  # each >= 0
+    # each delay is compared alone first, so that no huge int meets a float in the sum
+    if hop.quantization_ns == 0 and max(delays_ns) < _FLOAT_LIMIT_NS:
+        if float(epochs[-1]) + sum(delays_ns) < _FLOAT_LIMIT_NS:
+            residuals = _float_rounds(hop, epochs, noise)
+            if residuals is not None:
+                return TimeErrorSeries(residuals, round_interval_s)
+    return TimeErrorSeries(_int_rounds(hop, epochs, noise), round_interval_s)
+
+
+_FLOAT_LIMIT_NS = 2.0**50  # every timestamp of the float rounds stays below this
+_ROUNDER = 1.5 * 2.0**52  # v + R - R is v rounded half-even for |v| <= 2**51
+
+
+def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.ndarray | None:
+    """The rounds of an integer-ns hop on integer-valued float64 timestamps,
+    or None where a timestamp may have reached 2**50 ns.
+
+    For |v| <= 2**51, v + R lies in [2**52, 2**53], where the floats are the
+    integers, and R is even: v + R - R is round(v), ties to even as Python's
+    round() breaks them. Below 2**53, the int operations of the int rounds
+    (t2 + turnaround_ns, t4 - t1, t3 - t2, t2 - t1) are exact in float64, and
+    so is each int -> float conversion, so the residuals are bit-identical to
+    those of _int_rounds.
+    """
+    arrivals = epochs + hop.delay_forward_ns
+    # both are below 2**50, so converting them is exact
+    turnaround_ns, d_bwd = float(hop.turnaround_ns), float(hop.delay_backward_ns)
+    gain, bias_ns, R = hop.gain, hop.bias_ns, _ROUNDER
+
+    residuals: list[float] = []
+    offset = 0.0
+    for t1, arrival, noise2, noise4 in zip(epochs.data, arrivals.data, noise[0].data, noise[1].data):
+        t2 = arrival + offset + noise2 + R - R
+        t3 = t2 + turnaround_ns + R - R
+        t4 = t3 - offset + d_bwd + noise4 + R - R
+        delay = ((t4 - t1) - (t3 - t2)) / 2.0
+        recovered = (t2 - t1) - delay
+        offset = offset - gain * recovered
+        residuals.append(offset + bias_ns)
+    residuals = np.array(residuals)
+
+    # Each round's offset is an earlier residual less bias_ns, so |offset| <= max|residual| +
+    # |bias_ns|, up to a relative 2**-52. With 0 <= t1 <= arrival <= arrivals[-1]:
+    #   |t2| <= arrival + |offset| + |noise2| + 1/2,   |t3| <= |t2| + turnaround_ns + 1/2,
+    #   |t4| <= |t3| + |offset| + d_bwd + |noise4| + 1/2,
+    # and each value before its rounding obeys the same bound less the 1/2. The sum below
+    # bounds them all; its own float rounding and the 2**-52 stay far inside the + 2. Below
+    # 2**50 every step is exact, with room to spare. In the loop, Python float arithmetic
+    # gives inf or NaN silently where the int rounds raise OverflowError; both fail the test,
+    # which runs on Python floats so that no numpy overflow check fires on the way.
+    peak = _max_abs(residuals) + abs(bias_ns) + _max_abs(noise)
+    if float(arrivals[-1]) + turnaround_ns + d_bwd + 2 * peak + 2 < _FLOAT_LIMIT_NS:
+        return residuals
+    return None
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """The largest magnitude in an array, as a Python float, with no temporary array."""
+    return max(-float(values.min()), float(values.max()))
+
+
+def _int_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> list[float]:
+    """The rounds on Python int timestamps: exact at any size and for any
+    quantization step. A float that overflows raises OverflowError in round()."""
     q = hop.quantization_ns
     quantize = _quantizer(q)
     d_fwd = hop.delay_forward_ns
-    # t1 = quantize(round(i * round_interval_s * 1e9)); numpy gives the same ints while int64
-    # holds them and q is exact as a float. int64 -> float64 rounds half-even as int -> float
-    # does, so t1 + d_fwd for a float d_fwd is Python's too; an int d_fwd keeps the exact int
-    # sum of the lists. Buffers iterate as Python ints and floats.
-    if last_epoch_ns < 2.0**62 and q < 2**53 and isinstance(d_fwd, float):
-        epochs = np.rint(np.arange(n_rounds) * round_interval_s * 1e9).astype(np.int64)
-        epochs = np.rint(epochs / q).astype(np.int64) * q if q > 0 else epochs
-        arrivals = (epochs + d_fwd).data
-        epochs = epochs.data
+    # numpy gives t1 = quantize(round(epoch)) while int64 holds it and q is exact as a float.
+    # int64 -> float64 rounds half-even as int -> float does, so t1 + d_fwd for a float d_fwd
+    # is Python's too; an int d_fwd keeps the exact int sum of the lists. Buffers iterate as
+    # Python ints and floats.
+    if epochs[-1] < 2.0**62 and q < 2**53 and isinstance(d_fwd, float):
+        t1s = epochs.astype(np.int64)
+        t1s = np.rint(t1s / q).astype(np.int64) * q if q > 0 else t1s
+        arrivals = (t1s + d_fwd).data
+        t1s = t1s.data
     else:
-        epochs = [quantize(round(i * round_interval_s * 1e9)) for i in range(n_rounds)]
-        arrivals = [t1 + d_fwd for t1 in epochs]
+        t1s = [quantize(round(epoch)) for epoch in epochs.data]
+        arrivals = [t1 + d_fwd for t1 in t1s]
     d_bwd = hop.delay_backward_ns
     gain = hop.gain
     turnaround_ns = hop.turnaround_ns
@@ -151,7 +231,7 @@ def run_sync_session(
 
     residuals: list[float] = []
     offset = 0.0
-    for t1, arrival, noise2, noise4 in zip(epochs, arrivals, noise[0].data, noise[1].data):
+    for t1, arrival, noise2, noise4 in zip(t1s, arrivals, noise[0].data, noise[1].data):
         t2 = quantize(arrival + offset + noise2)
         t3 = t2 + turnaround_ns if exact_turnaround else quantize(t2 + turnaround_ns)
         t4 = quantize(t3 - offset + d_bwd + noise4)
@@ -159,4 +239,4 @@ def run_sync_session(
         recovered = (t2 - t1) - delay
         offset = offset - gain * recovered
         residuals.append(offset + bias_ns)
-    return TimeErrorSeries(np.array(residuals), round_interval_s)
+    return residuals

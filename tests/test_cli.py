@@ -2,23 +2,27 @@ import contextlib
 import gzip
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import threading
 import urllib.request
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import timecloak
 from timecloak.cli import main
-from timecloak.config import _KEYS
+from timecloak.config import _KEYS, MAX_STEPS, ExperimentConfig, HopConfig
+from timecloak.experiment import ExperimentResult, ExperimentSummary
 from timecloak.keys import load_keys
 from timecloak.linkbudget import ChannelParams, feasibility_report, report_csv
+from timecloak.noise import NoiseModelSpec
 from timecloak.stability import TimeErrorSeries, overlapping_adev
 
 
@@ -331,6 +335,69 @@ def test_overflow_error_names_its_quantity(command, settings, quantity, tmp_path
     err = _assert_clean_failure(argv, capsys)
     assert err.startswith(f"error: {quantity}: "), err
     assert not (tmp_path / "out").exists()
+
+
+#: what an exit-2 line may name: a config key or field, a result or summary field, a stage
+_NAMED = {
+    *_KEYS,
+    *(name for _, name, _ in _KEYS.values()),
+    *(f.name for cls in (ExperimentConfig, HopConfig, NoiseModelSpec) for f in fields(cls)),
+    *(f.name for cls in (ExperimentResult, ExperimentSummary) for f in fields(cls)),
+    "hop1 + hop2 time error",
+    "tic2_series and tic1_series",
+    "duration_s / dwell_s",
+}
+_NAMES_A_QUANTITY = re.compile(
+    "|".join(rf"(?<!\w){re.escape(name)}(?!\w)" for name in sorted(_NAMED, key=len, reverse=True))
+)
+#: every key but key.path, whose reads fail as I/O (exit 4)
+_FUZZ_KEYS = sorted(key for key in _KEYS if key != "key.path")
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-5e-324", "1e-290"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.sampled_from(["", " ", "\t"]),
+    st.text(max_size=6),
+)
+
+
+def _dwells(settings: dict[str, str]) -> float:
+    """The dwell count a run would have, or 0 where its values do not parse."""
+    try:
+        return float(settings.get("duration_s", "50")) / float(settings.get("dwell_s", "5"))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return 0.0
+
+
+def _run_with_probes(test):
+    for probe in OVERFLOW_PROBES:
+        test = example(settings=dict(item.split("=", 1) for item in probe.split(",")))(test)
+    return test
+
+
+@_run_with_probes
+@given(settings=st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_set_fuzz_runs_or_fails_cleanly(settings):
+    # a config that is run has at most 100 dwells; MAX_STEPS rejects larger counts itself
+    assume(not 100 < _dwells(settings) <= MAX_STEPS)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["run", "--out", str(out), "--set", "duration_s=50"]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3), stderr.getvalue()
+        if code == 0:
+            for line in (out / "summary.txt").read_text().splitlines():
+                float(line.split(" = ", 1)[1])
+            return
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
+    if code == 2:
+        assert _NAMES_A_QUANTITY.search(lines[0]), lines[0]
 
 
 class TestAdev:

@@ -271,8 +271,10 @@ FAULTS = {
     ),
     "no_step": (
         {"duration_s": "50", "dwell_s": "1e12"},
-        "duration_s / dwell_s must be >= 1, got 50.0 / 1000000000000.0",
+        "duration_s / dwell_s must be >= 3, got 50.0 / 1000000000000.0",
     ),
+    # too few samples for an Allan deviation
+    "two_steps": ({"duration_s": "10"}, "duration_s / dwell_s must be >= 3, got 10.0 / 5.0"),
 }
 
 

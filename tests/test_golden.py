@@ -3,7 +3,8 @@ config matrix, compared with the digests stored in tests/golden/.
 
 The matrix covers the four noise kinds, each unbounded and bounded, each
 walk with its recursion on the bounded state, one config with noisy,
-quantized hops and one with a calibration window. The `timecloak adev`
+quantized hops, one with the benchmark's noisy integer-ns hops, one whose
+epochs pass 2**53 ns and one with a calibration window. The `timecloak adev`
 cases hash the curve it writes to a file and to standard output for a
 fixed series, with tau0 inferred from its time_s column and given by
 --tau0; their digests are in tests/golden/adev_digests.json. The writer

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import quartet_from_parameters
+from timecloak import wrptp
 from timecloak.config import HopConfig
 from timecloak.stability import TimeErrorSeries
 from timecloak.wrptp import (
@@ -305,6 +306,53 @@ class TestKernelMatchesSingleStepReference:
         round_interval_s=1e8,
         seed=4,
     )
+    # last epochs just under and just over 2**50 ns, the float rounds' limit
+    @example(
+        hop=HopConfig(delay_forward_ns=5000.0, delay_backward_ns=5020.0, jitter_ns=0.3),
+        n_rounds=3,
+        round_interval_s=562949.95,
+        seed=5,
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=5000.0, delay_backward_ns=5020.0, jitter_ns=0.3),
+        n_rounds=3,
+        round_interval_s=562949.96,
+        seed=6,
+    )
+    # draws of about 1e20 ns: the float rounds run, fail their check and give way
+    @example(hop=HopConfig(jitter_ns=1e20), n_rounds=5, round_interval_s=1.0, seed=7)
+    # a gain near 2: the servo overshoots by almost the whole offset every round
+    @example(
+        hop=HopConfig(delay_forward_ns=60.0, delay_backward_ns=40.0, jitter_ns=2.0, gain=1.999),
+        n_rounds=40,
+        round_interval_s=1.0,
+        seed=8,
+    )
+    # exact .5 ties in t2 and t3, on even and odd epochs 1 ns apart
+    @example(
+        hop=HopConfig(delay_forward_ns=0.5, turnaround_ns=2.5),
+        n_rounds=40,
+        round_interval_s=1e-9,
+        seed=0,
+    )
+    # round 0 draws -2.41 ns for t2 with no forward delay, so t2 rounds a value below zero;
+    # past it the recovered offsets read the negative half asymmetry
+    @example(
+        hop=HopConfig(delay_backward_ns=1e5, jitter_ns=3.0, gain=1.999),
+        n_rounds=40,
+        round_interval_s=0.1,
+        seed=5,
+    )
+    # int delays from a library HopConfig: one the float rounds add exactly, one past 2**50
+    @example(
+        hop=HopConfig(delay_forward_ns=7, jitter_ns=0.3), n_rounds=40, round_interval_s=1.0, seed=9
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=2**60, jitter_ns=0.3),
+        n_rounds=40,
+        round_interval_s=1.0,
+        seed=10,
+    )
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, hop, n_rounds, round_interval_s, seed):
         reference_rng = np.random.default_rng(seed)
@@ -314,3 +362,54 @@ class TestKernelMatchesSingleStepReference:
         series = run_sync_session(hop, n_rounds, round_interval_s, rng=rng)
         assert series.samples_ns.tobytes() == np.array(expected).tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+HEADLINE_HOP = HopConfig(5000.0, 5020.0, jitter_ns=0.1, gain=0.7, bias_ns=12.0)
+
+
+class TestSessionPath:
+    """Which rounds a session runs. The path that must not run raises, so
+    that a silent fallback cannot hide behind correct bytes."""
+
+    @staticmethod
+    def _record(monkeypatch, refuse=None):
+        calls = []
+        for name in ("_float_rounds", "_int_rounds"):
+            def spy(*args, name=name, rounds=getattr(wrptp, name)):
+                calls.append(name)
+                if name == refuse:
+                    raise AssertionError(f"{name} ran")
+                return rounds(*args)
+            monkeypatch.setattr(wrptp, name, spy)
+        return calls
+
+    def test_headline_hop_runs_float_rounds(self, monkeypatch):
+        # a 32,000-round session of the benchmark's first hop, then the int rounds alone
+        with monkeypatch.context() as patch:
+            calls = self._record(patch, refuse="_int_rounds")
+            floats = run_sync_session(HEADLINE_HOP, 32_000, 5.0, np.random.default_rng((1, 1)))
+        assert calls == ["_float_rounds"]
+        monkeypatch.setattr(wrptp, "_float_rounds", lambda *args: None)
+        ints = run_sync_session(HEADLINE_HOP, 32_000, 5.0, np.random.default_rng((1, 1)))
+        assert floats.samples_ns.tobytes() == ints.samples_ns.tobytes()
+
+    @pytest.mark.parametrize(
+        "hop, interval",
+        [(HEADLINE_HOP, 1e8), (HopConfig(5000.0, 5020.0, 0.1, quantization_ns=8), 5.0)],
+        ids=["epochs_past_2_50", "quantized"],
+    )
+    def test_int_rounds_run_without_float_rounds(self, monkeypatch, hop, interval):
+        calls = self._record(monkeypatch, refuse="_float_rounds")
+        run_sync_session(hop, 40, interval, np.random.default_rng(2))
+        assert calls == ["_int_rounds"]
+
+    @pytest.mark.parametrize(
+        "hop", [HopConfig(jitter_ns=1e20), HopConfig(bias_ns=1e308)], ids=["jitter", "bias"]
+    )
+    def test_float_rounds_give_way_past_their_limit(self, monkeypatch, hop):
+        calls = self._record(monkeypatch)
+        # the check after the float rounds raises no numpy overflow error of its own
+        with np.errstate(over="raise", invalid="raise"):
+            series = run_sync_session(hop, 5, 1.0, np.random.default_rng(3))
+        assert calls == ["_float_rounds", "_int_rounds"]
+        assert np.all(np.isfinite(series.samples_ns))
