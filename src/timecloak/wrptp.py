@@ -17,12 +17,16 @@ A session of integer-ns rounds holds its timestamps as integer-valued
 float64 and rounds with v + R - R, R = 1.5 * 2**52, which is Python's
 half-even round() while |v| <= 2**51. Its results are kept only while
 every timestamp stays below 2**50 ns (about 13 days of epochs), where
-each step is exact. A quantized hop, or a session that reaches 2**50 ns,
-runs on Python ints, exact at any size. Both give the same bytes.
+each step is exact. A locked servo keeps the same offset for long
+stretches; once a chunk of rounds has kept it, the next rounds run as
+float64 array operations at that offset, up to the first round that
+changes it. A quantized hop, or a session that reaches 2**50 ns, runs on
+Python ints, exact at any size. All give the same bytes.
 """
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -123,10 +127,13 @@ def run_sync_session(
 
     A hop with integer-ns timestamps (quantization_ns 0) runs on float64
     timestamps, rounded half-even by adding and subtracting 1.5 * 2**52,
-    while every timestamp stays below 2**50 ns. A quantized hop, a session
-    whose epochs and delays reach 2**50 ns (about 13 days), and one whose
-    offsets or jitter take a timestamp there run on exact Python ints. An
-    overflowing float raises OverflowError there, in round().
+    while every timestamp stays below 2**50 ns. Its rounds run on Python
+    floats until a chunk of them keeps the servo offset unchanged; then the
+    rounds that follow run as array operations at that offset, the same
+    operations in the same order, until one changes it. A quantized hop, a
+    session whose epochs and delays reach 2**50 ns (about 13 days), and one
+    whose offsets or jitter take a timestamp there run on exact Python ints.
+    An overflowing float raises OverflowError there, in round().
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -154,6 +161,7 @@ def run_sync_session(
 
 _FLOAT_LIMIT_NS = 2.0**50  # every timestamp of the float rounds stays below this
 _ROUNDER = 1.5 * 2.0**52  # v + R - R is v rounded half-even for |v| <= 2**51
+_CHUNK = 64  # scalar rounds between checks for a held offset; the first array span
 
 
 def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.ndarray | None:
@@ -165,35 +173,76 @@ def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.n
     round() breaks them. Below 2**53, the int operations of the int rounds
     (t2 + turnaround_ns, t4 - t1, t3 - t2, t2 - t1) are exact in float64, and
     so is each int -> float conversion, so the residuals are bit-identical to
-    those of _int_rounds.
+    those of _int_rounds. The servo step's ((t2 - t1) - (t4 - t3)) / 2 is
+    compute_delay_offset's (t2 - t1) - delay: both are exact on integers below
+    2**51, and neither is ever -0.0.
+
+    Rounds run on Python floats, _CHUNK at a time. Once a whole chunk has
+    left the offset as it was, the next rounds run as array operations at
+    that offset, the same operations in the same order: the leading rounds
+    whose new offset equals it are kept, and so is the first that changes it,
+    whose input offset was the held one; scalar rounds resume after it. A
+    span that keeps the offset throughout is kept whole, and the next one is
+    twice as long.
     """
+    n = len(epochs)
     arrivals = epochs + hop.delay_forward_ns
     # both are below 2**50, so converting them is exact
     turnaround_ns, d_bwd = float(hop.turnaround_ns), float(hop.delay_backward_ns)
-    gain, bias_ns, R = hop.gain, hop.bias_ns, _ROUNDER
+    gain, R = hop.gain, _ROUNDER
+    columns = (epochs, arrivals, noise[0], noise[1])
 
-    residuals: list[float] = []
+    offsets = np.empty(n)
     offset = 0.0
-    for t1, arrival, noise2, noise4 in zip(epochs.data, arrivals.data, noise[0].data, noise[1].data):
-        t2 = arrival + offset + noise2 + R - R
-        t3 = t2 + turnaround_ns + R - R
-        t4 = t3 - offset + d_bwd + noise4 + R - R
-        delay = ((t4 - t1) - (t3 - t2)) / 2.0
-        recovered = (t2 - t1) - delay
-        offset = offset - gain * recovered
-        residuals.append(offset + bias_ns)
-    residuals = np.array(residuals)
+    done = 0  # rounds whose offsets are in offsets
+    with np.errstate(all="ignore"):  # inf and NaN fail the check after the loop
+        while done < n:
+            # scalar rounds, a chunk at a time, until a chunk keeps its offset
+            rounds = zip(*(column[done:].data for column in columns))
+            run: list[float] = []
+            while True:
+                held = offset
+                for t1, arrival, noise2, noise4 in islice(rounds, _CHUNK):
+                    t2 = arrival + offset + noise2 + R - R
+                    t3 = t2 + turnaround_ns + R - R
+                    t4 = t3 - offset + d_bwd + noise4 + R - R
+                    offset = offset - gain * (((t2 - t1) - (t4 - t3)) / 2.0)
+                    run.append(offset)
+                if done + len(run) == n or (
+                    offset == held and run[-_CHUNK:].count(held) == _CHUNK
+                ):
+                    break
+            offsets[done : done + len(run)] = run
+            done += len(run)
 
-    # Each round's offset is an earlier residual less bias_ns, so |offset| <= max|residual| +
-    # |bias_ns|, up to a relative 2**-52. With 0 <= t1 <= arrival <= arrivals[-1]:
-    #   |t2| <= arrival + |offset| + |noise2| + 1/2,   |t3| <= |t2| + turnaround_ns + 1/2,
-    #   |t4| <= |t3| + |offset| + d_bwd + |noise4| + 1/2,
-    # and each value before its rounding obeys the same bound less the 1/2. The sum below
-    # bounds them all; its own float rounding and the 2**-52 stay far inside the + 2. Below
-    # 2**50 every step is exact, with room to spare. In the loop, Python float arithmetic
-    # gives inf or NaN silently where the int rounds raise OverflowError; both fail the test,
-    # which runs on Python floats so that no numpy overflow check fires on the way.
-    peak = _max_abs(residuals) + abs(bias_ns) + _max_abs(noise)
+            # array spans at the held offset, until a round changes it
+            span = _CHUNK
+            while done < n:
+                t1, arrival, noise2, noise4 = (column[done : done + span] for column in columns)
+                t2 = arrival + offset + noise2 + R - R
+                t3 = t2 + turnaround_ns + R - R
+                t4 = t3 - offset + d_bwd + noise4 + R - R
+                stepped = offset - gain * (((t2 - t1) - (t4 - t3)) / 2.0)
+                changes = np.flatnonzero(stepped != offset)
+                kept = int(changes[0]) + 1 if len(changes) else len(stepped)
+                offsets[done : done + kept] = stepped[:kept]
+                done += kept
+                offset = float(stepped[kept - 1])
+                if len(changes):
+                    break
+                span *= 2
+        residuals = offsets + hop.bias_ns
+
+        # Each round's offset is an earlier residual less bias_ns, so |offset| <= max|residual| +
+        # |bias_ns|, up to a relative 2**-52. With 0 <= t1 <= arrival <= arrivals[-1]:
+        #   |t2| <= arrival + |offset| + |noise2| + 1/2,   |t3| <= |t2| + turnaround_ns + 1/2,
+        #   |t4| <= |t3| + |offset| + d_bwd + |noise4| + 1/2,
+        # and each value before its rounding obeys the same bound less the 1/2. The sum below
+        # bounds them all; its own float rounding and the 2**-52 stay far inside the + 2. Below
+        # 2**50 every step is exact, with room to spare. Overflow gives inf or NaN silently in
+        # the rounds, where the int rounds raise OverflowError; both fail the test, which runs
+        # on Python floats.
+        peak = _max_abs(residuals) + abs(hop.bias_ns) + _max_abs(noise)
     if float(arrivals[-1]) + turnaround_ns + d_bwd + 2 * peak + 2 < _FLOAT_LIMIT_NS:
         return residuals
     return None

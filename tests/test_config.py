@@ -7,6 +7,8 @@ raise ValueError with exactly the text given.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,21 @@ def test_whole_turnaround_stored_as_int(turnaround):
 
 def test_fractional_turnaround_kept_as_float():
     assert HopConfig(turnaround_ns=1234.5).turnaround_ns == 1234.5
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(HopConfig)])
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+def test_int_beyond_float_range_rejected(field, value):
+    # library callers only: the config parser reads these keys as floats or small ints
+    with pytest.raises(
+        ValueError, match=rf"^HopConfig\.{field} must fit in a float, got an int of 1329 bits$"
+    ):
+        HopConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("delay_forward_ns", 2**60), ("bias_ns", -(2**1023))])
+def test_large_int_inside_float_range_kept(field, value):
+    assert getattr(HopConfig(**{field: value}), field) == value
 
 
 def test_config_turnaround_gives_the_default_session_past_2_53_ns():

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ def _reference_residuals(hop, n_rounds, round_interval_s, rng):
     return residuals
 
 
+def _assert_matches_reference(hop, n_rounds, round_interval_s, seed):
+    """The session's residuals and generator state are those of the
+    single-step reference on the same seed."""
+    reference_rng = np.random.default_rng(seed)
+    expected = _reference_residuals(hop, n_rounds, round_interval_s, reference_rng)
+    rng = np.random.default_rng(seed)
+    # the bytes tell -0.0 from 0.0
+    series = run_sync_session(hop, n_rounds, round_interval_s, rng=rng)
+    assert series.samples_ns.tobytes() == np.array(expected).tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 _jitter = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0))
 _ns = st.floats(min_value=0.0, max_value=1e5)
 
@@ -355,16 +368,84 @@ class TestKernelMatchesSingleStepReference:
     )
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, hop, n_rounds, round_interval_s, seed):
-        reference_rng = np.random.default_rng(seed)
-        expected = _reference_residuals(hop, n_rounds, round_interval_s, reference_rng)
-        rng = np.random.default_rng(seed)
-        # the bytes tell -0.0 from 0.0
-        series = run_sync_session(hop, n_rounds, round_interval_s, rng=rng)
-        assert series.samples_ns.tobytes() == np.array(expected).tobytes()
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        _assert_matches_reference(hop, n_rounds, round_interval_s, seed)
 
 
 HEADLINE_HOP = HopConfig(5000.0, 5020.0, jitter_ns=0.1, gain=0.7, bias_ns=12.0)
+GOLDEN_NOISY_HOP = HopConfig(delay_forward_ns=60, delay_backward_ns=40, jitter_ns=2.5, gain=1.9)
+
+
+def _count_scalar_rounds(monkeypatch):
+    """A one-item list that counts the rounds _float_rounds runs one at a
+    time: it takes them from islice, and the array spans do not."""
+    scalar = [0]
+
+    def counting_islice(iterable, stop):
+        for item in islice(iterable, stop):
+            scalar[0] += 1
+            yield item
+
+    monkeypatch.setattr(wrptp, "islice", counting_islice)
+    return scalar
+
+
+class TestArraySpansMatchSingleStepReference:
+    """Sessions long enough for a held offset, where rounds run as array
+    spans. The comments give where the rounds run scalar (S) and as array
+    spans (A) and where a round changes the offset, in rounds from 0; each
+    case asserts that an array span ran."""
+
+    @pytest.mark.parametrize(
+        "hop, n_rounds, seed",
+        [
+            # no jitter: S 0-127, then A 128-191 and 192-299 hold to the last round
+            (HopConfig(5000.0, 5020.0, gain=0.7, bias_ns=12.0), 300, 0),
+            # a symmetric hop never changes its offset: S 0-63, then A to the end
+            (HopConfig(jitter_ns=0.1, gain=0.7), 300, 0),
+            # the headline hop: S 0-319, A 320-383 and 384-399 hold to the last round
+            (HEADLINE_HOP, 400, 0),
+            # a change inside a doubled span: A 192-319 changes at 214, S resumes at 215
+            (HEADLINE_HOP, 400, 2),
+            # a change at the last round of a span: A 128-191 changes at 191
+            (HEADLINE_HOP, 400, 36),
+            # a change at the first round of a span: S 267-330, then A 331-394 changes at 331
+            (HEADLINE_HOP, 400, 230),
+            # a fractional turnaround rounds t3 too: S 0-127, A 128-191 changes at 136
+            (HopConfig(5000.0, 5020.0, jitter_ns=0.1, gain=0.7, turnaround_ns=1234.5), 300, 1),
+        ],
+        ids=[
+            "jitter_0",
+            "held_from_first_chunk",
+            "headline_held_to_last_round",
+            "change_inside_span",
+            "change_at_last_round_of_span",
+            "change_at_first_round_of_span",
+            "fractional_turnaround",
+        ],
+    )
+    def test_bit_identical(self, monkeypatch, hop, n_rounds, seed):
+        scalar = _count_scalar_rounds(monkeypatch)
+        _assert_matches_reference(hop, n_rounds, 5.0, seed)
+        assert scalar[0] < n_rounds
+
+    @given(
+        hop=st.builds(
+            HopConfig,
+            delay_forward_ns=st.one_of(st.just(5000.0), _ns),
+            delay_backward_ns=st.one_of(st.just(5020.0), _ns),
+            # the jitter and gains of a locked servo: most draws hold their offset for chunks
+            jitter_ns=st.sampled_from([0.0, 0.01, 0.1]),
+            gain=st.one_of(st.sampled_from([0.5, 0.7, 1.0]), st.floats(min_value=0.1, max_value=1.5)),
+            turnaround_ns=st.one_of(st.just(1000), st.floats(min_value=0.0, max_value=5e3)),
+            bias_ns=st.floats(min_value=-1e3, max_value=1e3),
+        ),
+        n_rounds=st.integers(min_value=100, max_value=400),
+        round_interval_s=st.sampled_from([1e-9, 1.0, 5.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_on_low_jitter_hops(self, hop, n_rounds, round_interval_s, seed):
+        _assert_matches_reference(hop, n_rounds, round_interval_s, seed)
 
 
 class TestSessionPath:
@@ -383,14 +464,23 @@ class TestSessionPath:
             monkeypatch.setattr(wrptp, name, spy)
         return calls
 
-    def test_headline_hop_runs_float_rounds(self, monkeypatch):
-        # a 32,000-round session of the benchmark's first hop, then the int rounds alone
+    @pytest.mark.parametrize(
+        "hop, most_scalar",
+        [(HEADLINE_HOP, 3_200), (GOLDEN_NOISY_HOP, 32_000)],
+        ids=["headline", "golden_noisy"],
+    )
+    def test_32k_session_runs_float_rounds(self, monkeypatch, hop, most_scalar):
+        # a 32,000-round session, then the int rounds alone. The headline hop holds its
+        # offset for long stretches, so array spans run nearly all of its rounds; the
+        # noisy hop changes it nearly every round, so nearly all of its rounds run scalar.
         with monkeypatch.context() as patch:
             calls = self._record(patch, refuse="_int_rounds")
-            floats = run_sync_session(HEADLINE_HOP, 32_000, 5.0, np.random.default_rng((1, 1)))
+            scalar = _count_scalar_rounds(patch)
+            floats = run_sync_session(hop, 32_000, 5.0, np.random.default_rng((1, 1)))
         assert calls == ["_float_rounds"]
+        assert 64 <= scalar[0] <= most_scalar
         monkeypatch.setattr(wrptp, "_float_rounds", lambda *args: None)
-        ints = run_sync_session(HEADLINE_HOP, 32_000, 5.0, np.random.default_rng((1, 1)))
+        ints = run_sync_session(hop, 32_000, 5.0, np.random.default_rng((1, 1)))
         assert floats.samples_ns.tobytes() == ints.samples_ns.tobytes()
 
     @pytest.mark.parametrize(
