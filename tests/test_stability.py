@@ -89,9 +89,8 @@ def _allan_sum_of(roots: np.ndarray):
     m = roots.size
     x = np.concatenate([roots, np.zeros(2 * m)])
     size = min(stability._SUM_CHUNK, m)
-    buffers = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
     with np.errstate(over="ignore"):
-        return stability._allan_sum(x, m, buffers)
+        return stability._allan_sum(x, m, (np.empty(size), np.empty(size)))
 
 
 def _fsum_of_terms(roots: np.ndarray) -> float:
@@ -151,6 +150,111 @@ class TestExactSum:
             _fsum_of_terms(roots)
         with pytest.raises(OverflowError):
             _allan_sum_of(roots)
+
+
+def _root_scaled_to(scaled: float) -> float:
+    """A root whose Allan term is exactly scaled * scaled."""
+    root = scaled / (1.0 / 1e9)
+    while root * (1.0 / 1e9) != scaled:
+        root = math.nextafter(root, math.inf if root * (1.0 / 1e9) < scaled else 0.0)
+    return root
+
+
+#: roots of terms from about 4 down to 2**-300 of it: level-2 remainders are non-zero
+_SPREAD_ROOTS = st.builds(
+    math.ldexp, st.floats(min_value=1e9, max_value=2e9), st.integers(-150, 0)
+)
+
+
+def _sum_of_terms(monkeypatch, terms):
+    """_allan_sum over exactly these terms, and whether it built the factor's whole
+    term array (the math.fsum path) rather than blocks in the buffers."""
+    terms = np.array(terms, dtype=np.float64)
+    outs = []
+
+    def fill(x, m, start, out):
+        outs.append(out)
+        out[:] = terms[start : start + out.size]
+
+    monkeypatch.setattr(stability, "_squared_differences", fill)
+    size = min(stability._SUM_CHUNK, terms.size)
+    total = stability._allan_sum(np.zeros(terms.size + 2), 1, (np.empty(size), np.empty(size)))
+    # the blocks are views of the buffers; the whole term array is not
+    return total, outs[-1].base is None
+
+
+class TestExtraction:
+    """The two extraction levels and the certified rounding of _allan_sum."""
+
+    @given(
+        arrays(np.float64, st.integers(1, 120), elements=_SPREAD_ROOTS),
+        st.sampled_from([1, 2, 7, 64, stability._SUM_CHUNK]),
+    )
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    # block tops 2**900 and 2**-900, the bounds of _EXTRACT_RANGE, and the doubles below them
+    @example(roots=np.array([_root_scaled_to(2.0**450), 1e9]), chunk=64)
+    @example(roots=np.array([_root_scaled_to(math.nextafter(2.0**450, 0.0)), 1e9]), chunk=64)
+    @example(roots=np.array([_root_scaled_to(2.0**-450), 1e-150, 1e-160]), chunk=64)
+    @example(roots=np.array([_root_scaled_to(math.nextafter(2.0**-450, 0.0)), 1e-150]), chunk=7)
+    def test_spread_terms_equal_fsum(self, monkeypatch, roots, chunk):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        _assert_sum_equals_fsum(roots)
+
+    @pytest.mark.parametrize(
+        "top, whole",
+        [
+            (2.0**900, True),
+            (math.nextafter(2.0**900, 0.0), False),
+            (2.0**-900, False),
+            (math.nextafter(2.0**-900, 0.0), True),
+        ],
+    )
+    def test_block_tops_outside_the_range_take_fsum(self, monkeypatch, top, whole):
+        terms = [top * 2.0**-80, top, 5e-324]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) and whole_built is whole
+
+    def test_all_zero_block_between_non_zero_blocks(self, monkeypatch):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", 4)
+        terms = [1.0, 2.0, 3.0, 0.1] + [0.0] * 4 + [5.0, 6.0, 2.0**-70]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) and not whole_built
+
+    @pytest.mark.parametrize("chunk", [4, stability._SUM_CHUNK])
+    def test_all_zero_factor_gives_positive_zero(self, monkeypatch, chunk):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        total, whole_built = _sum_of_terms(monkeypatch, [0.0] * 10)
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0 and not whole_built
+
+    @pytest.mark.parametrize("chunk", [3, stability._SUM_CHUNK])
+    def test_failed_certification_takes_fsum(self, monkeypatch, chunk):
+        # bounds far above the total: the two roundings differ in sign
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        monkeypatch.setattr(stability, "_BOUND_EXPONENT", 60)
+        terms = np.random.default_rng(21).random(10)
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) and whole_built
+
+    def test_residual_sum_rounding_is_bounded(self, monkeypatch):
+        # one block of 4, sigma1 = 16, sigma2 = 2**-46. Level 2 leaves the remainders
+        # 0, 2**-100, 2**-153 and -2**-100, whose float sum is 0: 2**-100 + 2**-153 is a tie
+        # that rounds to even. The parts then sum to the midpoint 1 + 2**-53 while the
+        # total lies 2**-153 above it, so only the bound 2**-145 keeps it from rounding
+        # to 1.0; the two roundings differ and math.fsum decides.
+        terms = [1.0, 2.0**-100, 2.0**-153, 2.0**-53 - 2.0**-100]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) == 1.0 + 2.0**-52 and whole_built
+
+    def test_second_level_takes_what_the_first_leaves(self, monkeypatch):
+        # one block of 5, sigma1 = 16. The first level leaves 0, 2**-50, 2**-103, -2**-50 and
+        # 2**-53 - 2**-104, whose float sum loses the 2**-103 to a tie and would put the parts
+        # 2**-104 below the midpoint 1 + 2**-48 + 2**-53, beyond the bound 2**-145. The second
+        # level takes all but 2**-103 and -2**-104, which sum exactly.
+        terms = [1.0, 2.0**-50, 2.0**-103, 2.0**-48 - 2.0**-50, 2.0**-53 - 2.0**-104]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) == 1.0 + 17 * 2.0**-52 and not whole_built
 
 
 class TestOverlappingAdev:
@@ -317,9 +421,9 @@ class TestBlockwiseFallbacks:
     @pytest.mark.parametrize(
         "tail",
         [
-            # three finite squares of about 1.4e308 in the last block: its bucket sum overflows
+            # three finite squares of about 1.4e308, above 2**900, in the last block
             [6e162, 0.0, 6e162, 0.0],
-            # squares in the third block and in the fifth and last: each bucket sum is finite
+            # squares in the third block and in the fifth and last: each block sum is finite
             [0.0, 0.0, 0.0, 0.0, 6e162, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6e162, 0.0],
         ],
     )

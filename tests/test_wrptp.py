@@ -503,3 +503,16 @@ class TestSessionPath:
             series = run_sync_session(hop, 5, 1.0, np.random.default_rng(3))
         assert calls == ["_float_rounds", "_int_rounds"]
         assert np.all(np.isfinite(series.samples_ns))
+
+    def test_bias_counts_toward_the_float_limit(self, monkeypatch):
+        # offsets settle near -D/2 and residuals near -D/4. The post-check bounds |offset| by
+        # max|residual| + |bias_ns|, about D/2, and D + 2 * D/2 passes 2**50; without the
+        # bias term the bound would be D/4, and D + 2 * D/4 would not
+        d = int(0.6 * 2**50)
+        hop = HopConfig(delay_forward_ns=d, delay_backward_ns=0, bias_ns=d // 4, gain=0.7)
+        with monkeypatch.context() as patch:
+            calls = self._record(patch)
+            series = run_sync_session(hop, 50, 1.0)
+        assert calls == ["_float_rounds", "_int_rounds"]
+        ints = wrptp._int_rounds(hop, np.rint(np.arange(50) * 1e9), np.zeros((2, 50)))
+        assert series.samples_ns.tolist() == ints
