@@ -201,7 +201,11 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
     if not (math.isfinite(tau0) and tau0 > 0):
         raise ValueError(f"{name} must be finite and > 0, got {tau0!r}")
     require_adev_interval(tau0, name)
-    return TimeErrorSeries(table[:, 0], tau0)
+    try:
+        return TimeErrorSeries(table[:, 0], tau0)
+    except ValueError:  # tau0 passed above, so the column holds a nan or inf
+        message = f"{path}: column {value_column!r} must be finite (no NaN or inf)"
+        raise ValueError(message) from None
 
 
 def _first_rejected_line(lines: list[str], columns: list[int]) -> int:

@@ -9,11 +9,11 @@ nanoseconds to seconds first, so the returned deviation is the usual
 dimensionless sigma_y. The squared second differences are summed exactly
 and rounded once: two levels of error-free extraction split each block of
 terms into parts whose sums are exact, and a power-of-two bound covers the
-float sum of what is left (see _allan_sum). When math.fsum rounds the parts
-less and plus the bounds to the same double, that double is the correctly
-rounded total, the value math.fsum gives over the terms. That keeps the
-result bit-identical to a literal evaluation of the defining sum at any
-series length.
+float sum of what is left, or 0 when nothing is left (see _allan_sum).
+When math.fsum rounds the parts less and plus the bounds to the same
+double, that double is the correctly rounded total, the value math.fsum
+gives over the terms. That keeps the result bit-identical to a literal
+evaluation of the defining sum at any series length.
 
 The terms of each averaging factor are built and split block by block,
 _SUM_CHUNK terms at a time, in two float buffers allocated once per
@@ -153,9 +153,10 @@ def _allan_sum(x: np.ndarray, m: int, buffers) -> float:
     that interval to one double, it is the correctly rounded total. They
     round apart only if a rounding boundary lies inside the interval: at
     most about 2**-40 per block for a total with many bits beyond its 53rd,
-    but always for a total exactly halfway between two doubles. Then, or if
-    a block's top term is outside _EXTRACT_RANGE or not finite, all terms
-    are built in one array and left to math.fsum.
+    but always for a total exactly halfway between two doubles, unless the
+    remainders left are all zero in every block, whose bound is then 0.
+    Then, or if a block's top term is outside _EXTRACT_RANGE or not finite,
+    all terms are built in one array and left to math.fsum.
     """
     n_terms = x.size - 2 * m
     terms, extracted = buffers
@@ -177,8 +178,11 @@ def _allan_sum(x: np.ndarray, m: int, buffers) -> float:
             q -= sigma
             block -= q
             parts.append(float(q.sum()))
-        parts.append(float(block.sum()))
-        bounds.append(math.ldexp(sigma2, 2 * h + _BOUND_EXPONENT))
+        rest = float(block.sum())
+        parts.append(rest)
+        # remainders that are all zero sum exactly, so a tied total still certifies
+        exact = rest == 0.0 and not block.any()
+        bounds.append(0.0 if exact else math.ldexp(sigma2, 2 * h + _BOUND_EXPONENT))
     else:
         # an all-zero factor has no parts and gives fsum([]), +0.0
         total = math.fsum(parts + bounds)

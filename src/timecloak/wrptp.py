@@ -13,15 +13,16 @@ enter only through jitter draws before rounding. The slave is syntonized
 to the master, as White Rabbit's SyncE keeps it, so it does not drift
 between rounds; a session starts it at the master's time.
 
-A session of integer-ns rounds holds its timestamps as integer-valued
-float64 and rounds with v + R - R, R = 1.5 * 2**52, which is Python's
-half-even round() while |v| <= 2**51. Its results are kept only while
-every timestamp stays below 2**50 ns (about 13 days of epochs), where
-each step is exact. A locked servo keeps the same offset for long
-stretches; once a chunk of rounds has kept it, the next rounds run as
-float64 array operations at that offset, up to the first round that
-changes it. A quantized hop, or a session that reaches 2**50 ns, runs on
-Python ints, exact at any size. All give the same bytes.
+A session holds its timestamps as float64 multiples of the step q (1 ns
+for integer-ns timestamps) and rounds with (v / q + R - R) * q, R = 1.5 *
+2**52, which is Python's half-even round(v / q) * q while |v / q| <=
+2**51. Its results are kept only while every timestamp stays below 2**50
+ns (about 13 days of epochs), where each step is exact. A locked servo
+keeps the same offset for long stretches; once a chunk of rounds has kept
+it, the next rounds run as float64 array operations at that offset, up to
+the first round that changes it. A session that reaches 2**50 ns runs the
+single-step reference round by round on Python ints, exact at any size.
+All give the same bytes.
 """
 from __future__ import annotations
 
@@ -47,13 +48,6 @@ class WrTimestampQuartet(NamedTuple):
     t4: int
 
 
-def _quantizer(quantization_ns: int):
-    """Rounding to the nearest multiple of quantization_ns as an int (0: to integer ns)."""
-    if quantization_ns > 0:
-        return lambda value_ns: round(value_ns / quantization_ns) * quantization_ns
-    return round
-
-
 def exchange(
     hop: HopConfig,
     epoch_ns: int,
@@ -67,22 +61,32 @@ def exchange(
     Reception timestamps (t2, t4) pick up link noise; every timestamp is
     quantized to the hop's granularity. A noisy exchange needs a generator;
     callers running many exchanges share one, so that draws never repeat
-    between calls.
+    between calls; t2's jitter is drawn before t4's.
 
     This is the single-step reference that the session kernel,
-    run_sync_session, reproduces round by round.
+    run_sync_session, reproduces round by round. Its arithmetic is _stamp,
+    which the kernel's long-epoch rounds call on jitter drawn in advance.
     """
     if epoch_ns < 0:
         raise ValueError("epoch_ns must be >= 0")
     noisy = hop.jitter_ns > 0
     if noisy and rng is None:
         raise ValueError("a noisy exchange needs a random generator (rng)")
-    quantize = _quantizer(hop.quantization_ns)
-    t1 = quantize(epoch_ns)
     noise2 = rng.normal(0.0, hop.jitter_ns) if noisy else 0.0
+    noise4 = rng.normal(0.0, hop.jitter_ns) if noisy else 0.0
+    return _stamp(hop, epoch_ns, offset_ns, noise2, noise4)
+
+
+def _stamp(
+    hop: HopConfig, epoch_ns: int, offset_ns: float, noise2: float, noise4: float
+) -> WrTimestampQuartet:
+    """exchange's timestamps, given the jitter of t2 and t4, each rounded to
+    the nearest multiple of quantization_ns as an int (0: to integer ns)."""
+    q = hop.quantization_ns
+    quantize = (lambda value_ns: round(value_ns / q) * q) if q else round
+    t1 = quantize(epoch_ns)
     t2 = quantize(t1 + hop.delay_forward_ns + offset_ns + noise2)
     t3 = quantize(t2 + hop.turnaround_ns)
-    noise4 = rng.normal(0.0, hop.jitter_ns) if noisy else 0.0
     t4 = quantize(t3 - offset_ns + hop.delay_backward_ns + noise4)
     return WrTimestampQuartet(t1, t2, t3, t4)
 
@@ -125,15 +129,16 @@ def run_sync_session(
     standard-normal call, in the order the rounds of exchange() draw it: t2
     then t4 of each round. The hop's gain is in (0, 2): HopConfig checks it.
 
-    A hop with integer-ns timestamps (quantization_ns 0) runs on float64
-    timestamps, rounded half-even by adding and subtracting 1.5 * 2**52,
+    A hop runs on float64 timestamps, whole multiples of its quantization
+    step (1 ns at quantization_ns 0) rounded half-even in units of the step,
     while every timestamp stays below 2**50 ns. Its rounds run on Python
     floats until a chunk of them keeps the servo offset unchanged; then the
     rounds that follow run as array operations at that offset, the same
-    operations in the same order, until one changes it. A quantized hop, a
-    session whose epochs and delays reach 2**50 ns (about 13 days), and one
-    whose offsets or jitter take a timestamp there run on exact Python ints.
-    An overflowing float raises OverflowError there, in round().
+    operations in the same order, until one changes it. A session whose
+    epochs, delays or step reach 2**50 ns (about 13 days), or whose offsets
+    or jitter take a timestamp there, runs exchange's arithmetic,
+    compute_delay_offset and servo_step on exact Python ints. An overflowing
+    float raises OverflowError there, in round().
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -150,8 +155,8 @@ def run_sync_session(
     epochs = np.rint(np.arange(n_rounds) * round_interval_s * 1e9)  # t1 in ns, before quantizing
 
     delays_ns = (hop.delay_forward_ns, hop.turnaround_ns, hop.delay_backward_ns)  # each >= 0
-    # each delay is compared alone first, so that no huge int meets a float in the sum
-    if hop.quantization_ns == 0 and max(delays_ns) < _FLOAT_LIMIT_NS:
+    # each delay and the step are compared alone first, so that no huge int meets a float
+    if max(*delays_ns, hop.quantization_ns) < _FLOAT_LIMIT_NS:
         if float(epochs[-1]) + sum(delays_ns) < _FLOAT_LIMIT_NS:
             residuals = _float_rounds(hop, epochs, noise)
             if residuals is not None:
@@ -165,17 +170,19 @@ _CHUNK = 64  # scalar rounds between checks for a held offset; the first array s
 
 
 def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.ndarray | None:
-    """The rounds of an integer-ns hop on integer-valued float64 timestamps,
-    or None where a timestamp may have reached 2**50 ns.
+    """The rounds of a hop on float64 timestamps that are whole multiples of
+    its step q, or None where a timestamp may have reached 2**50 ns.
 
-    For |v| <= 2**51, v + R lies in [2**52, 2**53], where the floats are the
-    integers, and R is even: v + R - R is round(v), ties to even as Python's
-    round() breaks them. Below 2**53, the int operations of the int rounds
-    (t2 + turnaround_ns, t4 - t1, t3 - t2, t2 - t1) are exact in float64, and
-    so is each int -> float conversion, so the residuals are bit-identical to
+    For |u| <= 2**51, u + R lies in [2**52, 2**53], where the floats are the
+    integers, and R is even: u + R - R is round(u), ties to even as Python's
+    round() breaks them. v / q is exchange's division, correctly rounded
+    whether v and q are ints or floats below 2**53, so (v / q + R - R) * q is
+    its round(v / q) * q, an integer exact in float64. Below 2**53 its int
+    operations (t2 + turnaround_ns, t4 - t1, t3 - t2, t2 - t1) and int ->
+    float conversions are exact too, so the residuals are bit-identical to
     those of _int_rounds. The servo step's ((t2 - t1) - (t4 - t3)) / 2 is
-    compute_delay_offset's (t2 - t1) - delay: both are exact on integers below
-    2**51, and neither is ever -0.0.
+    compute_delay_offset's (t2 - t1) - delay: both are exact on integers
+    below 2**51, and neither is ever -0.0.
 
     Rounds run on Python floats, _CHUNK at a time. Once a whole chunk has
     left the offset as it was, the next rounds run as array operations at
@@ -186,11 +193,13 @@ def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.n
     twice as long.
     """
     n = len(epochs)
-    arrivals = epochs + hop.delay_forward_ns
-    # both are below 2**50, so converting them is exact
+    # q and both delays are below 2**50, so converting them is exact
+    q, R = float(hop.quantization_ns or 1), _ROUNDER
+    t1s = (epochs / q + R - R) * q
+    arrivals = t1s + hop.delay_forward_ns
     turnaround_ns, d_bwd = float(hop.turnaround_ns), float(hop.delay_backward_ns)
-    gain, R = hop.gain, _ROUNDER
-    columns = (epochs, arrivals, noise[0], noise[1])
+    gain = hop.gain
+    columns = (t1s, arrivals, noise[0], noise[1])
 
     offsets = np.empty(n)
     offset = 0.0
@@ -203,9 +212,9 @@ def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.n
             while True:
                 held = offset
                 for t1, arrival, noise2, noise4 in islice(rounds, _CHUNK):
-                    t2 = arrival + offset + noise2 + R - R
-                    t3 = t2 + turnaround_ns + R - R
-                    t4 = t3 - offset + d_bwd + noise4 + R - R
+                    t2 = ((arrival + offset + noise2) / q + R - R) * q
+                    t3 = ((t2 + turnaround_ns) / q + R - R) * q
+                    t4 = ((t3 - offset + d_bwd + noise4) / q + R - R) * q
                     offset = offset - gain * (((t2 - t1) - (t4 - t3)) / 2.0)
                     run.append(offset)
                 if done + len(run) == n or (
@@ -219,9 +228,9 @@ def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.n
             span = _CHUNK
             while done < n:
                 t1, arrival, noise2, noise4 = (column[done : done + span] for column in columns)
-                t2 = arrival + offset + noise2 + R - R
-                t3 = t2 + turnaround_ns + R - R
-                t4 = t3 - offset + d_bwd + noise4 + R - R
+                t2 = ((arrival + offset + noise2) / q + R - R) * q
+                t3 = ((t2 + turnaround_ns) / q + R - R) * q
+                t4 = ((t3 - offset + d_bwd + noise4) / q + R - R) * q
                 stepped = offset - gain * (((t2 - t1) - (t4 - t3)) / 2.0)
                 changes = np.flatnonzero(stepped != offset)
                 kept = int(changes[0]) + 1 if len(changes) else len(stepped)
@@ -234,16 +243,17 @@ def _float_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> np.n
         residuals = offsets + hop.bias_ns
 
         # Each round's offset is an earlier residual less bias_ns, so |offset| <= max|residual| +
-        # |bias_ns|, up to a relative 2**-52. With 0 <= t1 <= arrival <= arrivals[-1]:
-        #   |t2| <= arrival + |offset| + |noise2| + 1/2,   |t3| <= |t2| + turnaround_ns + 1/2,
-        #   |t4| <= |t3| + |offset| + d_bwd + |noise4| + 1/2,
-        # and each value before its rounding obeys the same bound less the 1/2. The sum below
-        # bounds them all; its own float rounding and the 2**-52 stay far inside the + 2. Below
-        # 2**50 every step is exact, with room to spare. Overflow gives inf or NaN silently in
-        # the rounds, where the int rounds raise OverflowError; both fail the test, which runs
-        # on Python floats.
+        # |bias_ns|, up to a relative 2**-52. A rounding moves a value by at most q/2. With
+        # 0 <= t1 <= arrival <= arrivals[-1]:
+        #   |t2| <= arrival + |offset| + |noise2| + q/2,   |t3| <= |t2| + turnaround_ns + q/2,
+        #   |t4| <= |t3| + |offset| + d_bwd + |noise4| + q/2,
+        # and each value before its rounding obeys the same bound less the q/2. The sum below,
+        # with 2q for the three q/2, bounds them all; its own rounding and the 2**-52 are far
+        # inside the room from 2**50 to 2**51, where exactness ends. Overflow gives inf or NaN
+        # silently in the rounds, where the int rounds raise OverflowError; both fail the test,
+        # which runs on Python floats.
         peak = _max_abs(residuals) + abs(hop.bias_ns) + _max_abs(noise)
-    if float(arrivals[-1]) + turnaround_ns + d_bwd + 2 * peak + 2 < _FLOAT_LIMIT_NS:
+    if float(arrivals[-1]) + turnaround_ns + d_bwd + 2 * peak + 2 * q < _FLOAT_LIMIT_NS:
         return residuals
     return None
 
@@ -254,38 +264,13 @@ def _max_abs(values: np.ndarray) -> float:
 
 
 def _int_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> list[float]:
-    """The rounds on Python int timestamps: exact at any size and for any
-    quantization step. A float that overflows raises OverflowError in round()."""
-    q = hop.quantization_ns
-    quantize = _quantizer(q)
-    d_fwd = hop.delay_forward_ns
-    # numpy gives t1 = quantize(round(epoch)) while int64 holds it and q is exact as a float.
-    # int64 -> float64 rounds half-even as int -> float does, so t1 + d_fwd for a float d_fwd
-    # is Python's too; an int d_fwd keeps the exact int sum of the lists. Buffers iterate as
-    # Python ints and floats.
-    if epochs[-1] < 2.0**62 and q < 2**53 and isinstance(d_fwd, float):
-        t1s = epochs.astype(np.int64)
-        t1s = np.rint(t1s / q).astype(np.int64) * q if q > 0 else t1s
-        arrivals = (t1s + d_fwd).data
-        t1s = t1s.data
-    else:
-        t1s = [quantize(round(epoch)) for epoch in epochs.data]
-        arrivals = [t1 + d_fwd for t1 in t1s]
-    d_bwd = hop.delay_backward_ns
-    gain = hop.gain
-    turnaround_ns = hop.turnaround_ns
-    # integer-ns timestamps plus an int turnaround: t2 + turnaround_ns is already an int
-    exact_turnaround = q == 0 and isinstance(turnaround_ns, int)
-    bias_ns = hop.bias_ns
-
+    """The rounds of the single-step reference on Python int timestamps: exact
+    at any size and for any quantization step. A float that overflows raises
+    OverflowError in round()."""
     residuals: list[float] = []
     offset = 0.0
-    for t1, arrival, noise2, noise4 in zip(t1s, arrivals, noise[0].data, noise[1].data):
-        t2 = quantize(arrival + offset + noise2)
-        t3 = t2 + turnaround_ns if exact_turnaround else quantize(t2 + turnaround_ns)
-        t4 = quantize(t3 - offset + d_bwd + noise4)
-        delay = ((t4 - t1) - (t3 - t2)) / 2.0
-        recovered = (t2 - t1) - delay
-        offset = offset - gain * recovered
-        residuals.append(offset + bias_ns)
+    for epoch, noise2, noise4 in zip(epochs.data, noise[0].data, noise[1].data):
+        _, recovered = compute_delay_offset(_stamp(hop, round(epoch), offset, noise2, noise4))
+        offset = servo_step(offset, recovered, hop.gain)
+        residuals.append(offset + hop.bias_ns)
     return residuals

@@ -566,7 +566,9 @@ class TestAdevIngest:
         rows[9] = f"{_ROWS[9][0]},{cell}"
         src = tmp_path / "series.csv"
         src.write_text("time_s,error_ns\n" + "\n".join(rows) + "\n")
-        _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        message = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        if cell in ("nan", "inf"):
+            assert message == f"error: {src}: column 'error_ns' must be finite (no NaN or inf)"
 
     @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=["bad_cell", "short_row"])
     def test_error_names_the_file_line(self, text, message, tmp_path, capsys):

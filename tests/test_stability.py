@@ -230,12 +230,22 @@ class TestExtraction:
 
     @pytest.mark.parametrize("chunk", [3, stability._SUM_CHUNK])
     def test_failed_certification_takes_fsum(self, monkeypatch, chunk):
-        # bounds far above the total: the two roundings differ in sign
+        # bounds far above the total: the two roundings differ in sign. Terms spanning down
+        # to 2**-297 of the top leave non-zero level-2 remainders, so the bounds are not 0
         monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
         monkeypatch.setattr(stability, "_BOUND_EXPONENT", 60)
-        terms = np.random.default_rng(21).random(10)
+        terms = np.ldexp(np.random.default_rng(21).random(10), -33 * np.arange(10))
         total, whole_built = _sum_of_terms(monkeypatch, terms)
         assert total == math.fsum(terms) and whole_built
+
+    @pytest.mark.parametrize("chunk", [1, stability._SUM_CHUNK])
+    def test_tied_total_certifies_in_blocks(self, monkeypatch, chunk):
+        # 1 + 2**-53 lies halfway between 1.0 and its next double. The extraction takes both
+        # terms whole, so every remainder is zero, the bounds are 0 and the tie rounds to even
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        terms = [1.0, 2.0**-53]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) == 1.0 and not whole_built
 
     def test_residual_sum_rounding_is_bounded(self, monkeypatch):
         # one block of 4, sigma1 = 16, sigma2 = 2**-46. Level 2 leaves the remainders

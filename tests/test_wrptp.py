@@ -293,8 +293,8 @@ class TestKernelMatchesSingleStepReference:
         round_interval_s=1e12,
         seed=0,
     )
-    # each side of the kernel's exact turnaround (integer ns and an int turnaround):
-    # exact, with numpy t1 + d_fwd past 2**53 and with the lists past 2**62; then rounded
+    # epochs past 2**53 ns (1e8 s) and 2**62 ns (1e12 s), where only the int rounds run:
+    # an int turnaround keeps t3 exact there, and a fractional one is rounded
     @example(
         hop=HopConfig(delay_forward_ns=7.0, jitter_ns=0.3, turnaround_ns=1000),
         n_rounds=40,
@@ -348,6 +348,32 @@ class TestKernelMatchesSingleStepReference:
         round_interval_s=1e-9,
         seed=0,
     )
+    # the same ties in units of the step, on even and odd multiples of it
+    @example(
+        hop=HopConfig(delay_forward_ns=4.0, quantization_ns=8, turnaround_ns=12),
+        n_rounds=40,
+        round_interval_s=8e-9,
+        seed=0,
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=1.5, quantization_ns=3, turnaround_ns=4.5),
+        n_rounds=40,
+        round_interval_s=3e-9,
+        seed=0,
+    )
+    # a step of 2**49 ns: the float rounds run, then give way; at 2**50 ns they never run
+    @example(
+        hop=HopConfig(delay_forward_ns=7.0, jitter_ns=0.3, quantization_ns=2**49),
+        n_rounds=5,
+        round_interval_s=1.0,
+        seed=11,
+    )
+    @example(
+        hop=HopConfig(delay_forward_ns=7.0, jitter_ns=0.3, quantization_ns=2**50),
+        n_rounds=5,
+        round_interval_s=1.0,
+        seed=12,
+    )
     # round 0 draws -2.41 ns for t2 with no forward delay, so t2 rounds a value below zero;
     # past it the recovered offsets read the negative half asymmetry
     @example(
@@ -373,6 +399,7 @@ class TestKernelMatchesSingleStepReference:
 
 HEADLINE_HOP = HopConfig(5000.0, 5020.0, jitter_ns=0.1, gain=0.7, bias_ns=12.0)
 GOLDEN_NOISY_HOP = HopConfig(delay_forward_ns=60, delay_backward_ns=40, jitter_ns=2.5, gain=1.9)
+QUANTIZED_HOP = HopConfig(5000.0, 5020.0, jitter_ns=0.4, quantization_ns=8, gain=0.7)
 
 
 def _count_scalar_rounds(monkeypatch):
@@ -466,13 +493,14 @@ class TestSessionPath:
 
     @pytest.mark.parametrize(
         "hop, most_scalar",
-        [(HEADLINE_HOP, 3_200), (GOLDEN_NOISY_HOP, 32_000)],
-        ids=["headline", "golden_noisy"],
+        [(HEADLINE_HOP, 3_200), (GOLDEN_NOISY_HOP, 32_000), (QUANTIZED_HOP, 32_000)],
+        ids=["headline", "golden_noisy", "quantized"],
     )
     def test_32k_session_runs_float_rounds(self, monkeypatch, hop, most_scalar):
         # a 32,000-round session, then the int rounds alone. The headline hop holds its
         # offset for long stretches, so array spans run nearly all of its rounds; the
-        # noisy hop changes it nearly every round, so nearly all of its rounds run scalar.
+        # noisy hop changes it nearly every round, so nearly all of its rounds run scalar,
+        # and the quantized hop most of them.
         with monkeypatch.context() as patch:
             calls = self._record(patch, refuse="_int_rounds")
             scalar = _count_scalar_rounds(patch)
@@ -485,8 +513,8 @@ class TestSessionPath:
 
     @pytest.mark.parametrize(
         "hop, interval",
-        [(HEADLINE_HOP, 1e8), (HopConfig(5000.0, 5020.0, 0.1, quantization_ns=8), 5.0)],
-        ids=["epochs_past_2_50", "quantized"],
+        [(HEADLINE_HOP, 1e8), (HopConfig(5000.0, 5020.0, 0.1, quantization_ns=2**50), 5.0)],
+        ids=["epochs_past_2_50", "step_2_50"],
     )
     def test_int_rounds_run_without_float_rounds(self, monkeypatch, hop, interval):
         calls = self._record(monkeypatch, refuse="_float_rounds")
@@ -494,7 +522,14 @@ class TestSessionPath:
         assert calls == ["_int_rounds"]
 
     @pytest.mark.parametrize(
-        "hop", [HopConfig(jitter_ns=1e20), HopConfig(bias_ns=1e308)], ids=["jitter", "bias"]
+        "hop",
+        [
+            HopConfig(jitter_ns=1e20),
+            HopConfig(bias_ns=1e308),
+            # timestamps of 0 or 2**49 ns, but 2q for the roundings reaches 2**50
+            HopConfig(jitter_ns=0.3, quantization_ns=2**49),
+        ],
+        ids=["jitter", "bias", "step_2_49"],
     )
     def test_float_rounds_give_way_past_their_limit(self, monkeypatch, hop):
         calls = self._record(monkeypatch)
