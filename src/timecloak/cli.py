@@ -102,6 +102,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_keygen(args) -> int:
+    if args.digits < 1:
+        raise ValueError(f"--digits must be > 0, got {args.digits}")
     if args.digits > 3 * MAX_STEPS:  # 3 digits per walk step: the most one run can take
         raise ValueError(f"--digits must be <= {3 * MAX_STEPS}, got {args.digits}")
     stream = mock_qkd_source(args.seed, args.digits)

@@ -160,13 +160,16 @@ def _to_bool(key: str, value: str) -> bool:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a file in the flat key-value grammar into a raw string mapping."""
     mapping: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         mapping[key.strip()] = value.strip()
     return mapping

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -27,7 +27,7 @@ from .config import ExperimentConfig
 from .keys import HexKeyStream, load_keys, mock_qkd_source
 from .noise import NoiseKind, PhaseSchedule, apply_schedule, generate_schedule, parse_noise_kind
 from .stability import AdevCurve, TimeErrorSeries, fit_loglog_slope, overlapping_adev
-from .tables import write_csv_pair, write_text
+from .tables import write_series_csvs, write_text
 from .wrptp import run_sync_session
 
 DEFAULT_SWEEP_BOUND_DEG = 360.0
@@ -60,7 +60,7 @@ def _key_stream(config: ExperimentConfig) -> HexKeyStream:
     if config.key_source == "file":
         return load_keys(config.key_path)
     needed = config.model.digits_per_step * config.n_encrypted_steps
-    return mock_qkd_source(config.key_seed, max(needed, 1))
+    return mock_qkd_source(config.key_seed, needed)
 
 
 def build_schedule(config: ExperimentConfig) -> PhaseSchedule:
@@ -219,15 +219,10 @@ plot "adev2.csv" skip 1 using 1:2:3 with yerrorlines title "encrypted", \\
 
 
 def _summary_text(summary: ExperimentSummary) -> str:
-    return (
-        f"tic1_mean_ns = {summary.tic1_mean_ns!r}\n"
-        f"tic1_std_ns = {summary.tic1_std_ns!r}\n"
-        f"tic2_mean_ns = {summary.tic2_mean_ns!r}\n"
-        f"tic2_std_ns = {summary.tic2_std_ns!r}\n"
-        f"adev_ratio_tau0 = {summary.adev_ratio_tau0:.3g}\n"
-        f"tic1_slope = {summary.tic1_slope!r}\n"
-        f"tic2_slope = {summary.tic2_slope!r}\n"
-        f"calib_bias_total_ns = {summary.calib_bias_total_ns!r}\n"
+    """One `name = value` line per field: its repr, the ratio's three digits."""
+    return "".join(
+        f"{name} = {value:.3g}\n" if name == "adev_ratio_tau0" else f"{name} = {value!r}\n"
+        for name, value in asdict(summary).items()
     )
 
 
@@ -239,27 +234,16 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = [out / "tic1.csv", out / "tic2.csv"]  # emit() appends the other files
-
-    def emit(name: str, text: str) -> None:
-        path = out / name
-        write_text(path, text)
-        written.append(path)
-
-    # both tic series come from run_experiment: equally long, one tau0
-    tau0, n = result.tic1_series.tau0_s, len(result.tic1_series)
-    # whole products below 2**53 are exact, and repr writes them as integer + ".0"
-    if tau0.is_integer() and (n - 1) * (t := int(tau0)) < 2**53:
-        prefixes = (f"{i},{i * t}.0," for i in range(n))
-    else:
-        prefixes = (f"{i},{i * tau0!r}," for i in range(n))
-    # iterating a buffer yields Python floats without a full-length list
-    lasts = [map(repr, s.samples_ns.data) for s in (result.tic1_series, result.tic2_series)]
-    write_csv_pair(written, "step_index,time_s,error_ns", prefixes, lasts)
-    # each other file's text is built when its turn comes and freed once written
-    emit("adev1.csv", result.adev1.csv_text())
-    emit("adev2.csv", result.adev2.csv_text())
-    emit("summary.txt", _summary_text(result.summary))
-    emit("fig_delays.gp", _FIG_DELAYS_GP)
-    emit("fig_adev.gp", _FIG_ADEV_GP)
-    return written
+    tics = [out / "tic1.csv", out / "tic2.csv"]
+    series = (result.tic1_series, result.tic2_series)  # run_experiment gives both one tau0
+    write_series_csvs(tics, series[0].tau0_s, [s.samples_ns for s in series])
+    texts = {
+        "adev1.csv": result.adev1.csv_text(),
+        "adev2.csv": result.adev2.csv_text(),
+        "summary.txt": _summary_text(result.summary),
+        "fig_delays.gp": _FIG_DELAYS_GP,
+        "fig_adev.gp": _FIG_ADEV_GP,
+    }
+    for name, text in texts.items():
+        write_text(out / name, text)
+    return [*tics, *(out / name for name in texts)]

@@ -12,7 +12,7 @@ documentation only: ~1.5 kbit/s delivered key rate at ~2% QBER.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .config import require_finite
 from .tables import csv_text
@@ -90,22 +90,20 @@ def feasibility_report(params: ChannelParams) -> LinkBudgetReport:
     return report
 
 
+def _cells(report: LinkBudgetReport, number, verdicts: tuple[str, str]) -> dict[str, str]:
+    """Each field's name and rendered value: the verdict as verdicts[feasible]."""
+    fields = asdict(report).items()
+    return {name: verdicts[v] if isinstance(v, bool) else number(v) for name, v in fields}
+
+
 def report_text(report: LinkBudgetReport) -> str:
-    """Aligned text rendering of a report."""
-    rows = [
-        ("background_per_pulse", f"{report.background_per_pulse:.6g}"),
-        ("signal_per_pulse", f"{report.signal_per_pulse:.6g}"),
-        ("total_rate_cps", f"{report.total_rate_cps:.6g}"),
-        ("saturation_cps", f"{report.saturation_cps:.6g}"),
-        ("feasible", "yes" if report.feasible else "no"),
-    ]
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
+    """Aligned text rendering of a report: .6g numbers, a yes/no verdict."""
+    cells = _cells(report, "{:.6g}".format, ("no", "yes"))
+    width = max(map(len, cells))
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in cells.items())
 
 
 def report_csv(report: LinkBudgetReport) -> str:
-    """Two-line CSV rendering (header plus one row)."""
-    header = "background_per_pulse,signal_per_pulse,total_rate_cps,saturation_cps,feasible"
-    counts = (report.background_per_pulse, report.signal_per_pulse, report.total_rate_cps)
-    row = [*map(repr, counts), repr(report.saturation_cps), "true" if report.feasible else "false"]
-    return csv_text(header, *zip(row))  # one row: each column holds one cell
+    """Two-line CSV rendering (header plus one row): repr numbers, a true/false verdict."""
+    cells = _cells(report, repr, ("false", "true"))
+    return csv_text(",".join(cells), *zip(cells.values()))  # one row: each column holds one cell

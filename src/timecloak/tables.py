@@ -4,10 +4,10 @@ position of its columns, the cells joined by commas."""
 from __future__ import annotations
 
 from contextlib import ExitStack
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable
 
-CHUNK_ROWS = 4096  # rows write_csv_pair renders at a time
+CHUNK_ROWS = 4096  # rows write_series_csvs renders at a time
 
 
 def csv_text(header: str, *columns: Iterable[str]) -> str:
@@ -16,23 +16,28 @@ def csv_text(header: str, *columns: Iterable[str]) -> str:
     return "\n".join(chain((header,), map(",".join, zip(*columns)), ("",)))
 
 
-def write_csv_pair(paths, header: str, prefixes: Iterable[str], lasts: Iterable[Iterable[str]]):
-    """Write to each path csv_text's bytes for rows of a shared prefix (cells up
-    to the last comma) and its own last column, all equally long. A chunk of
-    prefixes is rendered once and written to every file before the next: the
-    chunk is interleaved into one list as prefix, last cell, LF per row, the
-    last cells swapped in per file, and each file gets one join of it."""
-    prefixes, lasts = iter(prefixes), [iter(column) for column in lasts]
+def write_series_csvs(paths, tau0: float, columns) -> None:
+    """Write to each path the step_index,time_s,error_ns CSV of its column of
+    float64 samples, time_s being step_index * tau0, with csv_text's bytes and
+    every cell its repr. Each chunk of rows is one list of prefix (the cells up
+    to the last comma), sample cell and LF per row: its prefixes are rendered
+    once, its cells swapped in per file, and each file gets one join of it."""
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("columns differ in length: " + " and ".join(str(len(c)) for c in columns))
+    # whole products below 2**53 are exact, and repr writes them as integer + ".0"
+    whole = tau0.is_integer() and (n - 1) * int(tau0) < 2**53
+    step, point = (int(tau0), ".0") if whole else (tau0, "")
     with ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", encoding="ascii", newline="\n")) for p in paths]
         for fh in files:
-            fh.write(header + "\n")
-        while chunk := list(islice(prefixes, CHUNK_ROWS)):
-            k = len(chunk)
-            parts = ["\n"] * (3 * k)
-            parts[0::3] = chunk
-            for fh, last in zip(files, lasts):
-                parts[1::3] = list(islice(last, k))
+            fh.write("step_index,time_s,error_ns\n")
+        for start in range(0, n, CHUNK_ROWS):
+            rows = range(start, min(start + CHUNK_ROWS, n))
+            parts = ["\n"] * (3 * len(rows))
+            parts[0::3] = [f"{i},{i * step!r}{point}," for i in rows]
+            for fh, column in zip(files, columns):
+                parts[1::3] = map(repr, column[start : rows.stop].tolist())
                 fh.write("".join(parts))
 
 

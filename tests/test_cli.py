@@ -68,6 +68,13 @@ class TestKeygen:
         assert _assert_clean_failure(argv, capsys) == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_no_digits_fails_cleanly(self, digits, tmp_path, capsys):
+        out = tmp_path / "key.hex"
+        argv = ["keygen", "--seed", "1", "--digits", digits, "--out", str(out)]
+        assert _assert_clean_failure(argv, capsys) == f"error: --digits must be > 0, got {digits}"
+        assert not out.exists()
+
 
 class TestRun:
     def test_small_run_produces_outputs(self, tmp_path, capsys):
@@ -92,6 +99,19 @@ class TestRun:
         cfg = _write_config(tmp_path, SMALL_RUN + "bogus.key = 1\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "bogus.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"seed = 2\nnonsense line\n", "line 2: expected 'key = value', got 'nonsense line'"),
+            (b"\xffseed = 2\n", "not UTF-8 text"),
+        ],
+    )
+    def test_unreadable_config_file_names_itself(self, content, reason, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert _assert_clean_failure(argv, capsys) == f"error: {cfg}: {reason}"
 
     def test_bad_value_is_config_error(self, tmp_path):
         cfg = _write_config(tmp_path, "duration_s = soon\n")

@@ -253,6 +253,7 @@ FAULTS = {
     "file_without_path": ({"key.source": "file"}, "key.source = file requires key.path"),
     "negative_seed": ({"seed": "-1"}, "seed must be >= 0, got -1"),
     "negative_key_seed": ({"key.seed": "-1"}, "key.seed must be >= 0, got -1"),
+    "negative_calib_window": ({"calib.window_steps": "-1"}, "calib.window_steps must be >= 0"),
     "dwell_whose_square_underflows": (
         {"dwell_s": "1e-170", "duration_s": "1e-167"},
         "dwell_s must be >= 2**-511 s for an Allan deviation, got 1e-170",

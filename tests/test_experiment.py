@@ -275,7 +275,7 @@ class TestEmitOutputs:
         "n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 5]
     )
     def test_tic_files_match_csv_text(self, n, tau0, tmp_path):
-        # the chunked pair writer against one csv_text per series, the form
+        # the chunked series writer against one csv_text per series, the form
         # every other file is written in
         rng = np.random.default_rng(n)
         samples = rng.normal(0.0, 1e3, (2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
@@ -304,6 +304,19 @@ class TestEmitOutputs:
         emit_outputs(result, tmp_path)
         rows = (tmp_path / "tic2.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == [repr(i * tau0) for i in range(n)]
+
+    @pytest.mark.parametrize("n2", [40, 60])
+    def test_tic_columns_of_unequal_length_rejected(self, n2, tmp_path):
+        # a shorter second column and a longer one, which a writer that walks
+        # the first column's rows would cut without a word
+        result = replace(
+            run_experiment(_config()),
+            tic1_series=TimeErrorSeries(np.zeros(50), 5.0),
+            tic2_series=TimeErrorSeries(np.zeros(n2), 5.0),
+        )
+        with pytest.raises(ValueError, match=rf"^columns differ in length: 50 and {n2}$"):
+            emit_outputs(result, tmp_path)
+        assert not (tmp_path / "tic1.csv").exists()  # checked before any file is opened
 
     def test_csv_line_endings(self, tmp_path):
         result = run_experiment(_config())

@@ -234,6 +234,13 @@ class TestTakeChunks:
         with pytest.raises(ValueError):
             HexKeyStream(bytes([16]))
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+    def test_mutable_buffer_is_copied_to_bytes(self, wrap):
+        source = bytearray([1, 2, 3])
+        stream = HexKeyStream(wrap(source))
+        source[0] = 9  # the stream holds its own copy
+        assert type(stream.digits) is bytes and stream.digits == bytes([1, 2, 3])
+
     def test_digit_out_of_range_at_the_end_of_a_long_stream(self):
         with pytest.raises(ValueError, match=r"\[0, 15\]"):
             HexKeyStream(bytes(range(16)) * 6000 + bytes([16]))

@@ -156,6 +156,11 @@ class TestFeasibilityReport:
         with pytest.raises(ValueError):
             ChannelParams(mean_photon_mu=0.0)
 
+    @pytest.mark.parametrize("name", ["dark_rate_cps", "background_rate_cps"])
+    def test_negative_count_rate_rejected(self, name):
+        with pytest.raises(ValueError, match=r"^count rates must be >= 0$"):
+            ChannelParams(**{name: -1.0})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ChannelParams)])
     def test_non_finite_params_rejected(self, name, value):
@@ -176,3 +181,19 @@ class TestRendering:
         header, row, _ = csv.split("\n")
         assert header.split(",")[0] == "background_per_pulse"
         assert row.split(",")[-1] == "true"
+
+    def test_infeasible_report_bytes(self):
+        # the stray load (90 kcps) is past saturation (40 kcps): each renderer's
+        # every byte, the "no"/"false" verdict and a repr that is not .6g included
+        report = _report(background_rate_cps=90000.0)
+        assert report_text(report) == (
+            "background_per_pulse  9e-05\n"
+            "signal_per_pulse      0.03\n"
+            "total_rate_cps        39946.9\n"
+            "saturation_cps        40000\n"
+            "feasible              no"
+        )
+        assert report_csv(report) == (
+            "background_per_pulse,signal_per_pulse,total_rate_cps,saturation_cps,feasible\n"
+            "9e-05,0.030000000000000006,39946.897402761926,40000.0,false\n"
+        )

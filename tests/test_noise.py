@@ -42,6 +42,11 @@ class TestWhitePhase:
         with pytest.raises(ValueError):
             white_phase((16, 0))
 
+    @pytest.mark.parametrize("divisor", [0.0, -4.0])
+    def test_rejects_non_positive_divisor(self, divisor):
+        with pytest.raises(ValueError, match=r"^divisor must be > 0$"):
+            white_phase((2, 8), divisor)
+
 
 class TestRwStep:
     def test_positive_branch(self):
@@ -228,6 +233,18 @@ class TestGenerateSchedule:
         model = NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=10)
         with pytest.raises(ValueError):
             generate_schedule(mock_qkd_source(1, 60), model, 10)
+
+    def test_memory_window_validated(self):
+        model = NoiseModelSpec(kind=NoiseKind.RW_MEMORY, memory=9)
+        message = r"^memory must satisfy 1 < memory < n_steps-1, got memory=9 for 10 steps$"
+        with pytest.raises(ValueError, match=message):
+            generate_schedule(mock_qkd_source(1, 60), model, 10)
+
+    def test_negative_step_count_rejected(self):
+        stream = mock_qkd_source(1, 30)
+        with pytest.raises(ValueError, match=r"^n_steps must be >= 0$"):
+            generate_schedule(stream, NoiseModelSpec(), -1)
+        assert stream.cursor == 0
 
     def test_balanced_walk_has_zero_mean_drift(self):
         # ensemble mean of (final phase - bias) stays within 4 standard errors
@@ -511,6 +528,13 @@ class TestApplySchedule:
         message = f"schedule too short: {needed - 1} steps for {n} samples ({per_dwell} per dwell)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             apply_schedule(series, short, sign)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_empty_series_stays_empty(self, sign):
+        # no sample has a dwell, so even an empty schedule is long enough
+        for schedule in (PhaseSchedule((10.0,), dwell_s=5.0), PhaseSchedule((), dwell_s=5.0)):
+            out = apply_schedule(TimeErrorSeries(np.zeros(0), 5.0), schedule, sign)
+            assert (len(out), out.tau0_s) == (0, 5.0)
 
     def test_sign_validated(self):
         series = TimeErrorSeries(np.zeros(2), 5.0)

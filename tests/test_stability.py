@@ -548,6 +548,13 @@ class TestAdevCurve:
         with pytest.raises(ValueError):
             AdevCurve(np.array([1.0, 2.0]), -np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("short", range(3))
+    def test_unequal_arrays_rejected(self, short):
+        arrays = [np.array([1.0, 2.0]), np.ones(2), np.ones(2)]
+        arrays[short] = arrays[short][:1]
+        with pytest.raises(ValueError, match=r"^curve arrays must have equal length$"):
+            AdevCurve(*arrays)
+
     def test_callers_arrays_stay_writable_and_unchanged(self):
         # inf is kept: an overflowing Allan sum gives an infinite deviation
         taus, dev, sig = np.array([1.0, 2.0]), np.array([0.5, np.inf]), np.array([0.05, 0.02])

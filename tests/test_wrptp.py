@@ -214,6 +214,11 @@ class TestRunSyncSession:
         with pytest.raises(ValueError):
             run_sync_session(HopConfig(), 0, 1.0)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, -math.inf])
+    def test_non_positive_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match=r"^round_interval_s must be > 0$"):
+            run_sync_session(HopConfig(), 3, interval)
+
     @pytest.mark.parametrize(
         "n_rounds, interval", [(3, math.nan), (3, math.inf), (3, 1e300), (1, math.inf)]
     )
