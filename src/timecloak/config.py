@@ -148,15 +148,6 @@ def _to_float(key: str, value: str) -> float:
         raise ValueError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _to_bool(key: str, value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"{key}: expected a boolean, got {value!r}")
-
-
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a file in the flat key-value grammar into a raw string mapping."""
     mapping: dict[str, str] = {}
@@ -213,7 +204,6 @@ _KEYS = {
     "model.S": ("model", "memory", _to_int),
     "model.bias_deg": ("model", "bias_deg", _to_float),
     "model.bound_deg": ("model", "bound_deg", _to_bound),
-    "model.bound_recursion": ("model", "bound_recursion", _to_bool),
     "dwell_s": ("", "dwell_s", _to_float),
     "carrier_hz": ("", "carrier_hz", _to_float),
     "duration_s": ("", "duration_s", _to_float),

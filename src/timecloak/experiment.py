@@ -232,11 +232,13 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     Produces tic1.csv, tic2.csv, adev1.csv, adev2.csv, summary.txt and one
     gnuplot script per figure analog. Returns the written paths.
     """
+    tic1, tic2 = result.tic1_series, result.tic2_series
+    if tic1.tau0_s != tic2.tau0_s:  # both files' time_s cells come from one tau0
+        raise ValueError(f"tic series differ in tau0_s: {tic1.tau0_s!r} and {tic2.tau0_s!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tics = [out / "tic1.csv", out / "tic2.csv"]
-    series = (result.tic1_series, result.tic2_series)  # run_experiment gives both one tau0
-    write_series_csvs(tics, series[0].tau0_s, [s.samples_ns for s in series])
+    write_series_csvs(tics, tic1.tau0_s, [tic1.samples_ns, tic2.samples_ns])
     texts = {
         "adev1.csv": result.adev1.csv_text(),
         "adev2.csv": result.adev2.csv_text(),

@@ -14,23 +14,20 @@ stepwise additive delay. Four generators are provided:
 * memory walk: past a fixed depth, each step blends the average of the
   previous increments with a fresh signed contribution.
 
-All walks can be run with an output bound: the emitted phase becomes
-bound_deg * sin(raw phase) while the recursion keeps evolving on the raw,
-unbounded state (the bounded-state variant is available as a switch).
-Phases are carried in degrees throughout; radians appear only inside the
-sine bound.
+Bounded walks emit bound_deg * sin(raw phase) while the recursion keeps
+evolving on the raw, unbounded state. Phases are carried in degrees
+throughout; radians appear only inside the sine bound.
 
 generate_schedule decodes the digits of a schedule once and gives the same
 values, bit for bit, as the single-step functions (white_phase, rw_step,
 rw_lag_step, rw_mem_step, bound_phase), which stay as the reference. The
-white model and the plain walk are array operations. So is the lag walk
-on its raw state: the sign it echoes is a product of step signs along
-stride lag, so every increment is known before the running sum. Near a
-huge phase (1e17 degrees, where one ulp is 16) a small step can vanish,
-the echoed sign is then 0 instead of the step's, and that schedule falls
-back to the step-by-step loop. The loop also builds the memory walk and
-every walk whose recursion runs on the bounded state, the only schedules
-it bounds; the raw phases of any other are bounded in one array pass.
+white model and the plain walk are array operations. So is the lag walk:
+the sign it echoes is a product of step signs along stride lag, so every
+increment is known before the running sum. Near a huge phase (1e17
+degrees, where one ulp is 16) a small step can vanish, the echoed sign is
+then 0 instead of the step's, and that schedule is built by rw_lag_step
+itself. The memory walk has its own step-by-step loop. Every bounded
+schedule is bounded in one array pass over its raw phases.
 """
 from __future__ import annotations
 
@@ -97,7 +94,6 @@ class NoiseModelSpec:
     memory: int = 10
     bias_deg: float = 0.0
     bound_deg: float | None = None
-    bound_recursion: bool = False
 
     def __post_init__(self) -> None:
         for name in ("divisor", "bias_deg", "bound_deg"):
@@ -278,8 +274,7 @@ def generate_schedule(
     The white model eats one digit pair per step, the walks one triplet.
     n_steps == 0 is legal, yields an empty schedule and consumes nothing.
     With a bound set, the emitted phase is the sine-bounded value while the
-    recursion evolves on the raw state (unless bound_recursion is set, in
-    which case the bounded value is fed back).
+    recursion evolves on the raw state.
 
     Every value equals what white_phase, rw_step, rw_lag_step, rw_mem_step
     and bound_phase give step by step, see _emitted_phases. A walk that
@@ -293,18 +288,16 @@ def generate_schedule(
 
     digits = stream.take_digits(n_steps, model.digits_per_step)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            phases = np.asarray(_emitted_phases(digits, model), dtype=np.float64)
-        except ValueError:  # math.sin of an infinite phase fed back by _walk_loop
-            phases = [math.inf]
+        phases = _emitted_phases(digits, model)
     if not np.isfinite(phases).all():
         raise ValueError(f"divisor {model.divisor!r} is too small: the phases overflow")
     return PhaseSchedule(phases, dwell_s, carrier_hz)
 
 
-def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray | list[float]:
+def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
     """Phases from decoded digits: exact integer magnitudes divided once, signed steps
-    summed by array operations or by _walk_loop, raw phases bounded in one array pass."""
+    summed by array operations, by rw_lag_step or by _memory_walk, raw phases bounded
+    in one array pass."""
     pairs = digits[:, -2:].astype(np.float64)
     magnitudes = (16.0 * pairs[:, 0] + pairs[:, 1]) / model.divisor
     bound = model.bound_deg
@@ -312,15 +305,18 @@ def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray | l
         raw = magnitudes
     else:
         steps = np.where(digits[:, 0] >= model.sign_threshold, magnitudes, -magnitudes)
-        if bound is not None and model.bound_recursion:
-            return _walk_loop(steps.tolist(), model)
-        raw = None
         if model.kind is NoiseKind.RANDOM_WALK:
             raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
         elif model.kind is NoiseKind.RW_LAG:
             raw = _lag_walk(steps, model.lag, model.bias_deg)
-        if raw is None:
-            raw = np.array(_walk_loop(steps.tolist(), model))
+            if raw is None:  # a step vanished into a huge phase: build it step by step
+                args = (model.lag, model.divisor, model.sign_threshold, model.bias_deg)
+                history: list[float] = []
+                for i, triplet in enumerate(digits.tolist()):
+                    history.append(rw_lag_step(history, i, triplet, *args))
+                raw = np.array(history)
+        else:
+            raw = _memory_walk(steps.tolist(), model.memory, model.bias_deg)
     if bound is not None:  # as bound_phase, in place: numpy's radians and sin round as math's
         np.sin(np.radians(raw, out=raw), out=raw)
         raw *= bound
@@ -338,9 +334,9 @@ def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None
     factor appears). The phases are one running sum seeded with the bias.
     This holds while every phase moves in the direction of its step; if one
     does not (a step vanished into a phase such as 1e17), the signs of the
-    actual increments differ from c and the caller falls back to the loop.
-    When all signs agree, the loop would have used the same factors, so the
-    sums are identical.
+    actual increments differ from c and the caller builds the phases with
+    rw_lag_step. When all signs agree, rw_lag_step would have used the same
+    factors, so the sums are identical.
     """
     n = len(steps)
     rows = -(-(n - 1) // lag)
@@ -355,47 +351,29 @@ def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None
     return raw
 
 
-def _walk_loop(steps: list[float], model: NoiseModelSpec) -> list[float]:
-    """Phases of any walk, one step at a time, bounded only if the bound is fed
-    back: the kernel for the memory walk, for walks whose recursion runs on the
-    bounded state, and for a lag walk whose steps a large phase absorbs.
+def _memory_walk(steps: list[float], memory: int, bias_deg: float) -> np.ndarray:
+    """Raw phases of the memory walk, one step at a time.
 
-    The first steps (up to the lag, before the memory, all of a plain walk)
-    are plain walk steps. The window holds the last lag or memory
-    increments (state - previous state), newest first. The memory walk sums
-    them from 0.0 newest first, as rw_mem_step does; the sum is not
-    telescoped into a difference of two phases, which would round
-    differently.
+    The first `memory` steps are plain walk steps. The window holds the last
+    `memory` increments (state - previous state), newest first, and is summed
+    from 0.0 newest first, as rw_mem_step does; the sum is not telescoped into
+    a difference of two phases, which would round differently.
     """
-    lagged = model.kind is NoiseKind.RW_LAG
-    if lagged:
-        depth, plain = model.lag, model.lag + 1
-    elif model.kind is NoiseKind.RW_MEMORY:
-        depth = plain = model.memory
-    else:
-        depth, plain = 0, len(steps)
-    window: deque[float] = deque(maxlen=depth)
-    bound = model.bound_deg
-    feed_back = bound is not None and model.bound_recursion
-    prev = model.bias_deg
-    emitted = []
+    window: deque[float] = deque(maxlen=memory)
+    prev = bias_deg
+    phases = []
     for i, step in enumerate(steps):
-        if i < plain:
+        if i < memory:
             value = prev + step
-        elif lagged:
-            oldest = window[-1]  # the increment `lag` steps back
-            value = prev + ((oldest > 0) - (oldest < 0)) * step
         else:
             total = 0.0
             for increment in window:
                 total += increment
-            value = prev + (total + step) / depth
-        if feed_back:
-            value = bound * math.sin(math.radians(value))
-        emitted.append(value)
+            value = prev + (total + step) / memory
+        phases.append(value)
         window.appendleft(value - prev)
         prev = value
-    return emitted
+    return np.array(phases)
 
 
 def _carrier_period_ns(carrier_hz: float) -> float:

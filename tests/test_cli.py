@@ -221,10 +221,15 @@ class TestRun:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
-    def test_dash_led_set_value_reaches_the_config_parser(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "item, key",
+        [("-seed=3", "-seed"), ("model.bound_recursion=yes", "model.bound_recursion")],
+        ids=["dash_led", "removed_bound_recursion"],
+    )
+    def test_unknown_set_key_fails_cleanly(self, item, key, tmp_path, capsys):
         # argparse alone would read "-seed=3" as an option, not as the value of --set
-        assert main(["run", "--set", "-seed=3", "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr() == ("", "error: unknown configuration key '-seed'\n")
+        assert main(["run", "--set", item, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: unknown configuration key '{key}'\n")
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_delays_fail_cleanly(self, tmp_path, capsys):

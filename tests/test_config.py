@@ -30,7 +30,6 @@ EVERY_KEY = {
     "model.S": "12",
     "model.bias_deg": "-3.5",
     "model.bound_deg": "90",
-    "model.bound_recursion": "yes",
     "dwell_s": "2",
     "carrier_hz": "5e6",
     "duration_s": "400",
@@ -91,7 +90,6 @@ VALID = {
                 memory=12,
                 bias_deg=-3.5,
                 bound_deg=90.0,
-                bound_recursion=True,
             ),
             key_source="file",
             key_seed=7,
@@ -180,17 +178,6 @@ VALID = {
     ),
 }
 
-for _spelling in ("true", "yes", "on", "1", "TRUE", " On "):
-    VALID[f"bool_{_spelling.strip()}"] = (
-        {"model.bound_recursion": _spelling},
-        ExperimentConfig(model=NoiseModelSpec(bound_recursion=True)),
-    )
-for _spelling in ("false", "no", "off", "0", "False", "NO"):
-    VALID[f"bool_{_spelling}"] = (
-        {"model.bound_recursion": _spelling},
-        ExperimentConfig(model=NoiseModelSpec(bound_recursion=False)),
-    )
-
 _KINDS = "lagged_walk, memory_walk, random_walk, rw, rw_lag, rw_mem, white"
 
 FAULTS = {
@@ -203,13 +190,14 @@ FAULTS = {
         "unknown configuration key 'hop1.delay_forward_ns'",
     ),
     "key_case_matters": ({"Model.kind": "rw"}, "unknown configuration key 'Model.kind'"),
+    # a removed key is refused like any other unknown key
+    "removed_bound_recursion": (
+        {"model.bound_recursion": "yes"},
+        "unknown configuration key 'model.bound_recursion'",
+    ),
     "bad_int": ({"key.seed": "abc"}, "key.seed: expected an integer, got 'abc'"),
     "bad_model_int": ({"model.T": "x"}, "model.T: expected an integer, got 'x'"),
     "bad_float": ({"dwell_s": "soon"}, "dwell_s: expected a number, got 'soon'"),
-    "bad_bool": (
-        {"model.bound_recursion": "maybe"},
-        "model.bound_recursion: expected a boolean, got 'maybe'",
-    ),
     "bad_bound": ({"model.bound_deg": "wide"}, "model.bound_deg: expected a number, got 'wide'"),
     "padded_none_bound": (
         {"model.bound_deg": " none "},

@@ -318,6 +318,15 @@ class TestEmitOutputs:
             emit_outputs(result, tmp_path)
         assert not (tmp_path / "tic1.csv").exists()  # checked before any file is opened
 
+    def test_tic_series_of_unequal_tau0_rejected(self, tmp_path):
+        # both files' time_s cells are written from one tau0, so tic2.csv would
+        # get 5 s steps for a 1 s series
+        result = run_experiment(_config())
+        result = replace(result, tic2_series=TimeErrorSeries(np.zeros(400), 1.0))
+        with pytest.raises(ValueError, match=r"^tic series differ in tau0_s: 5\.0 and 1\.0$"):
+            emit_outputs(result, tmp_path / "out")
+        assert not (tmp_path / "out").exists()  # checked before any file is opened
+
     def test_csv_line_endings(self, tmp_path):
         result = run_experiment(_config())
         emit_outputs(result, tmp_path / "out")

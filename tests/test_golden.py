@@ -63,9 +63,6 @@ def _cases() -> dict[str, ExperimentConfig]:
             label = "bounded" if bound else "unbounded"
             model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=bound)
             cases[f"{kind.value}_{label}"] = _config(model)
-    for kind in (NoiseKind.RANDOM_WALK, NoiseKind.RW_LAG, NoiseKind.RW_MEMORY):
-        model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=90.0, bound_recursion=True)
-        cases[f"{kind.value}_bound_recursion"] = _config(model)
     cases["rw_noisy_quantized_hops"] = _config(
         NoiseModelSpec(kind=NoiseKind.RANDOM_WALK),
         hop1=HopConfig(

@@ -184,21 +184,16 @@ class TestGenerateSchedule:
             generate_schedule(stream, NoiseModelSpec(), 2)
 
     @pytest.mark.parametrize("errstate", ["warn", "raise"])
-    @pytest.mark.parametrize(
-        "bound, recursion", [(None, False), (360.0, False), (360.0, True)],
-        ids=["unbounded", "bounded", "bounded_state"],
-    )
+    @pytest.mark.parametrize("bound", [None, 360.0], ids=["unbounded", "bounded"])
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("divisor", [1e-305, 1e-306])
-    def test_overflowing_phases_name_the_divisor(self, divisor, kind, bound, recursion, errstate):
-        # 1e-306 overflows 255 / divisor itself; 1e-305 overflows a walk's running sum
-        # on its raw state, but not the white phases or a walk fed back bounded states
-        model = NoiseModelSpec(
-            kind=kind, divisor=divisor, lag=20, memory=10, bound_deg=bound, bound_recursion=recursion
-        )
+    def test_overflowing_phases_name_the_divisor(self, divisor, kind, bound, errstate):
+        # 1e-306 overflows 255 / divisor itself; 1e-305 overflows a walk's running sum,
+        # but not the white phases
+        model = NoiseModelSpec(kind=kind, divisor=divisor, lag=20, memory=10, bound_deg=bound)
         stream = mock_qkd_source(1, 3 * 400)
         with np.errstate(all=errstate):  # run_experiment raises on overflow
-            if divisor == 1e-305 and (kind is NoiseKind.WHITE or recursion):
+            if divisor == 1e-305 and kind is NoiseKind.WHITE:
                 assert np.all(np.isfinite(generate_schedule(stream, model, 400).phases))
             else:
                 with pytest.raises(ValueError) as info:
@@ -219,15 +214,6 @@ class TestGenerateSchedule:
             sched = generate_schedule(stream, model, 500)
             phases = np.array(sched.phases_deg)
             assert np.all(np.abs(phases) <= 360.0)
-
-    def test_bound_recursion_differs_from_output_bound(self):
-        base = dict(kind=NoiseKind.RANDOM_WALK, bound_deg=360.0)
-        a = generate_schedule(mock_qkd_source(4, 3 * 200), NoiseModelSpec(**base), 200)
-        b = generate_schedule(
-            mock_qkd_source(4, 3 * 200), NoiseModelSpec(**base, bound_recursion=True), 200
-        )
-        assert a.phases_deg != b.phases_deg
-        assert max(abs(p) for p in b.phases_deg) <= 360.0
 
     def test_lag_window_validated(self):
         model = NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=10)
@@ -290,7 +276,6 @@ def _reference_schedule(stream, model, n_steps):
         raw = [white_phase(pair, model.divisor) for pair in pairs]
         return [bound_phase(p, bound) for p in raw] if bound else raw
     state = []
-    emitted = []
     for i, triplet in enumerate(stream.take_digits(n_steps, 3).tolist()):
         if model.kind is NoiseKind.RANDOM_WALK:
             prev = state[-1] if state else model.bias_deg
@@ -303,16 +288,8 @@ def _reference_schedule(stream, model, n_steps):
             value = rw_mem_step(
                 state, i, triplet, model.memory, model.divisor, model.sign_threshold, model.bias_deg
             )
-        if bound is None:
-            state.append(value)
-            emitted.append(value)
-        elif model.bound_recursion:
-            state.append(bound_phase(value, bound))
-            emitted.append(state[-1])
-        else:
-            state.append(value)
-            emitted.append(bound_phase(value, bound))
-    return emitted
+        state.append(value)
+    return [bound_phase(p, bound) for p in state] if bound else state
 
 
 _WINDOWED = (NoiseKind.RW_LAG, NoiseKind.RW_MEMORY)
@@ -339,24 +316,22 @@ def _models_and_digits(draw):
         # near 1e17 one ulp is 16 degrees, so small steps are absorbed
         bias_deg=draw(st.floats(min_value=-1e17, max_value=1e17)),
         bound_deg=draw(st.one_of(st.none(), st.floats(min_value=1e-3, max_value=720.0))),
-        bound_recursion=draw(st.booleans()),
     )
     return model, digits
 
 
 # steps of 1, 63.75, -2, -60 and 0.25 degrees: near 1e17 the small ones are absorbed
 _ABSORBED_DIGITS = bytes([9, 0, 4, 9, 15, 15, 7, 0, 8, 3, 15, 0, 12, 0, 1]) * 4
+_ABSORBED_MODELS = (
+    NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=3, bias_deg=1e17),
+    NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=2, bias_deg=-1e17, bound_deg=360.0),
+)
 
 
 class TestArraySchedulesMatchStepwise:
     @given(case=_models_and_digits())
-    @example(case=(NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=3, bias_deg=1e17), _ABSORBED_DIGITS))
-    @example(
-        case=(
-            NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=2, bias_deg=-1e17, bound_deg=360.0),
-            _ABSORBED_DIGITS,
-        )
-    )
+    @example(case=(_ABSORBED_MODELS[0], _ABSORBED_DIGITS))
+    @example(case=(_ABSORBED_MODELS[1], _ABSORBED_DIGITS))
     @example(case=(NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=4, bias_deg=-0.0), bytes(30)))
     @settings(max_examples=400, deadline=None)
     def test_bit_identical_to_stepwise_loop(self, case):
@@ -373,8 +348,8 @@ class TestArraySchedulesMatchStepwise:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_raw_state_bound_across_magnitudes(self, kind, bound):
         # raw phases of both signs from 1e-300 to 1e300 degrees: steps scaled by the
-        # divisor, or a bias that absorbs the steps (the lag walk falls back to its
-        # loop); plus -0.0 phases from zero digits below the sign threshold
+        # divisor, or a bias that absorbs the steps (the lag walk falls back to
+        # rw_lag_step); plus -0.0 phases from zero digits below the sign threshold
         key = mock_qkd_source(8, 60).digits
         cases = [(4.0, -0.0, bytes(60))]
         for scale in (1e-300, 1e-150, 1e-5, 1.0, 1e17, 1e150, 1e300):
@@ -388,8 +363,23 @@ class TestArraySchedulesMatchStepwise:
             expected = tuple(_reference_schedule(HexKeyStream(digits), model, n_steps))
             assert repr(schedule.phases_deg) == repr(expected), (divisor, bias)
 
-    def test_only_a_fed_back_bound_calls_math_sin(self, monkeypatch):
-        # the raw-state bound is one array pass, whatever path built the raw phases
+    @pytest.mark.parametrize("model", _ABSORBED_MODELS, ids=["plus_1e17", "minus_1e17_bounded"])
+    def test_absorbed_steps_fall_back_to_rw_lag_step(self, model, monkeypatch):
+        # the models of the absorbed-step examples above do reach the fallback
+        lag_walk, returned = noise._lag_walk, []
+
+        def spy(*args):
+            returned.append(lag_walk(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(noise, "_lag_walk", spy)
+        schedule = generate_schedule(HexKeyStream(_ABSORBED_DIGITS), model, 20)
+        assert len(returned) == 1 and returned[0] is None
+        expected = tuple(_reference_schedule(HexKeyStream(_ABSORBED_DIGITS), model, 20))
+        assert repr(schedule.phases_deg) == repr(expected)
+
+    def test_no_schedule_calls_math_sin(self, monkeypatch):
+        # the bound is one array pass, whatever path built the raw phases
         class SinCalled(Exception):
             pass
 
@@ -402,9 +392,6 @@ class TestArraySchedulesMatchStepwise:
             assert len(generate_schedule(mock_qkd_source(5, 120), model, 40)) == 40
         absorbed = NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=3, bias_deg=1e17, bound_deg=360.0)
         assert len(generate_schedule(HexKeyStream(_ABSORBED_DIGITS), absorbed, 20)) == 20
-        fed_back = NoiseModelSpec(kind=NoiseKind.RANDOM_WALK, bound_deg=360.0, bound_recursion=True)
-        with pytest.raises(SinCalled):
-            generate_schedule(mock_qkd_source(5, 120), fed_back, 40)
 
 
 class TestPhaseToDelay:
