@@ -325,6 +325,17 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+def test_removed_key_in_a_config_file_fails_cleanly(command, tmp_path, capsys):
+    # a file saved with the old default is refused, not read as if the line were absent
+    cfg = _write_config(tmp_path, SMALL_RUN + "model.bound_recursion = false\n")
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    assert _assert_clean_failure(argv, capsys) == (
+        "error: unknown configuration key 'model.bound_recursion'"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_delay_beyond_the_grid_names_its_keys(command, tmp_path, capsys):
     # the bounded phases are finite, but 1e308 degrees is no delay on the grid
     argv = [command, "--out", str(tmp_path / "out")]

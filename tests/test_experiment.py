@@ -318,12 +318,16 @@ class TestEmitOutputs:
             emit_outputs(result, tmp_path)
         assert not (tmp_path / "tic1.csv").exists()  # checked before any file is opened
 
-    def test_tic_series_of_unequal_tau0_rejected(self, tmp_path):
-        # both files' time_s cells are written from one tau0, so tic2.csv would
-        # get 5 s steps for a 1 s series
-        result = run_experiment(_config())
-        result = replace(result, tic2_series=TimeErrorSeries(np.zeros(400), 1.0))
-        with pytest.raises(ValueError, match=r"^tic series differ in tau0_s: 5\.0 and 1\.0$"):
+    @pytest.mark.parametrize(
+        "field, message",
+        [("tic2_series", r"5\.0 and 1\.0"), ("tic1_series", r"1\.0 and 5\.0")],
+        ids=["tic2", "tic1"],
+    )
+    def test_tic_series_of_unequal_tau0_rejected(self, field, message, tmp_path):
+        # both files' time_s cells are written from one tau0, so one of them would
+        # get 5 s steps for a 1 s series, or 1 s steps for a 5 s one
+        result = replace(run_experiment(_config()), **{field: TimeErrorSeries(np.zeros(400), 1.0)})
+        with pytest.raises(ValueError, match=rf"^tic series differ in tau0_s: {message}$"):
             emit_outputs(result, tmp_path / "out")
         assert not (tmp_path / "out").exists()  # checked before any file is opened
 

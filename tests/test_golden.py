@@ -1,13 +1,14 @@
 """Golden outputs: SHA-256 of every file `emit_outputs` writes for a fixed
 config matrix, compared with the digests stored in tests/golden/.
 
-The matrix covers the four noise kinds, each unbounded and bounded, each
-walk with its recursion on the bounded state, one config with noisy,
-quantized hops, one with the benchmark's noisy integer-ns hops, one whose
-epochs pass 2**53 ns and one with a calibration window. The `timecloak adev`
-cases hash the curve it writes to a file and to standard output for a
-fixed series, with tau0 inferred from its time_s column and given by
---tau0; their digests are in tests/golden/adev_digests.json. The writer
+The matrix covers the four noise kinds, each unbounded and bounded; the
+lag and memory walks started at 1e17 degrees, where small steps are
+absorbed (the lag walk is then built by rw_lag_step); one config with
+noisy, quantized hops, one with the benchmark's noisy integer-ns hops,
+one whose epochs pass 2**53 ns and one with a calibration window. The
+`timecloak adev` cases hash the curve it writes to a file and to standard
+output for a fixed series, with tau0 inferred from its time_s column and
+given by --tau0; their digests are in tests/golden/adev_digests.json. The writer
 cases hash the files no run writes: the `timecloak linkbudget` report on
 standard output and in its --csv file and a `timecloak keygen` key file,
 plus the float64 bytes of phase schedules and of hop-session residuals,
@@ -63,6 +64,10 @@ def _cases() -> dict[str, ExperimentConfig]:
             label = "bounded" if bound else "unbounded"
             model = NoiseModelSpec(kind=kind, lag=100, memory=10, bound_deg=bound)
             cases[f"{kind.value}_{label}"] = _config(model)
+    # near 1e17 one ulp is 16 degrees, so the small steps vanish
+    for kind in (NoiseKind.RW_LAG, NoiseKind.RW_MEMORY):
+        model = NoiseModelSpec(kind=kind, lag=100, memory=10, bias_deg=1e17, bound_deg=360.0)
+        cases[f"{kind.value}_absorbed_bounded"] = _config(model)
     cases["rw_noisy_quantized_hops"] = _config(
         NoiseModelSpec(kind=NoiseKind.RANDOM_WALK),
         hop1=HopConfig(

@@ -328,6 +328,25 @@ _ABSORBED_MODELS = (
 )
 
 
+def _spy_on_lag_walk(monkeypatch):
+    """Record what each call of noise._lag_walk returns; None means the caller
+    builds the phases with rw_lag_step."""
+    lag_walk, returned = noise._lag_walk, []
+
+    def spy(*args):
+        returned.append(lag_walk(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(noise, "_lag_walk", spy)
+    return returned
+
+
+# biases that keep every step, and ones that absorb the small steps or all of them
+_EDGE_BIASES = {
+    "zero": 0.0, "minus_zero": -0.0, "plus_1e17": 1e17, "minus_1e17": -1e17, "plus_1e300": 1e300
+}
+
+
 class TestArraySchedulesMatchStepwise:
     @given(case=_models_and_digits())
     @example(case=(_ABSORBED_MODELS[0], _ABSORBED_DIGITS))
@@ -366,17 +385,50 @@ class TestArraySchedulesMatchStepwise:
     @pytest.mark.parametrize("model", _ABSORBED_MODELS, ids=["plus_1e17", "minus_1e17_bounded"])
     def test_absorbed_steps_fall_back_to_rw_lag_step(self, model, monkeypatch):
         # the models of the absorbed-step examples above do reach the fallback
-        lag_walk, returned = noise._lag_walk, []
-
-        def spy(*args):
-            returned.append(lag_walk(*args))
-            return returned[-1]
-
-        monkeypatch.setattr(noise, "_lag_walk", spy)
+        returned = _spy_on_lag_walk(monkeypatch)
         schedule = generate_schedule(HexKeyStream(_ABSORBED_DIGITS), model, 20)
         assert len(returned) == 1 and returned[0] is None
         expected = tuple(_reference_schedule(HexKeyStream(_ABSORBED_DIGITS), model, 20))
         assert repr(schedule.phases_deg) == repr(expected)
+
+    @pytest.mark.parametrize("bound", [None, 360.0], ids=["unbounded", "bounded"])
+    def test_overflowing_lag_walk_falls_back_and_names_the_divisor(self, bound, monkeypatch):
+        # an infinite running sum leaves NaN increments whose signs match no chain,
+        # so rw_lag_step rebuilds the walk, and its infinite phases are named too
+        returned = _spy_on_lag_walk(monkeypatch)
+        model = NoiseModelSpec(kind=NoiseKind.RW_LAG, divisor=1e-305, lag=20, bound_deg=bound)
+        with pytest.raises(ValueError, match=r"^divisor 1e-305 is too small: the phases overflow$"):
+            generate_schedule(mock_qkd_source(1, 3 * 400), model, 400)
+        assert len(returned) == 1 and returned[0] is None
+
+    @pytest.mark.parametrize("bias", _EDGE_BIASES.values(), ids=_EDGE_BIASES.keys())
+    @pytest.mark.parametrize("window", ["least", "largest"])
+    @pytest.mark.parametrize("kind", _WINDOWED, ids=lambda kind: kind.value)
+    def test_windows_at_the_limits_match_stepwise(self, kind, window, bias):
+        # 2 and n_steps - 2 are the least and the largest lag or depth accepted;
+        # one further out is refused
+        n_steps = 40
+        digits = mock_qkd_source(9, 3 * n_steps).digits
+        size, beyond = (2, 1) if window == "least" else (n_steps - 2, n_steps - 1)
+        for bound in (None, 360.0):
+            model = NoiseModelSpec(kind=kind, lag=size, memory=size, bias_deg=bias, bound_deg=bound)
+            schedule = generate_schedule(HexKeyStream(digits), model, n_steps)
+            expected = tuple(_reference_schedule(HexKeyStream(digits), model, n_steps))
+            assert repr(schedule.phases_deg) == repr(expected), bound
+        stream = HexKeyStream(digits)
+        with pytest.raises(ValueError, match=rf"must satisfy 1 < \w+ < n_steps-1, got \w+={beyond} "):
+            generate_schedule(stream, NoiseModelSpec(kind=kind, lag=beyond, memory=beyond), n_steps)
+        assert stream.cursor == 0
+
+    def test_memory_window_is_summed_in_order(self):
+        # steps 3, -24.75, -52.5, 3.25 and 61.5 from a bias of 0.1 at depth 3: the
+        # increments summed newest first give the last phase below; the telescoped
+        # difference of two phases would round to -110.95555555555556
+        digits = bytes([8, 0, 12, 0, 6, 3, 0, 13, 2, 8, 0, 13, 8, 15, 6])
+        model = NoiseModelSpec(kind=NoiseKind.RW_MEMORY, memory=3, bias_deg=0.1)
+        schedule = generate_schedule(HexKeyStream(digits), model, 5)
+        assert schedule.phases_deg[-1] == -110.95555555555558
+        assert schedule.phases_deg == tuple(_reference_schedule(HexKeyStream(digits), model, 5))
 
     def test_no_schedule_calls_math_sin(self, monkeypatch):
         # the bound is one array pass, whatever path built the raw phases
@@ -587,6 +639,11 @@ class TestModelSpecValidation:
     def test_bound_positive(self):
         with pytest.raises(ValueError):
             NoiseModelSpec(bound_deg=-1.0)
+
+    def test_bound_recursion_is_not_a_field(self):
+        # the bound has one meaning: bound_deg * sin(raw phase)
+        with pytest.raises(TypeError, match="bound_recursion"):
+            NoiseModelSpec(kind=NoiseKind.RANDOM_WALK, bound_deg=90.0, bound_recursion=True)
 
     @pytest.mark.parametrize("field", ["divisor", "bias_deg", "bound_deg"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
