@@ -10,9 +10,10 @@ The package itself exports what the README's library examples use; every
 other name is imported from its module (``timecloak.wrptp``, ...).
 """
 
-from .config import ExperimentConfig, HopConfig
+from .config import ExperimentConfig
 from .experiment import calibration_window, emit_outputs, run_experiment
 from .keys import KmsStore, mock_qkd_source
 from .noise import NoiseKind, NoiseModelSpec
+from .wrptp import HopConfig
 
 __version__ = "0.1.0"

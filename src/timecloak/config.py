@@ -1,4 +1,4 @@
-"""Experiment configuration: dataclasses plus the flat key-value file format.
+"""Flat key-value configuration and ExperimentConfig.
 
 Config files are plain text, one ``key = value`` assignment per line, with
 ``#`` starting a full-line comment. Keys carry dotted section prefixes
@@ -8,69 +8,21 @@ override one hop. Later assignments win, and command-line ``--set``
 overrides are applied on top.
 
 ``_KEYS`` is the one list of keys: each maps to its section, its field and
-its parser, and the hop keys in it are generated from ``_HOP_KEYS``. Range
-checks live in the dataclasses' ``__post_init__``.
+its parser, and the hop keys in it are generated from ``_HOP_KEYS``. Each
+spec checks its ranges beside the code that relies on them: ``HopConfig`` in
+``wrptp``, ``NoiseModelSpec`` in ``noise``, ``ExperimentConfig`` here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseModelSpec, parse_noise_kind
-from .stability import require_adev_interval
+from .stability import require_adev_interval, require_finite
+from .wrptp import HopConfig
 
 MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
-
-
-def require_finite(obj) -> None:
-    """Reject NaN and +-inf in every float field of a dataclass."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class HopConfig:
-    """Link, servo, and calibration settings of one synchronization hop, from
-    config key to session kernel (quantization_ns 0: integer-ns timestamps).
-    A whole quantization_ns or turnaround_ns is stored as an int."""
-
-    delay_forward_ns: float = 0.0
-    delay_backward_ns: float = 0.0
-    jitter_ns: float = 0.0
-    quantization_ns: int = 0
-    gain: float = 1.0
-    turnaround_ns: float = 1000
-    bias_ns: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        for f in fields(self):  # an int from a library caller may lie beyond the float range
-            value = getattr(self, f.name)
-            if isinstance(value, int):
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(
-                        f"HopConfig.{f.name} must fit in a float, got an int of "
-                        f"{value.bit_length()} bits"
-                    ) from None
-        for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns",
-                     "turnaround_ns"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"HopConfig.{name} must be >= 0, got {value!r}")
-        if (q := self.quantization_ns) != int(q):
-            raise ValueError(f"HopConfig.quantization_ns must be a whole number, got {q!r}")
-        object.__setattr__(self, "quantization_ns", int(q))  # so timestamps stay int ns
-        if (t := self.turnaround_ns) == int(t):
-            # a whole turnaround keeps t3 exact past 2**53 ns, whether given as 1000 or 1000.0
-            object.__setattr__(self, "turnaround_ns", int(t))
-        if not 0 < self.gain < 2:
-            # the proportional servo diverges outside this range
-            raise ValueError(f"servo gain must be in (0, 2), got {self.gain!r}")
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ class KeyExhaustedError(RuntimeError):
     """A stream has fewer unconsumed digits than were requested."""
 
 
-class HexParseError(ValueError):
-    """A key file contains something other than hex digits and whitespace."""
-
-
 class UnknownKeyError(KeyError):
     """The requested key id is not present in the store."""
 
@@ -93,7 +89,7 @@ def load_keys(path: str | Path) -> HexKeyStream:
     """Read a key file: hex characters, case-insensitive, whitespace ignored.
 
     The key id is the file name without its suffix. A non-hex byte raises
-    HexParseError naming the byte offset; a file with no hex digits at all
+    ValueError naming the byte offset; a file with no hex digits at all
     is also an error.
     """
     p = Path(path)
@@ -101,10 +97,10 @@ def load_keys(path: str | Path) -> HexKeyStream:
     bad = raw.translate(None, _HEX_OR_SPACE)  # every byte that is neither, in order
     if bad:
         offset = raw.index(bad[0])
-        raise HexParseError(f"{p}: invalid hex character {chr(bad[0])!r} at offset {offset}")
+        raise ValueError(f"{p}: invalid hex character {chr(bad[0])!r} at offset {offset}")
     digits = raw.translate(_VALUES, _WHITESPACE)
     if not digits:
-        raise HexParseError(f"{p}: no hexadecimal digits")
+        raise ValueError(f"{p}: no hexadecimal digits")
     return HexKeyStream(digits, key_id=p.stem)
 
 

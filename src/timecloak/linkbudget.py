@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .config import require_finite
+from .stability import require_finite
 from .tables import csv_text
 
 

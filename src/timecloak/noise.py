@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .keys import HexKeyStream
-from .stability import TimeErrorSeries, finite_array
+from .stability import TimeErrorSeries, finite_array, require_finite
 
 DEFAULT_DIVISOR = 4.0
 DEFAULT_SIGN_THRESHOLD = 8
@@ -96,10 +96,7 @@ class NoiseModelSpec:
     bound_deg: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("divisor", "bias_deg", "bound_deg"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self)
         if not self.divisor > 0:
             raise ValueError("divisor must be > 0")
         if not 0 <= self.sign_threshold <= 15:

@@ -26,7 +26,7 @@ OverflowError where the sum overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -49,6 +49,14 @@ _SUM_CHUNK = 1 << 16
 _EXTRACT_RANGE = (2.0**-900, 2.0**900)
 #: log2 of a block's residual-sum error bound over 4**h * sigma2 (see _allan_sum)
 _BOUND_EXPONENT = -105
+
+
+def require_finite(obj) -> None:
+    """Reject NaN and +-inf in every float field of a dataclass, numpy's too."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
 
 
 def finite_array(values, name: str) -> np.ndarray:
@@ -268,20 +276,20 @@ def decorrelation_steps(series: TimeErrorSeries) -> int:
     """Smallest lag at which the normalized autocorrelation drops below
     DECORRELATION_THRESHOLD (1/e).
 
-    Uses the biased sample autocorrelation of the mean-removed series. If no
-    lag up to N-1 crosses the threshold the series length is returned
-    (saturated).
+    Uses the biased sample autocorrelation of the mean-removed series. A
+    series whose autocorrelation overflows the float range is a ValueError.
     """
     n = len(series)
     if n < 100:
         raise ValueError("need at least 100 samples to estimate decorrelation")
     x = series.samples_ns - series.samples_ns.mean()
-    spectrum = np.fft.rfft(x, 2 * n)
-    acf = np.fft.irfft(spectrum * np.conj(spectrum))[:n]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        spectrum = np.fft.rfft(x, 2 * n)
+        acf = np.fft.irfft(spectrum * np.conj(spectrum))[:n]
+    if not math.isfinite(acf[0]):
+        raise ValueError("samples_ns are too large: their autocorrelation overflows")
     if acf[0] <= 0:
         raise ValueError("series has zero variance")
     rho = acf / acf[0]
-    below = np.nonzero(rho[1:] < DECORRELATION_THRESHOLD)[0]
-    if below.size == 0:
-        return n
-    return int(below[0]) + 1
+    # lags 1..N-1 sum to -acf[0]/2, as (sum x)**2 == 0, so a lag below N crosses
+    return int(np.flatnonzero(rho[1:] < DECORRELATION_THRESHOLD)[0]) + 1

@@ -22,20 +22,63 @@ keeps the same offset for long stretches; once a chunk of rounds has kept
 it, the next rounds run as float64 array operations at that offset, up to
 the first round that changes it. A session that reaches 2**50 ns runs the
 single-step reference round by round on Python ints, exact at any size.
-All give the same bytes.
+All give the same bytes for any hop that HopConfig, defined here, accepts.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields
 from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .stability import TimeErrorSeries
+from .stability import TimeErrorSeries, require_finite
 
-if TYPE_CHECKING:
-    from .config import HopConfig
+
+@dataclass(frozen=True)
+class HopConfig:
+    """Link, servo, and calibration settings of one synchronization hop, from
+    config key to session kernel (quantization_ns 0: integer-ns timestamps).
+    Checked for what the kernel's exact paths rely on: finite values, no
+    negative delay, jitter or step, ints within the float range, a gain in
+    (0, 2), and a whole quantization_ns or turnaround_ns stored as an int."""
+
+    delay_forward_ns: float = 0.0
+    delay_backward_ns: float = 0.0
+    jitter_ns: float = 0.0
+    quantization_ns: int = 0
+    gain: float = 1.0
+    turnaround_ns: float = 1000
+    bias_ns: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        for f in fields(self):  # an int from a library caller may lie beyond the float range
+            value = getattr(self, f.name)
+            if isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(
+                        f"HopConfig.{f.name} must fit in a float, got an int of "
+                        f"{value.bit_length()} bits"
+                    ) from None
+        for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns",
+                     "turnaround_ns"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"HopConfig.{name} must be >= 0, got {value!r}")
+        if (q := self.quantization_ns) != int(q):
+            raise ValueError(f"HopConfig.quantization_ns must be a whole number, got {q!r}")
+        object.__setattr__(self, "quantization_ns", int(q))  # so timestamps stay int ns
+        if (t := self.turnaround_ns) == int(t):
+            # a whole turnaround keeps t3 exact past 2**53 ns, whether given as 1000 or 1000.0
+            object.__setattr__(self, "turnaround_ns", int(t))
+        if not 0 < self.gain < 2:
+            # the proportional servo diverges outside this range
+            raise ValueError(f"servo gain must be in (0, 2), got {self.gain!r}")
+
 
 
 class WrTimestampQuartet(NamedTuple):

@@ -217,7 +217,12 @@ FAULTS = {
         {"hop2.quantization_ns": "1.5"},
         "hop2.quantization_ns: expected an integer, got '1.5'",
     ),
-    "nan_divisor": ({"model.C": "nan"}, "divisor must be finite, got nan"),
+    "nan_divisor": ({"model.C": "nan"}, "NoiseModelSpec.divisor must be finite, got nan"),
+    "inf_bias_deg": ({"model.bias_deg": "inf"}, "NoiseModelSpec.bias_deg must be finite, got inf"),
+    "nan_bound_deg": (
+        {"model.bound_deg": "nan"},
+        "NoiseModelSpec.bound_deg must be finite, got nan",
+    ),
     "inf_shared_jitter": ({"link.jitter_ns": "inf"}, "HopConfig.jitter_ns must be finite, got inf"),
     "nan_dwell": ({"dwell_s": "nan"}, "ExperimentConfig.dwell_s must be finite, got nan"),
     "hop_gain_out_of_range": ({"hop1.gain": "2"}, "servo gain must be in (0, 2), got 2.0"),
@@ -242,6 +247,7 @@ FAULTS = {
     "negative_seed": ({"seed": "-1"}, "seed must be >= 0, got -1"),
     "negative_key_seed": ({"key.seed": "-1"}, "key.seed must be >= 0, got -1"),
     "negative_calib_window": ({"calib.window_steps": "-1"}, "calib.window_steps must be >= 0"),
+    "negative_tic_jitter": ({"tic.jitter_ns": "-0.1"}, "tic.jitter_ns must be >= 0"),
     "dwell_whose_square_underflows": (
         {"dwell_s": "1e-170", "duration_s": "1e-167"},
         "dwell_s must be >= 2**-511 s for an Allan deviation, got 1e-170",

@@ -9,7 +9,6 @@ from scipy import stats
 from timecloak import keys as keys_module
 from timecloak.keys import (
     HexKeyStream,
-    HexParseError,
     KeyConsumedError,
     KeyExhaustedError,
     KmsStore,
@@ -52,7 +51,7 @@ def _assert_matches_oracle(path, raw: bytes) -> None:
     path.write_bytes(raw)
     expected = _load_keys_oracle(raw)
     if isinstance(expected, str):
-        with pytest.raises(HexParseError) as info:
+        with pytest.raises(ValueError) as info:
             load_keys(path)
         assert str(info.value) == f"{path}: {expected}"
     else:
@@ -72,22 +71,22 @@ class TestLoadKeys:
         assert list(stream.digits) == [10, 11, 12, 13]
 
     def test_invalid_character_names_offset(self, tmp_path):
-        with pytest.raises(HexParseError, match="offset 0"):
+        with pytest.raises(ValueError, match="offset 0"):
             load_keys(_write_key(tmp_path, "bad.hex", "GZ"))
 
     def test_invalid_character_later_offset(self, tmp_path):
-        with pytest.raises(HexParseError, match="offset 3"):
+        with pytest.raises(ValueError, match="offset 3"):
             load_keys(_write_key(tmp_path, "bad2.hex", "ab1x"))
 
     @pytest.mark.parametrize("text, offset", [("0x1x", 1), ("ab\nGz G", 3), ("FF\xffFF\xff", 2)])
     def test_repeated_invalid_character_names_its_first_offset(self, tmp_path, text, offset):
         path = tmp_path / "twice.hex"
         path.write_bytes(text.encode("latin-1"))
-        with pytest.raises(HexParseError, match=rf"at offset {offset}$"):
+        with pytest.raises(ValueError, match=rf"at offset {offset}$"):
             load_keys(path)
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(HexParseError, match="no hexadecimal digits"):
+        with pytest.raises(ValueError, match="no hexadecimal digits"):
             load_keys(_write_key(tmp_path, "empty.hex", " \n "))
 
     def test_every_byte_value_matches_oracle(self, tmp_path):
@@ -323,7 +322,7 @@ class TestKmsStore:
         store = KmsStore(tmp_path)
         store.add(mock_qkd_source(1, 16))
         assert store.get("mock-1", "A").digits == mock_qkd_source(1, 16).digits
-        with pytest.raises(HexParseError, match="bad.hex: invalid hex character 'x' at offset 0"):
+        with pytest.raises(ValueError, match="bad.hex: invalid hex character 'x' at offset 0"):
             store.get("bad", "A")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.hex", "mock-1.A", "mock-1.hex"]
 

@@ -646,9 +646,11 @@ class TestModelSpecValidation:
             NoiseModelSpec(kind=NoiseKind.RANDOM_WALK, bound_deg=90.0, bound_recursion=True)
 
     @pytest.mark.parametrize("field", ["divisor", "bias_deg", "bound_deg"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, np.float32("nan"), np.float32("inf")]
+    )
     def test_non_finite_values_rejected(self, field, value):
-        # an infinite divisor would silently zero every phase
+        # an infinite divisor would silently zero every phase; a numpy float is checked too
         with pytest.raises(ValueError, match=field):
             NoiseModelSpec(**{field: value})
 

@@ -540,6 +540,27 @@ class TestDecorrelationSteps:
         with pytest.raises(ValueError):
             decorrelation_steps(TimeErrorSeries(np.zeros(200), 1.0))
 
+    def test_overflowing_autocorrelation_rejected(self):
+        # white noise whose spectrum product overflows float64
+        series = TimeErrorSeries(np.random.default_rng(1).normal(size=200) * 1e160, 1.0)
+        message = r"^samples_ns are too large: their autocorrelation overflows$"
+        with pytest.raises(ValueError, match=message):
+            decorrelation_steps(series)
+
+    @settings(deadline=None)
+    @given(
+        arrays(np.float64, st.integers(100, 300), elements=st.floats(-1e100, 1e100, width=64))
+    )
+    def test_some_lag_below_the_length_decorrelates(self, samples):
+        # the lags 1..N-1 of a mean-removed series sum to -1/2 of lag 0
+        series = TimeErrorSeries(samples, 1.0)
+        try:
+            steps = decorrelation_steps(series)
+        except ValueError as error:
+            assert str(error) == "series has zero variance"
+        else:
+            assert 1 <= steps < len(series)
+
 
 class TestAdevCurve:
     def test_validation(self):
