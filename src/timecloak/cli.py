@@ -157,7 +157,7 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
     _first_rejected_line.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for header_lines, line in enumerate(fh, 1):
                 header = line.strip().removeprefix("#").strip()
                 if header:

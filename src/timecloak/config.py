@@ -1,16 +1,17 @@
 """Flat key-value configuration and ExperimentConfig.
 
-Config files are plain text, one ``key = value`` assignment per line, with
-``#`` starting a full-line comment. Keys carry dotted section prefixes
-(``model.kind``, ``hop1.jitter_ns``, ...). ``link.*``, ``servo.gain`` and
-``calib.bias_ns`` set shared defaults for both hops; ``hop1.*`` / ``hop2.*``
-override one hop. Later assignments win, and command-line ``--set``
-overrides are applied on top.
+Config files are UTF-8 text (a leading byte-order mark is skipped), one
+``key = value`` per line, with ``#`` starting a full-line comment. Keys carry
+dotted section prefixes (``model.kind``, ``hop1.jitter_ns``, ...). ``link.*``,
+``servo.gain`` and ``calib.bias_ns`` set shared defaults for both hops;
+``hop1.*`` / ``hop2.*`` override one hop. Later assignments win, and
+command-line ``--set`` overrides are applied on top.
 
 ``_KEYS`` is the one list of keys: each maps to its section, its field and
 its parser, and the hop keys in it are generated from ``_HOP_KEYS``. Each
 spec checks its ranges beside the code that relies on them: ``HopConfig`` in
-``wrptp``, ``NoiseModelSpec`` in ``noise``, ``ExperimentConfig`` here.
+``wrptp``, ``NoiseModelSpec`` in ``noise``, ``ExperimentConfig`` here; which
+numbers a field may hold is one rule for every spec, ``require_finite``.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class ExperimentConfig:
     hop2: HopConfig = field(default_factory=HopConfig)  # encrypting site -> reference site
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_finite(self, integers=("key_seed", "seed", "calib_window_steps"))
         if self.key_source not in ("mock", "file"):
             raise ValueError(f"key.source must be 'mock' or 'file', got {self.key_source!r}")
         if self.key_source == "file" and not self.key_path:
@@ -104,7 +105,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a file in the flat key-value grammar into a raw string mapping."""
     mapping: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -32,7 +32,6 @@ schedule is bounded in one array pass over its raw phases.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -96,17 +95,13 @@ class NoiseModelSpec:
     bound_deg: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_finite(self, integers=("sign_threshold", "lag", "memory"))
         if not self.divisor > 0:
             raise ValueError("divisor must be > 0")
         if not 0 <= self.sign_threshold <= 15:
             raise ValueError("sign_threshold must be a hex digit in [0, 15]")
         if self.bound_deg is not None and not self.bound_deg > 0:
             raise ValueError("bound_deg must be > 0 when set")
-        for name in ("lag", "memory"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
 
     @property
     def digits_per_step(self) -> int:

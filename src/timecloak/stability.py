@@ -26,6 +26,7 @@ OverflowError where the sum overflows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -51,12 +52,25 @@ _EXTRACT_RANGE = (2.0**-900, 2.0**900)
 _BOUND_EXPONENT = -105
 
 
-def require_finite(obj) -> None:
-    """Reject NaN and +-inf in every float field of a dataclass, numpy's too."""
+def require_finite(obj, integers=()) -> None:
+    """Check every number field of a spec dataclass: a float, numpy's too,
+    must be finite; a field named in integers must hold an integer, of any
+    size; any other int is a quantity and must fit in a float."""
+    spec = type(obj).__name__
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{spec}.{f.name} must be finite, got {value!r}")
+        if f.name in integers:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{spec}.{f.name} must be an integer, got {value!r}")
+        elif isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{spec}.{f.name} must fit in a float, got an int of {value.bit_length()} bits"
+                ) from None
 
 
 def finite_array(values, name: str) -> np.ndarray:

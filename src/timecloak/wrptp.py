@@ -27,7 +27,7 @@ All give the same bytes for any hop that HopConfig, defined here, accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -54,16 +54,6 @@ class HopConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for f in fields(self):  # an int from a library caller may lie beyond the float range
-            value = getattr(self, f.name)
-            if isinstance(value, int):
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(
-                        f"HopConfig.{f.name} must fit in a float, got an int of "
-                        f"{value.bit_length()} bits"
-                    ) from None
         for name in ("delay_forward_ns", "delay_backward_ns", "jitter_ns", "quantization_ns",
                      "turnaround_ns"):
             value = getattr(self, name)

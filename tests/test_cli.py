@@ -85,11 +85,16 @@ class TestRun:
             assert (out / name).exists()
         assert "adev ratio" in capsys.readouterr().out
 
-    def test_set_overrides_config(self, tmp_path):
+    @pytest.mark.parametrize(
+        "seeds",
+        [[], ["--set", "seed=" + "9" * 400, "--set", "key.seed=" + "8" * 400]],
+        ids=["config_seeds", "seeds_of_400_digits"],  # a seed is not a quantity: any size runs
+    )
+    def test_set_overrides_config(self, seeds, tmp_path):
         cfg = _write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
         code = main(
-            ["run", "--config", cfg, "--set", "duration_s=250", "--out", str(out)]
+            ["run", "--config", cfg, "--set", "duration_s=250", *seeds, "--out", str(out)]
         )
         assert code == 0
         rows = (out / "tic2.csv").read_text().splitlines()
@@ -492,7 +497,7 @@ class TestAdev:
 
 def _genfromtxt_curve(path, tau0=None):
     """The curve of the genfromtxt-based ingest `adev` used before np.loadtxt."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    data = np.genfromtxt(path, delimiter=",", names=True, encoding="utf-8-sig")
     values = np.atleast_1d(data["error_ns"])
     if tau0 is None:
         times = np.atleast_1d(data["time_s"])
@@ -509,7 +514,7 @@ def _adev_of_fifo(fifo, text) -> subprocess.CompletedProcess:
     """`timecloak adev` run in a subprocess on a FIFO that a thread fills with text."""
     # a second open of a FIFO would wait for a writer that never comes
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer = threading.Thread(target=fifo.write_text, args=(text, "utf-8"), daemon=True)
     writer.start()
     env = dict(os.environ, PYTHONPATH=str(Path(timecloak.__file__).parents[1]))
     try:
@@ -533,7 +538,12 @@ _LINE_ERRORS = [
         "line 9: could not convert string 'x' to float64, column 2.",
     ),
     ("time_s,error_ns\r\n0,1\r\n# note\r\n1\r\n2,3\r\n", "line 4: invalid column index 1"),
+    (
+        "\ufefferror_ns,time_s\n1,0\nx,1\n2,2\n",
+        "line 3: could not convert string 'x' to float64, column 1.",
+    ),
 ]
+_LINE_ERROR_IDS = ["bad_cell", "short_row", "byte_order_mark"]
 
 
 def _assert_clean_failure(argv, capsys):
@@ -559,6 +569,8 @@ _PARITY_CASES = {
     "trailing_blank_line": "time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS) + "\n",
     "crlf": "time_s,error_ns\r\n" + "".join(f"{t},{v}\r\n" for t, v in _ROWS),
     "value_column_first": "error_ns,time_s\n" + "".join(f"{v},{t}\n" for t, v in _ROWS),
+    # U+FEFF, as Excel's "CSV UTF-8" and Notepad write it, before the value column's name
+    "byte_order_mark": "\ufefferror_ns,time_s\n" + "".join(f"{v},{t}\n" for t, v in _ROWS),
 }
 
 
@@ -567,7 +579,7 @@ class TestAdevIngest:
     @pytest.mark.parametrize("tau0", [None, "2.5"])
     def test_matches_genfromtxt_ingest(self, case, tau0, tmp_path, capsys):
         src = tmp_path / "series.csv"
-        src.write_bytes(_PARITY_CASES[case].encode("ascii"))
+        src.write_bytes(_PARITY_CASES[case].encode("utf-8"))
         expected = _genfromtxt_curve(src, tau0=None if tau0 is None else float(tau0))
         argv = ["adev", "--input", str(src)] + (["--tau0", tau0] if tau0 else [])
         assert main(argv) == 0
@@ -606,11 +618,11 @@ class TestAdevIngest:
         if cell in ("nan", "inf"):
             assert message == f"error: {src}: column 'error_ns' must be finite (no NaN or inf)"
 
-    @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=["bad_cell", "short_row"])
+    @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=_LINE_ERROR_IDS)
     def test_error_names_the_file_line(self, text, message, tmp_path, capsys):
         # np.loadtxt's own message counts data rows, skipping blank and comment lines
         src = tmp_path / "series.csv"
-        src.write_bytes(text.encode("ascii"))
+        src.write_bytes(text.encode("utf-8"))
         assert main(["adev", "--input", str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
@@ -634,21 +646,22 @@ class TestAdevIngest:
         assert os.path.samefile(source, "series.csv") and skiprows == 1
         assert capsys.readouterr().out == _curve_text(_genfromtxt_curve(tmp_path / "series.csv"))
 
-    def test_fifo_is_read_through_the_open_handle(self, tmp_path):
-        text = _PARITY_CASES["comment_lines"]
+    @pytest.mark.parametrize("case", ["comment_lines", "byte_order_mark"])
+    def test_fifo_is_read_through_the_open_handle(self, case, tmp_path):
+        text = _PARITY_CASES[case]
         proc = _adev_of_fifo(tmp_path / "series.fifo", text)
         src = tmp_path / "series.csv"
-        src.write_text(text)
+        src.write_text(text, encoding="utf-8")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == _curve_text(_genfromtxt_curve(src))
 
-    @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=["bad_cell", "short_row"])
+    @pytest.mark.parametrize("text, message", _LINE_ERRORS, ids=_LINE_ERROR_IDS)
     def test_fifo_error_names_the_file_line_as_a_file_would(self, text, message, tmp_path, capsys):
         # a pipe cannot be rewound to find the rejected line
         fifo = tmp_path / "series.fifo"
         proc = _adev_of_fifo(fifo, text)
         src = tmp_path / "series.csv"
-        src.write_text(text)
+        src.write_text(text, encoding="utf-8")
         file_err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
         assert (proc.returncode, proc.stdout) == (2, "")
         err = proc.stderr
@@ -822,3 +835,20 @@ class TestLinkBudget:
         line = _assert_clean_failure(["linkbudget", *argv, "--csv", str(dest)], capsys)
         assert line == f"error: LinkBudgetReport.{message}"
         assert not dest.exists()
+
+
+def test_module_entry_point_returns_main_exit_code(tmp_path, capsys):
+    # `python -m timecloak.cli` runs main through the module's __main__ guard
+    env = dict(os.environ, PYTHONPATH=str(Path(timecloak.__file__).parents[1]))
+
+    def cli(*argv):
+        command = [sys.executable, "-m", "timecloak.cli", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+    report = cli("linkbudget")
+    assert main(["linkbudget"]) == 0
+    assert (report.returncode, report.stdout, report.stderr) == (0, capsys.readouterr().out, "")
+    failure = cli("run", "--set", "seed=x", "--out", str(tmp_path / "out"))
+    error = "error: seed: expected an integer, got 'x'\n"
+    assert (failure.returncode, failure.stdout, failure.stderr) == (2, "", error)
+    assert not (tmp_path / "out").exists()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from timecloak.cli import build_experiment_config, load_config_file, parse_overrides
 from timecloak.config import _KEYS, MAX_STEPS, ExperimentConfig, HopConfig
+from timecloak.linkbudget import ChannelParams
 from timecloak.noise import NoiseKind, NoiseModelSpec
 from timecloak.wrptp import run_sync_session
 
@@ -135,6 +136,10 @@ VALID = {
         ExperimentConfig(
             hop1=HopConfig(jitter_ns=0.9, gain=1.5), hop2=HopConfig(jitter_ns=0.3, gain=0.5)
         ),
+    ),
+    "seeds_of_400_digits": (  # seeds are not quantities, so they need not fit in a float
+        {"seed": "9" * 400, "key.seed": "8" * 400},
+        ExperimentConfig(seed=int("9" * 400), key_seed=int("8" * 400)),
     ),
     "hop2_overrides_calib_bias": (
         {"calib.bias_ns": "64.5", "hop2.bias_ns": "1"},
@@ -299,17 +304,40 @@ def test_fractional_turnaround_kept_as_float():
     assert HopConfig(turnaround_ns=1234.5).turnaround_ns == 1234.5
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(HopConfig)])
-@pytest.mark.parametrize("value", [10**400, -(10**400)])
-def test_int_beyond_float_range_rejected(field, value):
+#: (spec, field) of every quantity a spec holds; seeds and counts are integers instead
+QUANTITY_FIELDS = [
+    *[(HopConfig, f.name) for f in fields(HopConfig)],
+    *[(NoiseModelSpec, n) for n in ("divisor", "bias_deg", "bound_deg")],
+    *[(ExperimentConfig, n) for n in ("dwell_s", "carrier_hz", "duration_s", "tic_jitter_ns")],
+    *[(ChannelParams, f.name) for f in fields(ChannelParams)],
+]
+
+
+@pytest.mark.parametrize(
+    "spec, field", QUANTITY_FIELDS, ids=[f"{s.__name__}.{f}" for s, f in QUANTITY_FIELDS]
+)
+@pytest.mark.parametrize(
+    "value, bits",
+    [(10**400, 1329), (-(10**400), 1329), (2**1024 - 2**970, 1024)],
+    ids=["10**400", "-10**400", "2**1024-2**970"],  # the last: the least int float() refuses
+)
+def test_int_beyond_float_range_rejected(spec, field, value, bits):
     # library callers only: the config parser reads these keys as floats or small ints
     with pytest.raises(
-        ValueError, match=rf"^HopConfig\.{field} must fit in a float, got an int of 1329 bits$"
+        ValueError,
+        match=rf"^{spec.__name__}\.{field} must fit in a float, got an int of {bits} bits$",
     ):
-        HopConfig(**{field: value})
+        spec(**{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("delay_forward_ns", 2**60), ("bias_ns", -(2**1023))])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delay_forward_ns", 2**60),
+        ("bias_ns", -(2**1023)),
+        ("delay_forward_ns", 2**1024 - 2**970 - 1),  # the largest int float() takes
+    ],
+)
 def test_large_int_inside_float_range_kept(field, value):
     assert getattr(HopConfig(**{field: value}), field) == value
 
@@ -333,9 +361,11 @@ def test_single_fault_message(mapping, message):
     assert str(info.value) == message
 
 
-def test_file_then_overrides(tmp_path):
+@pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte_order_mark"])
+def test_file_then_overrides(mark, tmp_path):
+    # Excel's "CSV UTF-8" and Notepad start a file with the byte-order mark U+FEFF
     path = tmp_path / "exp.cfg"
-    path.write_text("# comment\n\nmodel.kind = rw\nlink.jitter_ns = 0.1\nseed = 4\n")
+    path.write_text(f"{mark}# comment\n\nmodel.kind = rw\nlink.jitter_ns = 0.1\nseed = 4\n")
     mapping = load_config_file(path)
     mapping.update(parse_overrides(["seed=5", " hop2.jitter_ns = 0.2 "]))
     assert repr(build_experiment_config(mapping)) == repr(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecloak import noise
+from timecloak.config import ExperimentConfig
 from timecloak.keys import HexKeyStream, KeyExhaustedError, mock_qkd_source
 from timecloak.noise import (
     DELAY_GRID_NS,
@@ -626,11 +627,18 @@ class TestModelSpecValidation:
         assert NoiseModelSpec(kind=NoiseKind.RW_LAG).lag == 100
         assert NoiseModelSpec(kind=NoiseKind.RW_MEMORY).memory == 10
 
-    @pytest.mark.parametrize("field", ["lag", "memory"])
-    @pytest.mark.parametrize("value", [None, 2.5, 5.0])
-    def test_lag_and_memory_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            NoiseModelSpec(kind=NoiseKind.RW_LAG, **{field: value})
+    @pytest.mark.parametrize(
+        "spec, field",
+        [(NoiseModelSpec, name) for name in ("lag", "memory", "sign_threshold")]
+        + [(ExperimentConfig, name) for name in ("key_seed", "seed", "calib_window_steps")],
+        ids=["lag", "memory", "sign_threshold", "key_seed", "seed", "calib_window_steps"],
+    )
+    @pytest.mark.parametrize("value", [None, 1.5, 2.5, 5.0])
+    def test_lag_and_memory_must_be_integers(self, spec, field, value):
+        # every count and seed a spec holds, not only the walk's lag and depth
+        message = f"{spec.__name__}.{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec(**{field: value})
 
     def test_numpy_integer_lag_and_memory_accepted(self):
         model = NoiseModelSpec(kind=NoiseKind.RW_LAG, lag=np.int64(5), memory=np.int64(5))
