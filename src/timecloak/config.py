@@ -10,8 +10,8 @@ command-line ``--set`` overrides are applied on top.
 ``_KEYS`` is the one list of keys: each maps to its section, its field and
 its parser, and the hop keys in it are generated from ``_HOP_KEYS``. Each
 spec checks its ranges beside the code that relies on them: ``HopConfig`` in
-``wrptp``, ``NoiseModelSpec`` in ``noise``, ``ExperimentConfig`` here; which
-numbers a field may hold is one rule for every spec, ``require_finite``.
+``wrptp``, ``NoiseModelSpec`` in ``noise``, ``ExperimentConfig`` here; all share
+the number rules ``require_finite`` and ``require_positive`` (finite and > 0).
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseModelSpec, parse_noise_kind
-from .stability import require_adev_interval, require_finite
+from .noise import DEFAULT_CARRIER_HZ, DEFAULT_DWELL_S, NoiseModelSpec, _carrier_period_ns, parse_noise_kind
+from .stability import require_adev_interval, require_finite, require_positive
 from .wrptp import HopConfig
 
 MAX_STEPS = 2**26  # dwells per run; the key and both hop series grow with it
@@ -52,9 +52,9 @@ class ExperimentConfig:
         for key, seed in (("seed", self.seed), ("key.seed", self.key_seed)):
             if seed < 0:
                 raise ValueError(f"{key} must be >= 0, got {seed!r}")
-        if not self.dwell_s > 0 or not self.duration_s > 0:
-            raise ValueError("dwell_s and duration_s must be > 0")
         require_adev_interval(self.dwell_s, "dwell_s")
+        require_positive(self.duration_s, "duration_s")
+        _carrier_period_ns(self.carrier_hz)  # refused here, before any key is read
         if self.calib_window_steps < 0:
             raise ValueError("calib.window_steps must be >= 0")
         if self.tic_jitter_ns < 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .stability import require_finite
+from .stability import require_finite, require_positive
 from .tables import csv_text
 
 
@@ -40,12 +40,8 @@ class ChannelParams:
             raise ValueError("det_efficiency must be in (0, 1]")
         if self.dark_rate_cps < 0 or self.background_rate_cps < 0:
             raise ValueError("count rates must be >= 0")
-        if not self.rep_rate_hz > 0:
-            raise ValueError("rep_rate_hz must be > 0")
-        if not self.mean_photon_mu > 0:
-            raise ValueError("mean_photon_mu must be > 0")
-        if not self.dead_time_s > 0:
-            raise ValueError("dead_time_s must be > 0")
+        for name in ("rep_rate_hz", "mean_photon_mu", "dead_time_s"):
+            require_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)

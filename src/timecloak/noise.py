@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .keys import HexKeyStream
-from .stability import TimeErrorSeries, finite_array, require_finite
+from .stability import TimeErrorSeries, finite_array, require_finite, require_positive
 
 DEFAULT_DIVISOR = 4.0
 DEFAULT_SIGN_THRESHOLD = 8
@@ -96,12 +96,11 @@ class NoiseModelSpec:
 
     def __post_init__(self) -> None:
         require_finite(self, integers=("sign_threshold", "lag", "memory"))
-        if not self.divisor > 0:
-            raise ValueError("divisor must be > 0")
+        require_positive(self.divisor, "divisor")
         if not 0 <= self.sign_threshold <= 15:
             raise ValueError("sign_threshold must be a hex digit in [0, 15]")
-        if self.bound_deg is not None and not self.bound_deg > 0:
-            raise ValueError("bound_deg must be > 0 when set")
+        if self.bound_deg is not None:
+            require_positive(self.bound_deg, "bound_deg")
 
     @property
     def digits_per_step(self) -> int:
@@ -123,8 +122,7 @@ class PhaseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phases", finite_array(self.phases, "phases"))
-        if not (math.isfinite(self.dwell_s) and self.dwell_s > 0):
-            raise ValueError(f"dwell_s must be finite and > 0, got {self.dwell_s!r}")
+        require_positive(self.dwell_s, "dwell_s")
         _carrier_period_ns(self.carrier_hz)
 
     def __len__(self) -> int:
@@ -274,6 +272,8 @@ def generate_schedule(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    require_positive(dwell_s, "dwell_s")  # checked before any key digit is taken
+    _carrier_period_ns(carrier_hz)
     if n_steps == 0:
         return PhaseSchedule((), dwell_s, carrier_hz)
     _validate_window(model, n_steps)
@@ -371,9 +371,7 @@ def _memory_walk(steps: list[float], memory: int, bias_deg: float) -> np.ndarray
 def _carrier_period_ns(carrier_hz: float) -> float:
     """One carrier period in ns. An infinite carrier would zero every delay; one
     below about 5.6e-300 Hz has an infinite period, giving NaN delays."""
-    if not (math.isfinite(carrier_hz) and carrier_hz > 0):
-        raise ValueError(f"carrier_hz must be finite and > 0, got {carrier_hz!r}")
-    if math.isinf(period := 1e9 / float(carrier_hz)):  # a numpy scalar would warn
+    if math.isinf(period := 1e9 / require_positive(carrier_hz, "carrier_hz")):
         raise ValueError(f"carrier_hz must be large enough for a finite period, got {carrier_hz!r}")
     return period
 

@@ -1,4 +1,5 @@
-"""Time-error series and their Allan-deviation analysis.
+"""Time-error series, their Allan-deviation analysis, and the number rules that
+every value type shares: require_finite for a spec, require_positive for a quantity.
 
 The overlapping Allan deviation is computed from time-error (phase) data:
 
@@ -52,6 +53,12 @@ _EXTRACT_RANGE = (2.0**-900, 2.0**900)
 _BOUND_EXPONENT = -105
 
 
+def _require_float_range(value, name: str) -> None:
+    """Refuse an int that no float can hold, naming the field."""
+    if isinstance(value, int) and abs(value) >= 2**1024 - 2**970:  # float() rounds it to 2**1024
+        raise ValueError(f"{name} must fit in a float, got an int of {value.bit_length()} bits")
+
+
 def require_finite(obj, integers=()) -> None:
     """Check every number field of a spec dataclass: a float, numpy's too,
     must be finite; a field named in integers must hold an integer, of any
@@ -64,13 +71,17 @@ def require_finite(obj, integers=()) -> None:
         if f.name in integers:
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{spec}.{f.name} must be an integer, got {value!r}")
-        elif isinstance(value, int):
-            try:
-                float(value)
-            except OverflowError:
-                raise ValueError(
-                    f"{spec}.{f.name} must fit in a float, got an int of {value.bit_length()} bits"
-                ) from None
+        else:
+            _require_float_range(value, f"{spec}.{f.name}")
+
+
+def require_positive(value, name: str) -> float:
+    """value as a float, given a number that fits in a float, finite and > 0;
+    else ValueError naming the field. A non-number, a str too, is a TypeError."""
+    _require_float_range(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def finite_array(values, name: str) -> np.ndarray:
@@ -98,10 +109,8 @@ class TimeErrorSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples_ns", finite_array(self.samples_ns, "samples_ns"))
-        if not (math.isfinite(self.tau0_s) and self.tau0_s > 0):
-            raise ValueError("tau0_s must be finite and > 0")
         # a float interval keeps times such as the CSV time_s column in float form
-        object.__setattr__(self, "tau0_s", float(self.tau0_s))
+        object.__setattr__(self, "tau0_s", require_positive(self.tau0_s, "tau0_s"))
 
     def __len__(self) -> int:
         return len(self.samples_ns)
@@ -228,9 +237,9 @@ def _squared_differences(x: np.ndarray, m: int, start: int, out: np.ndarray) -> 
 
 
 def require_adev_interval(tau0_s: float, name: str) -> None:
-    """Reject a positive interval below 2**-511 s, where the (m * tau0)**2 that
-    the Allan variance divides by underflows to a subnormal or to zero."""
-    if tau0_s < 2.0**-511:
+    """Reject what require_positive refuses and an interval below 2**-511 s, where
+    the (m * tau0)**2 that the Allan variance divides by underflows to a subnormal or 0."""
+    if require_positive(tau0_s, name) < 2.0**-511:
         raise ValueError(f"{name} must be >= 2**-511 s for an Allan deviation, got {tau0_s!r}")
 
 

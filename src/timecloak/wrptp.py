@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stability import TimeErrorSeries, require_finite
+from .stability import TimeErrorSeries, require_finite, require_positive
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,9 @@ def run_sync_session(
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    if round_interval_s <= 0:
-        raise ValueError("round_interval_s must be > 0")
+    round_interval_s = require_positive(round_interval_s, "round_interval_s")  # int64 epochs could wrap
     last_epoch_ns = (n_rounds - 1) * round_interval_s * 1e9
-    if not math.isfinite(last_epoch_ns):  # also NaN, and inf for a single round
+    if not math.isfinite(last_epoch_ns):  # a finite interval, such as 1e300 s, may overflow it
         raise ValueError(f"round_interval_s must keep every epoch finite, got {round_interval_s!r}")
     noise = np.zeros((2, n_rounds))
     if hop.jitter_ns > 0:

@@ -11,13 +11,21 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timecloak.cli import build_experiment_config, load_config_file, parse_overrides
 from timecloak.config import _KEYS, MAX_STEPS, ExperimentConfig, HopConfig
 from timecloak.linkbudget import ChannelParams
-from timecloak.noise import NoiseKind, NoiseModelSpec
+from timecloak.keys import mock_qkd_source
+from timecloak.noise import (
+    NoiseKind,
+    NoiseModelSpec,
+    PhaseSchedule,
+    generate_schedule,
+    phase_to_delay,
+)
+from timecloak.stability import TimeErrorSeries
 from timecloak.wrptp import run_sync_session
 
 EVERY_KEY = {
@@ -277,6 +285,16 @@ FAULTS = {
     ),
     # too few samples for an Allan deviation
     "two_steps": ({"duration_s": "10"}, "duration_s / dwell_s must be >= 3, got 10.0 / 5.0"),
+    "zero_dwell": ({"dwell_s": "0"}, "dwell_s must be finite and > 0, got 0.0"),
+    "negative_duration": ({"duration_s": "-10"}, "duration_s must be finite and > 0, got -10.0"),
+    "zero_divisor": ({"model.C": "0"}, "divisor must be finite and > 0, got 0.0"),
+    "negative_bound_deg": ({"model.bound_deg": "-5"}, "bound_deg must be finite and > 0, got -5.0"),
+    # refused with the config, before any key is built, and not only by the schedule stage
+    "negative_carrier": ({"carrier_hz": "-1"}, "carrier_hz must be finite and > 0, got -1.0"),
+    "tiny_carrier": (
+        {"carrier_hz": "1e-310"},
+        "carrier_hz must be large enough for a finite period, got 1e-310",
+    ),
 }
 
 
@@ -304,6 +322,13 @@ def test_fractional_turnaround_kept_as_float():
     assert HopConfig(turnaround_ns=1234.5).turnaround_ns == 1234.5
 
 
+#: ints no float can hold, with their bit lengths
+BEYOND_FLOAT_RANGE = pytest.mark.parametrize(
+    "value, bits",
+    [(10**400, 1329), (-(10**400), 1329), (2**1024 - 2**970, 1024)],
+    ids=["10**400", "-10**400", "2**1024-2**970"],  # the last: the least int float() refuses
+)
+
 #: (spec, field) of every quantity a spec holds; seeds and counts are integers instead
 QUANTITY_FIELDS = [
     *[(HopConfig, f.name) for f in fields(HopConfig)],
@@ -316,11 +341,7 @@ QUANTITY_FIELDS = [
 @pytest.mark.parametrize(
     "spec, field", QUANTITY_FIELDS, ids=[f"{s.__name__}.{f}" for s, f in QUANTITY_FIELDS]
 )
-@pytest.mark.parametrize(
-    "value, bits",
-    [(10**400, 1329), (-(10**400), 1329), (2**1024 - 2**970, 1024)],
-    ids=["10**400", "-10**400", "2**1024-2**970"],  # the last: the least int float() refuses
-)
+@BEYOND_FLOAT_RANGE
 def test_int_beyond_float_range_rejected(spec, field, value, bits):
     # library callers only: the config parser reads these keys as floats or small ints
     with pytest.raises(
@@ -328,6 +349,64 @@ def test_int_beyond_float_range_rejected(spec, field, value, bits):
         match=rf"^{spec.__name__}\.{field} must fit in a float, got an int of {bits} bits$",
     ):
         spec(**{field: value})
+
+
+#: every library entry point taking an interval or a carrier: the field it names, and a
+#: call passing the value there
+INTERVAL_ENTRY_POINTS = {
+    "TimeErrorSeries": ("tau0_s", lambda v: TimeErrorSeries([1.0, 2.0], v)),
+    "PhaseSchedule.dwell_s": ("dwell_s", lambda v: PhaseSchedule((1.0,), dwell_s=v)),
+    "PhaseSchedule.carrier_hz": ("carrier_hz", lambda v: PhaseSchedule((1.0,), carrier_hz=v)),
+    "phase_to_delay": ("carrier_hz", lambda v: phase_to_delay(10.0, v)),
+    "run_sync_session": ("round_interval_s", lambda v: run_sync_session(HopConfig(), 3, v)),
+    "generate_schedule.dwell_s": (
+        "dwell_s",
+        lambda v: generate_schedule(mock_qkd_source(1, 20), NoiseModelSpec(), 5, dwell_s=v),
+    ),
+    "generate_schedule.carrier_hz": (
+        "carrier_hz",
+        lambda v: generate_schedule(mock_qkd_source(1, 20), NoiseModelSpec(), 5, carrier_hz=v),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "field, call", INTERVAL_ENTRY_POINTS.values(), ids=INTERVAL_ENTRY_POINTS.keys()
+)
+@BEYOND_FLOAT_RANGE
+def test_entry_point_refuses_int_beyond_float_range(field, call, value, bits):
+    # a ValueError naming the field, not the OverflowError of a float conversion
+    with pytest.raises(ValueError, match=rf"^{field} must fit in a float, got an int of {bits} bits$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "field, call", INTERVAL_ENTRY_POINTS.values(), ids=INTERVAL_ENTRY_POINTS.keys()
+)
+def test_entry_point_refuses_a_str_interval(field, call):
+    with pytest.raises(TypeError):
+        call("5")
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st.one_of(st.floats(), st.integers()))
+@example(value=10**400)
+@example(value=2**63)  # past int64: numpy could not multiply it into the epochs
+def test_entry_points_accept_or_raise_value_error(value):
+    for field, call in INTERVAL_ENTRY_POINTS.values():
+        try:
+            call(value)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{field} must"), exc
+
+
+def test_int_interval_runs_the_session_of_its_float():
+    # numpy multiplied an int interval in int64, which overflowed past 2**63
+    for interval in (5, 2**63):
+        by_int = run_sync_session(HopConfig(), 3, interval)
+        by_float = run_sync_session(HopConfig(), 3, float(interval))
+        assert by_int.samples_ns.tobytes() == by_float.samples_ns.tobytes()
+        assert by_int.tau0_s == by_float.tau0_s
 
 
 @pytest.mark.parametrize(

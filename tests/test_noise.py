@@ -233,6 +233,17 @@ class TestGenerateSchedule:
             generate_schedule(stream, NoiseModelSpec(), -1)
         assert stream.cursor == 0
 
+    @pytest.mark.parametrize(
+        "timing",
+        [{"dwell_s": -1.0}, {"dwell_s": math.inf}, {"carrier_hz": 0.0}, {"carrier_hz": 1e-310}],
+        ids=["negative_dwell", "infinite_dwell", "zero_carrier", "tiny_carrier"],
+    )
+    def test_refused_dwell_or_carrier_takes_no_key(self, timing):
+        stream = mock_qkd_source(1, 20)
+        with pytest.raises(ValueError, match=r"^(dwell_s|carrier_hz) must be "):
+            generate_schedule(stream, NoiseModelSpec(), 5, **timing)
+        assert stream.cursor == 0
+
     def test_balanced_walk_has_zero_mean_drift(self):
         # ensemble mean of (final phase - bias) stays within 4 standard errors
         n_steps, members, bias = 200, 400, 7.0
