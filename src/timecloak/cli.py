@@ -13,6 +13,7 @@ import argparse
 import re
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     keygen = sub.add_parser("keygen", help="write a deterministic mock key file")
+    keygen.set_defaults(handler=_cmd_keygen)
     keygen.add_argument("--seed", type=int, required=True)
     keygen.add_argument("--digits", type=int, required=True, help="number of hex digits")
     keygen.add_argument("--out", required=True, help="output key file path")
 
     run = sub.add_parser("run", help="run one round-trip experiment")
+    run.set_defaults(handler=_cmd_run)
     sweep = sub.add_parser("sweep", help="run the noise-model comparison sweep")
+    sweep.set_defaults(handler=_cmd_sweep)
     for command in (run, sweep):
         command.add_argument("--config", help="config file (flat key = value lines)")
         command.add_argument(
@@ -67,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output directory")
 
     adev = sub.add_parser("adev", help="Allan deviation of an external CSV series")
+    adev.set_defaults(handler=_cmd_adev)
     adev.add_argument("--input", required=True, help="CSV file with a header row")
     adev.add_argument(
         "--value-column", default="error_ns", help="column holding the time errors (ns)"
@@ -79,14 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
     adev.add_argument("--out", help="write the curve CSV here instead of stdout")
 
     budget = sub.add_parser("linkbudget", help="channel feasibility report")
-    # an option left out keeps the ChannelParams default
-    budget.add_argument("--loss-db", type=float)
-    budget.add_argument("--efficiency", type=float)
-    budget.add_argument("--dark-cps", type=float)
-    budget.add_argument("--background-cps", type=float)
-    budget.add_argument("--rep-rate-hz", type=float)
-    budget.add_argument("--mu", type=float)
-    budget.add_argument("--dead-time-us", type=float)
+    budget.set_defaults(handler=_cmd_linkbudget)
+    # each option sets the ChannelParams field its dest names; one left out keeps the default
+    field = {"type": float, "default": argparse.SUPPRESS}
+    budget.add_argument("--loss-db", dest="loss_db", metavar="LOSS_DB", **field)
+    budget.add_argument("--efficiency", dest="det_efficiency", metavar="EFFICIENCY", **field)
+    budget.add_argument("--dark-cps", dest="dark_rate_cps", metavar="DARK_CPS", **field)
+    budget.add_argument("--background-cps", dest="background_rate_cps", metavar="BACKGROUND_CPS", **field)
+    budget.add_argument("--rep-rate-hz", dest="rep_rate_hz", metavar="REP_RATE_HZ", **field)
+    budget.add_argument("--mu", dest="mean_photon_mu", metavar="MU", **field)
+    budget.add_argument("--dead-time-us", dest="dead_time_s", metavar="DEAD_TIME_US", **field)
     budget.add_argument("--csv", help="also write the report as CSV to this path")
 
     return parser
@@ -235,30 +242,14 @@ def _cmd_adev(args) -> int:
 
 
 def _cmd_linkbudget(args) -> int:
-    given = {
-        "loss_db": args.loss_db,
-        "det_efficiency": args.efficiency,
-        "dark_rate_cps": args.dark_cps,
-        "background_rate_cps": args.background_cps,
-        "rep_rate_hz": args.rep_rate_hz,
-        "mean_photon_mu": args.mu,
-        "dead_time_s": None if args.dead_time_us is None else args.dead_time_us / 1e6,
-    }
-    params = ChannelParams(**{name: value for name, value in given.items() if value is not None})
+    if "dead_time_s" in args:  # given in microseconds
+        args.dead_time_s /= 1e6
+    params = ChannelParams(**{f.name: getattr(args, f.name) for f in fields(ChannelParams) if f.name in args})
     report = feasibility_report(params)
     print(report_text(report))
     if args.csv:
         write_text(args.csv, report_csv(report))
     return EXIT_OK
-
-
-_COMMANDS = {
-    "keygen": _cmd_keygen,
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "adev": _cmd_adev,
-    "linkbudget": _cmd_linkbudget,
-}
 
 
 def main(argv=None) -> int:
@@ -271,18 +262,13 @@ def main(argv=None) -> int:
     try:
         # numpy overflow raises FloatingPointError, an ArithmeticError, as Python's does
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _COMMANDS[args.command](args)
-    except KeyExhaustedError as exc:
+            return args.handler(args)
+    except (KeyExhaustedError, OSError, ValueError, ArithmeticError) as exc:
+        # the last two: invalid configuration or input, and finite inputs whose arithmetic overflows
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KEY_EXHAUSTED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
-        # invalid configuration or input, and finite inputs whose arithmetic
-        # overflows
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, KeyExhaustedError):
+            return EXIT_KEY_EXHAUSTED
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

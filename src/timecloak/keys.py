@@ -65,9 +65,9 @@ class HexKeyStream:
         """Number of digits not yet consumed."""
         return len(self.digits) - self.cursor
 
-    def take_digits(self, n: int, size: int) -> np.ndarray:
-        """Consume size*n digits and return them as a read-only (n, size)
-        uint8 array, decoded straight from the digit buffer."""
+    def peek_digits(self, n: int, size: int) -> np.ndarray:
+        """The next size*n digits as a read-only (n, size) uint8 array, decoded
+        straight from the digit buffer, without consuming them."""
         if n < 0 or size < 1:  # a negative size or count would move the cursor back
             raise ValueError(f"need n >= 0 and size >= 1, got n={n!r}, size={size!r}")
         needed = size * n
@@ -75,10 +75,14 @@ class HexKeyStream:
             raise KeyExhaustedError(
                 f"key {self.key_id!r}: need {needed} digits, only {self.remaining} left"
             )
-        start = self.cursor
-        self.cursor = start + needed
-        block = np.frombuffer(self.digits, dtype=np.uint8, count=needed, offset=start)
+        block = np.frombuffer(self.digits, dtype=np.uint8, count=needed, offset=self.cursor)
         return block.reshape(n, size)
+
+    def take_digits(self, n: int, size: int) -> np.ndarray:
+        """Consume size*n digits and return them as peek_digits does."""
+        block = self.peek_digits(n, size)
+        self.cursor += block.size
+        return block
 
     def to_hex(self) -> str:
         """Lowercase hex text, one character per digit (canonical file form)."""

@@ -268,22 +268,23 @@ def generate_schedule(
 
     Every value equals what white_phase, rw_step, rw_lag_step, rw_mem_step
     and bound_phase give step by step, see _emitted_phases. A walk that
-    overflows raises ValueError naming the divisor.
+    overflows raises ValueError naming the divisor. Key digits are taken
+    only for a schedule it returns; a refusal leaves the cursor in place.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    require_positive(dwell_s, "dwell_s")  # checked before any key digit is taken
-    _carrier_period_ns(carrier_hz)
     if n_steps == 0:
         return PhaseSchedule((), dwell_s, carrier_hz)
     _validate_window(model, n_steps)
 
-    digits = stream.take_digits(n_steps, model.digits_per_step)
+    digits = stream.peek_digits(n_steps, model.digits_per_step)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = _emitted_phases(digits, model)
     if not np.isfinite(phases).all():
         raise ValueError(f"divisor {model.divisor!r} is too small: the phases overflow")
-    return PhaseSchedule(phases, dwell_s, carrier_hz)
+    schedule = PhaseSchedule(phases, dwell_s, carrier_hz)
+    stream.take_digits(n_steps, model.digits_per_step)
+    return schedule
 
 
 def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray:

@@ -21,8 +21,10 @@ ns (about 13 days of epochs), where each step is exact. A locked servo
 keeps the same offset for long stretches; once a chunk of rounds has kept
 it, the next rounds run as float64 array operations at that offset, up to
 the first round that changes it. A session that reaches 2**50 ns runs the
-single-step reference round by round on Python ints, exact at any size.
-All give the same bytes for any hop that HopConfig, defined here, accepts.
+single-step reference round by round on Python int timestamps, but each
+stamp's sum, such as t1 + delay_forward_ns + offset_ns + noise2, is a
+float64 sum at the epoch's magnitude, taken before its rounding (ROADMAP
+item 1). All give the same bytes for any hop that HopConfig accepts.
 """
 from __future__ import annotations
 
@@ -170,8 +172,8 @@ def run_sync_session(
     operations in the same order, until one changes it. A session whose
     epochs, delays or step reach 2**50 ns (about 13 days), or whose offsets
     or jitter take a timestamp there, runs exchange's arithmetic,
-    compute_delay_offset and servo_step on exact Python ints. An overflowing
-    float raises OverflowError there, in round().
+    compute_delay_offset and servo_step on Python ints whose stamp sums are
+    float64 (see _int_rounds); an overflowing float raises OverflowError.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -296,9 +298,10 @@ def _max_abs(values: np.ndarray) -> float:
 
 
 def _int_rounds(hop: HopConfig, epochs: np.ndarray, noise: np.ndarray) -> list[float]:
-    """The rounds of the single-step reference on Python int timestamps: exact
-    at any size and for any quantization step. A float that overflows raises
-    OverflowError in round()."""
+    """The rounds of the single-step reference on Python int timestamps, for
+    any size and step. Each stamp's sum (t1 + delay_forward_ns + offset_ns +
+    noise2, ...) is float64 at the epoch's magnitude before its rounding, so
+    not exact (ROADMAP item 1). A float that overflows raises OverflowError."""
     residuals: list[float] = []
     offset = 0.0
     for epoch, noise2, noise4 in zip(epochs.data, noise[0].data, noise[1].data):

@@ -802,6 +802,24 @@ class TestLinkBudget:
         assert dest.read_text() == report_csv(feasibility_report(params))
 
     @pytest.mark.parametrize(
+        "option, field, value",
+        [
+            ("--loss-db", "loss_db", 13.5),
+            ("--efficiency", "det_efficiency", 0.35),
+            ("--dark-cps", "dark_rate_cps", 120.0),
+            ("--background-cps", "background_rate_cps", 900.0),
+            ("--rep-rate-hz", "rep_rate_hz", 2.5e8),
+            ("--mu", "mean_photon_mu", 0.5),
+            ("--dead-time-us", "dead_time_s", 10.0),
+        ],
+    )
+    def test_each_option_sets_its_field(self, tmp_path, option, field, value):
+        dest = tmp_path / "budget.csv"
+        assert main(["linkbudget", option, repr(value), "--csv", str(dest)]) == 0
+        given = value / 1e6 if option == "--dead-time-us" else value
+        assert dest.read_text() == report_csv(feasibility_report(ChannelParams(**{field: given})))
+
+    @pytest.mark.parametrize(
         "option, value",
         [
             ("--loss-db", "nan"),

@@ -244,6 +244,20 @@ class TestGenerateSchedule:
             generate_schedule(stream, NoiseModelSpec(), 5, **timing)
         assert stream.cursor == 0
 
+    @pytest.mark.parametrize(
+        "divisor, kind",
+        [(d, k) for d in (1e-305, 1e-306) for k in NoiseKind if (d, k) != (1e-305, NoiseKind.WHITE)],
+    )
+    def test_refused_divisor_takes_no_key(self, divisor, kind):
+        # the divisors of test_overflowing_phases_name_the_divisor; 1e-305 overflows walks only
+        stream = mock_qkd_source(1, 3 * 400)
+        with pytest.raises(ValueError, match="the phases overflow$"):
+            generate_schedule(stream, NoiseModelSpec(kind=kind, divisor=divisor, lag=20, memory=10), 400)
+        assert stream.cursor == 0
+        model = NoiseModelSpec(kind=kind, lag=20, memory=10)
+        fresh = generate_schedule(mock_qkd_source(1, 3 * 400), model, 400).phases
+        assert generate_schedule(stream, model, 400).phases.tobytes() == fresh.tobytes()
+
     def test_balanced_walk_has_zero_mean_drift(self):
         # ensemble mean of (final phase - bias) stays within 4 standard errors
         n_steps, members, bias = 200, 400, 7.0
