@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,24 +37,43 @@ class KeyConsumedError(RuntimeError):
     """The same party tried to retrieve the same key id twice."""
 
 
-@dataclass
 class HexKeyStream:
     """An ordered run of hexadecimal digits (values 0..15) consumed front to back.
 
     The digit buffer is immutable; only the cursor advances, and it never
     goes backwards. Reuse of consumed material is a hard error by design:
-    callers must provision enough key up front.
+    callers must provision enough key up front. The digits, the key id and
+    the cursor are read-only, and the stream cannot be replaced, copied or
+    pickled, so nothing can rewind it, swap its key or hand its digits out
+    twice.
     """
 
-    digits: bytes
-    key_id: str = "anonymous"
-    cursor: int = field(default=0, init=False)
+    __slots__ = ("_digits", "_key_id", "_cursor")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.digits, (bytearray, memoryview)):
-            self.digits = bytes(self.digits)
-        if self.digits and np.frombuffer(self.digits, dtype=np.uint8).max() > 15:
+    def __init__(self, digits: bytes, key_id: str = "anonymous") -> None:
+        if isinstance(digits, (bytearray, memoryview)):
+            digits = bytes(digits)
+        if digits and np.frombuffer(digits, dtype=np.uint8).max() > 15:
             raise ValueError("key digits must be in [0, 15]")
+        self._digits, self._key_id, self._cursor = digits, key_id, 0
+
+    @property
+    def digits(self) -> bytes:
+        """Every digit, consumed or not, one byte each."""
+        return self._digits
+
+    @property
+    def key_id(self) -> str:
+        """The name the key is stored under."""
+        return self._key_id
+
+    @property
+    def cursor(self) -> int:
+        """Number of digits consumed."""
+        return self._cursor
+
+    def __reduce__(self):
+        raise TypeError(f"key {self._key_id!r}: a key stream cannot be copied or pickled")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -81,7 +99,7 @@ class HexKeyStream:
     def take_digits(self, n: int, size: int) -> np.ndarray:
         """Consume size*n digits and return them as peek_digits does."""
         block = self.peek_digits(n, size)
-        self.cursor += block.size
+        self._cursor += block.size
         return block
 
     def to_hex(self) -> str:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 import threading
 
@@ -198,6 +201,33 @@ class TestTakeChunks:
             stream.take_digits(n, size)
         assert stream.cursor == 6
         assert stream.take_digits(1, 4).tobytes() == mock_qkd_source(1, 10).digits[6:]
+
+    @pytest.mark.parametrize(
+        "rewind",
+        [
+            lambda s: dataclasses.replace(s),
+            lambda s: setattr(s, "cursor", 0),
+            lambda s: setattr(s, "digits", bytes(10)),
+            lambda s: setattr(s, "key_id", "other"),
+            copy.copy,
+            copy.deepcopy,
+            pickle.dumps,
+        ],
+        ids=["replace", "cursor", "digits", "key_id", "copy", "deepcopy", "pickle"],
+    )
+    def test_consumed_digits_cannot_be_handed_out_again(self, rewind):
+        # a dataclass stream was rewound or cloned by each of these and gave digits twice
+        stream = mock_qkd_source(1, 10)
+        first = stream.take_digits(5, 1).tobytes()
+        with pytest.raises((AttributeError, TypeError)):
+            rewind(stream)
+        assert stream.cursor == 5 and stream.key_id == "mock-1"
+        rest = stream.take_digits(5, 1).tobytes()
+        assert first + rest == mock_qkd_source(1, 10).digits
+
+    def test_stream_takes_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            HexKeyStream(bytes([1])).position = 0
 
     def test_exhaustion_does_not_consume(self):
         stream = HexKeyStream(bytes([1, 2, 3]))
