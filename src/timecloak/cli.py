@@ -29,7 +29,7 @@ from .experiment import calibration_window, emit_outputs, run_experiment, sweep_
 from .keys import KeyExhaustedError, mock_qkd_source, save_keys
 from .linkbudget import ChannelParams, feasibility_report, report_csv, report_text
 from .stability import TimeErrorSeries, overlapping_adev, require_adev_interval
-from .tables import write_text
+from .tables import read_decimal_table, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,12 +155,15 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
     names --tau0 or the time_s step.
 
     The header is the first non-blank line, with a leading '#' dropped (the
-    commented header np.savetxt writes). np.loadtxt parses only the needed
-    columns, by absolute path, or from the handle's lines, read once, for a
-    pipe or a name numpy would decompress. It skips blank lines and '#'
-    comments and rejects an empty or non-numeric cell. Its error counts data
-    rows only, so the message names the file line instead, found by
-    _first_rejected_line.
+    commented header np.savetxt writes). Only the needed columns are parsed.
+    A named file of plain decimal cells of up to 8 bytes, such as a counter's
+    -0.059, is read by tables.read_decimal_table, which gives np.loadtxt's
+    table bit for bit. Any other named file goes to np.loadtxt by absolute
+    path, one whose first data row is not plain after that row alone; a pipe
+    or a name numpy would decompress goes to np.loadtxt as the handle's
+    lines, read once. np.loadtxt skips blank lines and '#' comments and
+    rejects an empty or non-numeric cell. Its error counts data rows only, so
+    the message names the file line instead, found by _first_rejected_line.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -184,11 +187,13 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
                 warnings.simplefilter("ignore", UserWarning)
                 try:
                     lines = None if reopen else fh.readlines()  # a pipe cannot be read twice
-                    source, skip = (Path(path).absolute(), header_lines) if reopen else (lines, 0)
-                    table = np.loadtxt(
-                        source, delimiter=",", usecols=columns, ndmin=2, skiprows=skip,
-                        encoding="utf-8",
-                    )
+                    table = read_decimal_table(path, header_lines, columns) if reopen else None
+                    if table is None:
+                        source, skip = (Path(path).absolute(), header_lines) if reopen else (lines, 0)
+                        table = np.loadtxt(
+                            source, delimiter=",", usecols=columns, ndmin=2, skiprows=skip,
+                            encoding="utf-8",
+                        )
                 except UnicodeDecodeError:
                     raise  # a ValueError too, but not a bad cell
                 except ValueError as exc:

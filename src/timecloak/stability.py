@@ -8,21 +8,23 @@ The overlapping Allan deviation is computed from time-error (phase) data:
 with the sum running over i = 0 .. N-1-2m. Samples are converted from
 nanoseconds to seconds first, so the returned deviation is the usual
 dimensionless sigma_y. The squared second differences are summed exactly
-and rounded once: two levels of error-free extraction split each block of
+and rounded once: a level of error-free extraction splits each block of
 terms into parts whose sums are exact, and a power-of-two bound covers the
 float sum of what is left, or 0 when nothing is left (see _allan_sum).
 When math.fsum rounds the parts less and plus the bounds to the same
 double, that double is the correctly rounded total, the value math.fsum
-gives over the terms. That keeps the result bit-identical to a literal
-evaluation of the defining sum at any series length.
+gives over the terms. One level certifies almost every factor; one whose
+two roundings differ is split again at two levels, whose bound is far
+tighter. That keeps the result bit-identical to a literal evaluation of the
+defining sum at any series length.
 
 The terms of each averaging factor are built and split block by block,
 _SUM_CHUNK terms at a time, in two float buffers allocated once per
 overlapping_adev call, so no full-length array of terms exists. If the
 largest term of a block lies outside [2**-900, 2**900) (an overflowing
-square among them), or the two roundings differ, the whole term array of
-that factor is built and summed with math.fsum, which gives inf or raises
-OverflowError where the sum overflows.
+square among them), or the two roundings differ at two levels too, the
+whole term array of that factor is built and summed with math.fsum, which
+gives inf or raises OverflowError where the sum overflows.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ _SUM_CHUNK = 1 << 16
 #: block tops that _allan_sum extracts: every sigma, unit and bound is then an
 #: exact power of two, a normal double but for the smallest bounds, far from overflow
 _EXTRACT_RANGE = (2.0**-900, 2.0**900)
-#: log2 of a block's residual-sum error bound over 4**h * sigma2 (see _allan_sum)
+#: log2 of a block's residual-sum error bound over 4**h * sigma, its last level's (see _allan_sum)
 _BOUND_EXPONENT = -105
 
 
@@ -177,18 +179,40 @@ def _allan_sum(x: np.ndarray, m: int, buffers) -> float:
     and p - q, at most 2**-53 * sigma in size; k such q stay below 2**53 of
     that unit, so their sum is exact in any order. A second level at sigma2 =
     2**(h - 53) * sigma1 does the same to the first level's remainders. The
-    float sum of the k remainders left then errs by at most
-    gamma(k - 1) * k * 2**-53 * sigma2 (Higham), below the power of two
-    2**(2h - 105) * sigma2. So the exact total lies within the sum of the
+    float sum of the k remainders left after the last level, at sigma, errs
+    by at most gamma(k - 1) * k * 2**-53 * sigma (Higham), below the power of
+    two 2**(2h - 105) * sigma. So the exact total lies within the sum of the
     bounds of the sum of the parts, and when math.fsum rounds both ends of
-    that interval to one double, it is the correctly rounded total. They
-    round apart only if a rounding boundary lies inside the interval: at
-    most about 2**-40 per block for a total with many bits beyond its 53rd,
-    but always for a total exactly halfway between two doubles, unless the
-    remainders left are all zero in every block, whose bound is then 0.
-    Then, or if a block's top term is outside _EXTRACT_RANGE or not finite,
-    all terms are built in one array and left to math.fsum.
+    that interval to one double, it is the correctly rounded total.
+
+    Every factor is first split at one level. Its ends round apart only if a
+    rounding boundary lies inside the interval, 2**(2h - 104) * sigma1 wide
+    per block: rare beside a total of many terms of like size (2 of 6,237
+    factors of fuzzed series took the second level), but certain for a total
+    exactly halfway between two doubles, unless the remainders left are all
+    zero in every block, whose bound is then 0. Such a factor is split again
+    at two levels, whose interval is 2**(h - 53) as wide. If its ends still
+    round apart, or if a block's top term is outside _EXTRACT_RANGE or not
+    finite, all terms are built in one array and left to math.fsum.
     """
+    for levels in (1, 2):
+        split = _extracted_parts(x, m, buffers, levels)
+        if split is None:
+            break
+        parts, bounds = split
+        # an all-zero factor has no parts and gives fsum([]), +0.0
+        total = math.fsum(parts + bounds)
+        if math.fsum(parts + [-bound for bound in bounds]) == total:
+            return total
+    every_term = np.empty(x.size - 2 * m)
+    _squared_differences(x, m, 0, every_term)
+    return math.fsum(every_term.tolist())
+
+
+def _extracted_parts(x: np.ndarray, m: int, buffers, levels: int):
+    """The exact parts and the error bounds of each block of _allan_sum at
+    1 or 2 extraction levels, as two lists, or None at the first block whose
+    top term is outside _EXTRACT_RANGE or not finite."""
     n_terms = x.size - 2 * m
     terms, extracted = buffers
     parts, bounds = [], []
@@ -200,11 +224,12 @@ def _allan_sum(x: np.ndarray, m: int, buffers) -> float:
         if top == 0.0:
             continue
         if not _EXTRACT_RANGE[0] <= top < _EXTRACT_RANGE[1]:  # also inf
-            break
+            return None
         h = (k + 2).bit_length()
-        sigma1 = math.ldexp(1.0, math.frexp(top)[1] + h)
-        sigma2 = math.ldexp(sigma1, h - 53)
-        for sigma in (sigma1, sigma2):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + h)
+        for level in range(levels):
+            if level:
+                sigma = math.ldexp(sigma, h - 53)
             np.add(block, sigma, out=q)
             q -= sigma
             block -= q
@@ -213,15 +238,8 @@ def _allan_sum(x: np.ndarray, m: int, buffers) -> float:
         parts.append(rest)
         # remainders that are all zero sum exactly, so a tied total still certifies
         exact = rest == 0.0 and not block.any()
-        bounds.append(0.0 if exact else math.ldexp(sigma2, 2 * h + _BOUND_EXPONENT))
-    else:
-        # an all-zero factor has no parts and gives fsum([]), +0.0
-        total = math.fsum(parts + bounds)
-        if math.fsum(parts + [-bound for bound in bounds]) == total:
-            return total
-    every_term = np.empty(n_terms)
-    _squared_differences(x, m, 0, every_term)
-    return math.fsum(every_term.tolist())
+        bounds.append(0.0 if exact else math.ldexp(sigma, 2 * h + _BOUND_EXPONENT))
+    return parts, bounds
 
 
 def _squared_differences(x: np.ndarray, m: int, start: int, out: np.ndarray) -> None:
@@ -315,4 +333,5 @@ def decorrelation_steps(series: TimeErrorSeries) -> int:
         raise ValueError("series has zero variance")
     rho = acf / acf[0]
     # lags 1..N-1 sum to -acf[0]/2, as (sum x)**2 == 0, so a lag below N crosses
-    return int(np.flatnonzero(rho[1:] < DECORRELATION_THRESHOLD)[0]) + 1
+    # and argmax finds the first True
+    return int(np.argmax(rho[1:] < DECORRELATION_THRESHOLD)) + 1

@@ -10,10 +10,18 @@ Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020): its
 three round-to-odd products are exact here, because the power of ten they
 scale by, 10**K with 0 <= K <= 20, is an integer that fits a 64-bit word.
 Every other cell (zero, NaN, the infinities, the rest) is its own repr.
+
+read_decimal_table reads the plain decimal tables that counters log, cells
+of up to 8 bytes such as -0.059, the same way: each cell's bytes are one
+64-bit word, decoded by word arithmetic (SWAR), and its value m / 10**k,
+m < 10**8 and k <= 7, is one correctly rounded division of exact doubles
+(Clinger's fast path: W. D. Clinger, "How to read floating point numbers
+accurately", PLDI 1990), so it equals the double float() and np.loadtxt read.
 """
 from __future__ import annotations
 
 import math
+import os
 from contextlib import ExitStack
 from functools import cache
 from itertools import chain
@@ -270,3 +278,168 @@ def write_text(path, text: str) -> None:
     """Write text to path as ASCII with LF line endings."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
+
+
+READ_BLOCK = 1 << 17  # bytes of lines read_decimal_table parses at a time
+
+_PAD = 8  # bytes before a block: the word that ends at its first cell starts in the buffer
+_LF, _COMMA, _DASH, _POINT = b"\n,-."
+_ALL = _U(2**64 - 1)
+
+
+def _each_byte(value: int) -> np.uint64:
+    return _U(value * 0x0101010101010101)
+
+
+_ONES, _HIGHS, _ZEROS, _DOTS = _each_byte(1), _each_byte(0x80), _each_byte(ord("0")), _each_byte(_POINT)
+_ABOVE_NINE = _each_byte(0x80 - ord(":"))  # sets bit 7 of a byte above "9"
+_FRACTION_DIGITS = _U(0x0706050403020100)  # byte j is j; times 256**d, its top byte is 7 - d
+# 10**k, then -10**k, for k fraction digits, at k + 8 * negative
+_DIVISORS = np.array([10.0**k for k in range(8)] + [-(10.0**k) for k in range(8)])
+
+
+def _decimal_cells(words: np.ndarray, shift: np.ndarray) -> np.ndarray | None:
+    """The doubles of cells -?digits[.digits] with a digit, 1 to 8 bytes, or
+    None if any cell is not one. words are the 8 bytes that end at each cell
+    as a little-endian uint64, its last byte the top one, and shift is
+    8 * (8 - length) as uint64; both are overwritten."""
+    if shift.max() > 56:  # a cell of 0 or more than 8 bytes
+        return None
+    first = words >> shift
+    first &= _U(0xFF)
+    sign = np.left_shift(first == _U(_DASH), _U(3))  # 8 for a leading "-", else 0
+    shift += sign
+    words &= np.left_shift(_ALL, shift, out=shift)  # the cell but its sign; 0 below it
+    # the lowest zero byte of words ^ _DOTS, the first ".", is the lowest byte
+    # whose bit 7 the borrow trick sets; z keeps that bit alone, then is 256**d
+    # for a dot at byte d, or 0
+    x = words ^ _DOTS
+    z = x - _ONES
+    z &= np.invert(x, out=x)
+    z &= _HIGHS
+    z &= np.negative(z, out=x)
+    z >>= _U(7)
+    # close the dot: the bytes below it move up one, byte 0 taking a 0
+    low = np.maximum(z, _1, out=x)
+    low -= _1
+    low &= words
+    low *= _U(255)
+    words += low
+    words -= np.multiply(z, _U(_POINT), out=low)
+    if not words.all():  # "-", "." or "-." hold no digit
+        return None
+    # the bytes below the cell become "0", and the cell's own bytes, all at
+    # or above "-" (the delimiters are the only ones below), keep their class
+    words |= _ZEROS
+    above = np.add(words, _ABOVE_NINE, out=low)
+    words -= _ZEROS  # the lowest byte below "0" borrows, setting its bit 7
+    above |= words
+    above &= _HIGHS
+    if above.any():
+        return None
+    # eight digits, the first in byte 0, to one integer: pairs, fours, eight
+    words *= _U(10 * 2**8 + 1)
+    words >>= _U(8)
+    words &= _U(0x00FF00FF00FF00FF)
+    words *= _U(100 * 2**16 + 1)
+    words >>= _U(16)
+    words &= _U(0x0000FFFF0000FFFF)
+    words *= _U(10000 * 2**32 + 1)
+    words >>= _U(32)
+    z *= _FRACTION_DIGITS
+    z >>= _U(56)
+    z |= sign
+    return words.astype(np.float64) / _DIVISORS.take(z.view(np.int64))
+
+
+def _decimal_rows(buf, words, lo: int, hi: int, fields: int, columns) -> np.ndarray | None:
+    """The columns of the lines buf[lo:hi], each of the given fields and ending
+    in LF, as a float64 table; None unless they are ASCII, the only bytes below
+    "-" are the delimiters, and every cell of the columns is one
+    _decimal_cells reads. words[i] is the uint64 of the 8 bytes at buf[i]."""
+    lines = buf[lo:hi]
+    ends = np.flatnonzero(lines < _DASH)  # each delimiter ends a cell
+    if ends.size % fields or lines.max() >= 0x80:
+        return None
+    ends += lo
+    cells = ends.reshape(-1, fields)
+    delimiters = buf[cells]
+    if not ((delimiters[:, :-1] == _COMMA).all() and (delimiters[:, -1] == _LF).all()):
+        return None
+    table = np.empty((len(cells), len(columns)))
+    for j, column in enumerate(columns):
+        end = cells[:, column]
+        before = cells[:, column - 1] if column else np.concatenate(([lo - 1], cells[:-1, -1]))
+        shift = before - end  # -1 - length
+        shift += 9
+        shift <<= 3
+        values = _decimal_cells(words[end - 8], shift.view(_U))
+        if values is None:
+            return None
+        table[:, j] = values
+    return table
+
+
+def read_decimal_table(path, skip_lines: int, columns) -> np.ndarray | None:
+    """The float64 table that np.loadtxt(path, delimiter=",", usecols=columns,
+    ndmin=2, skiprows=skip_lines) reads, bit for bit, when every line after the
+    first skip_lines holds as many fields as the first such line, is ASCII and
+    ends in LF, holds no byte below "-" but "," and LF, and holds in each of
+    columns a cell _decimal_cells reads; else None, as for a line longer than
+    READ_BLOCK. It reads READ_BLOCK bytes at a time, cut after the last LF, and
+    returns None after the first row when that row fails, so a table of other
+    cells costs about one line."""
+    raw = bytearray(_PAD + READ_BLOCK)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    words = np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    view = memoryview(raw)
+    table = np.empty((0, len(columns)))
+    rows = fields = read = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        carry = 0  # the unfinished last line of a block, moved to the next one's start
+        while got := fh.readinto(view[_PAD + carry :]):
+            end = _PAD + carry + got
+            read += got
+            lo = _PAD
+            spans = []
+            if not fields:
+                for _ in range(skip_lines):
+                    lo = raw.find(b"\n", lo, end) + 1
+                    if not lo:
+                        return None
+                first = raw.find(b"\n", lo, end) + 1
+                # a CR would end a line for the reader of the header, not for this one
+                if not first or raw.find(b"\r", _PAD, lo) >= 0:
+                    return None
+                fields = raw.count(b",", lo, first) + 1
+                if max(columns) >= fields:
+                    return None
+                start = read - (end - lo)  # the file offset of the first data line
+                spans.append((lo, first))  # alone, so that a file of other cells stops here
+                lo = first
+            # no LF: the line goes on, unless it fills the block, which then reads nothing
+            hi = max(raw.rfind(b"\n", lo, end) + 1, lo)
+            spans.append((lo, hi))
+            for a, b in spans:
+                if a == b:
+                    continue
+                part = _decimal_rows(buf, words, a, b, fields, columns)
+                if part is None:
+                    return None
+                need = rows + len(part)
+                if need > len(table):
+                    # room for the rest of the file at the density read so far: no
+                    # copy unless later rows are shorter, and pages never written
+                    # are not resident
+                    guess = need * (size - start) // (read - (end - b) - start) + 1
+                    grown = np.empty((max(guess, need * 5 // 4), len(columns)))
+                    grown[:rows] = table[:rows]
+                    table = grown
+                table[rows:need] = part
+                rows = need
+            carry = end - hi
+            raw[_PAD : _PAD + carry] = raw[hi:end]
+    if carry or not fields:  # a last line without LF, or no data line
+        return None
+    return table[:rows]

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import timecloak
+from timecloak import cli
 from timecloak.cli import main
 from timecloak.config import _KEYS, MAX_STEPS, ExperimentConfig, HopConfig
 from timecloak.experiment import ExperimentResult, ExperimentSummary
@@ -870,3 +871,101 @@ def test_module_entry_point_returns_main_exit_code(tmp_path, capsys):
     error = "error: seed: expected an integer, got 'x'\n"
     assert (failure.returncode, failure.stdout, failure.stderr) == (2, "", error)
     assert not (tmp_path / "out").exists()
+
+
+#: counter-log cells, 1 ps resolution: the plain decimals the array reader takes
+_PLAIN = [f"{v:.3f}" for v in np.random.default_rng(8).normal(0.0, 2.0, 40)]
+_PLAIN_ROWS = [f"{i},{v}\n" for i, v in enumerate(_PLAIN)]
+
+
+def _plain(header="time_s,error_ns\n", rows=_PLAIN_ROWS, at=None, row=None):
+    """The plain CSV, with rows[at] replaced by row when given."""
+    rows = list(rows)
+    if at is not None:
+        rows[at] = row
+    return header + "".join(rows)
+
+
+#: name -> (file text, whether the array reader takes it); every other file goes to np.loadtxt
+_READER_CASES = {
+    "plain": (_plain(), True),
+    "value_column_first": (_plain("error_ns,time_s\n", [f"{v},{i}\n" for i, v in enumerate(_PLAIN)]), True),
+    "byte_order_mark_header": ("\ufeff" + _plain(), True),
+    "blank_lines_before_the_header": ("\n\n" + _plain(), True),
+    "commented_header": (_plain("# time_s,error_ns\n"), True),
+    "negative_zero_and_bare_points": (
+        _plain(rows=["0,-0\n", "1,-.5\n", "2,7.\n", "3,00000000\n"] + _PLAIN_ROWS[4:]),
+        True,
+    ),
+    "crlf": (_plain().replace("\n", "\r\n"), False),
+    "cr_after_the_header": (_plain("time_s,error_ns\r\n"), False),
+    # a lone CR ends the header for Python's reader, so the first row follows it
+    "lone_cr_after_the_header": (_plain("time_s,error_ns\r"), False),
+    "comment_line": (_plain(at=5, row="# gap\n"), False),
+    "blank_line": (_plain(at=5, row="\n"), False),
+    "trailing_blank_line": (_plain() + "\n", False),
+    "space_in_a_cell": (_plain(at=5, row="5, 1.5\n"), False),
+    "tab_in_a_cell": (_plain(at=5, row="5,1.5\t\n"), False),
+    "plus_sign": (_plain(at=5, row="5,+1.5\n"), False),
+    "exponent": (_plain(at=5, row="5,1.5e-3\n"), False),
+    "nan_cell": (_plain(at=5, row="5,nan\n"), False),
+    "inf_cell": (_plain(at=5, row="5,-inf\n"), False),
+    "nine_byte_cell": (_plain(at=5, row="5,-1234.567\n"), False),
+    "seventeen_digit_first_row": (_plain(at=0, row="0,-1.2345678901234567\n"), False),
+    "no_final_newline": (_plain()[:-1], False),
+    "extra_field_row": (_plain(at=5, row="5,1.5,7\n"), False),
+    "non_ascii_label": (
+        _plain("time_s,error_ns,site\n", [r[:-1] + ",Zürich\n" for r in _PLAIN_ROWS]),
+        False,
+    ),
+    "empty_cell": (_plain(at=5, row="5,\n"), False),
+    "short_row": (_plain(at=5, row="5\n"), False),
+    "lone_dash": (_plain(at=5, row="5,-\n"), False),
+    "quoted_cell": (_plain(at=5, row='5,"1.5"\n'), False),
+    "two_points": (_plain(at=5, row="5,1.2.3\n"), False),
+    "header_only": ("time_s,error_ns\n", False),
+}
+
+
+def _read_outcome(path, tau0):
+    """_read_series's samples and interval, as bits, or its error text."""
+    try:
+        series = cli._read_series(str(path), "error_ns", tau0)
+    except ValueError as exc:
+        return str(exc)
+    return series.samples_ns.view(np.uint64).tolist(), series.tau0_s.hex()
+
+
+class TestDecimalReader:
+    """The array reader gives what np.loadtxt gives, or leaves the file to it."""
+
+    @pytest.mark.parametrize("case", sorted(_READER_CASES))
+    @pytest.mark.parametrize("tau0", [None, 2.5])
+    def test_reads_as_loadtxt_reads(self, case, tau0, tmp_path, monkeypatch):
+        text, taken = _READER_CASES[case]
+        src = tmp_path / "series.csv"
+        src.write_bytes(text.encode("utf-8"))
+        tables = []
+        reader = cli.read_decimal_table
+
+        def spy(*args):
+            tables.append(reader(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "read_decimal_table", spy)
+        outcome = _read_outcome(src, tau0)
+        assert [table is not None for table in tables] == [taken]
+        monkeypatch.setattr(cli, "read_decimal_table", lambda *args: None)
+        assert outcome == _read_outcome(src, tau0)
+
+    @pytest.mark.parametrize("case", ["plain", "nan_cell", "empty_cell", "extra_field_row"])
+    def test_command_output_and_error_line_match_loadtxt(self, case, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "series.csv"
+        src.write_bytes(_READER_CASES[case][0].encode("utf-8"))
+        argv = ["adev", "--input", str(src)]
+        results = []
+        for reader in (cli.read_decimal_table, lambda *args: None):
+            monkeypatch.setattr(cli, "read_decimal_table", reader)
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]

@@ -183,8 +183,28 @@ def _sum_of_terms(monkeypatch, terms):
     return total, outs[-1].base is None
 
 
+def _levels_run(monkeypatch) -> list:
+    """The extraction levels _allan_sum runs from now on, in order."""
+    levels = []
+    split = stability._extracted_parts
+
+    def spy(x, m, buffers, n):
+        levels.append(n)
+        return split(x, m, buffers, n)
+
+    monkeypatch.setattr(stability, "_extracted_parts", spy)
+    return levels
+
+
+def _fsum_of_allan_terms(x: np.ndarray, m: int) -> float:
+    """math.fsum over the Allan terms of factor m, as brute_force_adev forms them."""
+    v = x.tolist()
+    d = [(v[i + 2 * m] - 2.0 * v[i + m] + v[i]) * (1.0 / 1e9) for i in range(len(v) - 2 * m)]
+    return math.fsum(e * e for e in d)
+
+
 class TestExtraction:
-    """The two extraction levels and the certified rounding of _allan_sum."""
+    """The extraction levels and the certified rounding of _allan_sum."""
 
     @given(
         arrays(np.float64, st.integers(1, 120), elements=_SPREAD_ROOTS),
@@ -265,6 +285,61 @@ class TestExtraction:
         terms = [1.0, 2.0**-50, 2.0**-103, 2.0**-48 - 2.0**-50, 2.0**-53 - 2.0**-104]
         total, whole_built = _sum_of_terms(monkeypatch, terms)
         assert total == math.fsum(terms) == 1.0 + 17 * 2.0**-52 and not whole_built
+
+    def test_certifying_factor_runs_one_level(self, monkeypatch):
+        # terms in [0, 1): the one-level interval, 2**-95 wide, holds no rounding boundary
+        levels = _levels_run(monkeypatch)
+        terms = np.random.default_rng(21).random(10)
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) and levels == [1] and not whole_built
+
+    def test_straddled_boundary_runs_two_levels_in_the_blocks(self, monkeypatch):
+        # the terms above: their total lies 2**-104 above a midpoint, inside the one-level
+        # interval of 2**-95, so the blocks run again at two levels, and only in the buffers
+        levels = _levels_run(monkeypatch)
+        terms = [1.0, 2.0**-50, 2.0**-103, 2.0**-48 - 2.0**-50, 2.0**-53 - 2.0**-104]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) and levels == [1, 2] and not whole_built
+
+    @pytest.mark.parametrize("chunk", [3, stability._SUM_CHUNK])
+    def test_block_top_outside_the_range_skips_the_second_level(self, monkeypatch, chunk):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        levels = _levels_run(monkeypatch)
+        terms = [1.0, 2.0, 3.0, 2.0**910]
+        total, whole_built = _sum_of_terms(monkeypatch, terms)
+        assert total == math.fsum(terms) and levels == [1] and whole_built
+
+    # series read at 0 to 3 decimals leave few-bit terms, whose totals meet rounding
+    # boundaries: about 1% of such factors run the second level
+    @given(
+        arrays(np.float64, st.integers(3, 80), elements=st.floats(-1e4, 1e4)),
+        st.integers(0, 3),
+        st.sampled_from([1, 2, 7, 64, stability._SUM_CHUNK]),
+    )
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @example(values=np.array([44.41, 105.59, -96.69, -58.31]), decimals=2, chunk=1)
+    @example(values=np.array([0.0, -0.2, 0.1, 0.1, 0.2, -0.1, 0.0]), decimals=1, chunk=1)
+    def test_rounded_series_equal_fsum(self, monkeypatch, values, decimals, chunk):
+        monkeypatch.setattr(stability, "_SUM_CHUNK", chunk)
+        x = np.round(values, decimals)
+        size = min(chunk, x.size - 2)
+        for m in default_m_values(x.size):
+            total = stability._allan_sum(x, m, (np.empty(size), np.empty(size)))
+            assert total.hex() == _fsum_of_allan_terms(x, m).hex()
+
+    @pytest.mark.parametrize(
+        "x, m",
+        [([44.41, 105.59, -96.69, -58.31], 1), ([0.0, -0.2, 0.1, 0.1, 0.2, -0.1, 0.0], 2)],
+    )
+    def test_rounded_examples_reach_the_second_level(self, monkeypatch, x, m):
+        # the @examples above, in blocks of one: the first level leaves factor m uncertified
+        monkeypatch.setattr(stability, "_SUM_CHUNK", 1)
+        levels = _levels_run(monkeypatch)
+        x = np.array(x)
+        total = stability._allan_sum(x, m, (np.empty(1), np.empty(1)))
+        assert levels == [1, 2] and total == _fsum_of_allan_terms(x, m)
 
 
 class TestOverlappingAdev:

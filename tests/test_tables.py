@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from timecloak import tables
-from timecloak.tables import CHUNK_ROWS, csv_text, write_series_csvs
+from timecloak.tables import CHUNK_ROWS, csv_text, read_decimal_table, write_series_csvs
 
 
 def _error_cells(path) -> list[str]:
@@ -84,3 +85,97 @@ def test_no_rows_writes_the_header(tmp_path):
     write_series_csvs([tmp_path / "a.csv", tmp_path / "b.csv"], 5.0, [np.zeros(0), np.zeros(0)])
     for name in ("a.csv", "b.csv"):
         assert (tmp_path / name).read_bytes() == b"step_index,time_s,error_ns\n"
+
+
+#: the cells read_decimal_table decodes: -?digits[.digits], 1 to 8 bytes, with a digit
+_DECIMAL = re.compile(r"-?[0-9]*\.?[0-9]*")
+_DECIMAL_CELLS = st.from_regex(r"\A-?[0-9]{0,8}(\.[0-9]{0,8})?\Z").filter(
+    lambda s: len(s) <= 8 and any(c.isdigit() for c in s)
+)
+
+
+def _table_of(path, cells, columns=(1,)):
+    """read_decimal_table of an index,cell,label CSV of the cells."""
+    rows = "".join(f"{i},{cell},site\n" for i, cell in enumerate(cells))
+    path.write_bytes(("index,value,label\n" + rows).encode("utf-8"))
+    return read_decimal_table(path, 1, list(columns))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@given(st.lists(_DECIMAL_CELLS, min_size=1, max_size=40))
+@example(["-0"])
+@example(["-.5"])
+@example(["5."])
+@example(["00000000"])
+@example(["99999999"])
+@example(["-0.00000"])
+@example([".1234567", "-1234567", "1234567.", "0", "-9.99999"])
+def test_decimal_cells_are_float(tmp_path_factory, cells):
+    table = _table_of(tmp_path_factory.mktemp("cells") / "t.csv", cells)
+    assert table is not None and table.shape == (len(cells), 1)
+    assert _bits(table[:, 0]) == _bits([float(cell) for cell in cells])
+
+
+@given(st.text(alphabet="0123456789.-+eE_abn/: ", min_size=0, max_size=10))
+@example("")
+@example("-")
+@example(".")
+@example("-.")
+@example("1.2.3")
+@example("--1")
+@example("1-")
+@example("123456789")
+@example("1e5")
+@example("nan")
+@example("1_0")
+@example("9:")
+@example("1/2")
+def test_other_cells_are_refused(tmp_path_factory, cell):
+    # a cell outside the grammar, or past 8 bytes, leaves the file to np.loadtxt
+    table = _table_of(tmp_path_factory.mktemp("cells") / "t.csv", ["1.5", cell])
+    if _DECIMAL.fullmatch(cell) and 1 <= len(cell) <= 8 and any(c.isdigit() for c in cell):
+        assert _bits(table[:, 0]) == _bits([1.5, float(cell)])
+    else:
+        assert table is None
+
+
+@pytest.mark.parametrize("block", [40, 41, 64, 1000])
+def test_blocks_cut_at_newlines_read_every_row(monkeypatch, block, tmp_path):
+    monkeypatch.setattr(tables, "READ_BLOCK", block)
+    values = np.round(np.random.default_rng(4).normal(0.0, 50.0, 300), 3)
+    cells = [f"{v:.3f}" for v in values]
+    table = _table_of(tmp_path / "t.csv", cells, columns=(1, 0))
+    assert _bits(table[:, 0]) == _bits(values) and table[:, 1].tolist() == list(range(300))
+
+
+def test_line_longer_than_a_block_is_refused(monkeypatch, tmp_path):
+    # a line that does not fit the buffer cannot be cut at a newline
+    monkeypatch.setattr(tables, "READ_BLOCK", 20)
+    (tmp_path / "t.csv").write_bytes(b"a,b\n1,2\n" + b"3," + b"4" * 30 + b"\n")
+    assert read_decimal_table(tmp_path / "t.csv", 1, [1]) is None
+
+
+def test_table_grows_past_its_first_guess(monkeypatch, tmp_path):
+    # rows that get shorter after the first block overrun the guess made from it
+    monkeypatch.setattr(tables, "READ_BLOCK", 64)
+    cells = ["-1234.56"] * 20 + ["1"] * 400
+    table = _table_of(tmp_path / "t.csv", cells)
+    assert _bits(table[:, 0]) == _bits([float(c) for c in cells])
+
+
+def test_first_row_that_fails_stops_the_read(monkeypatch, tmp_path):
+    # a file of 17-digit reprs, as timecloak run writes, costs one row
+    calls = []
+    rows = tables._decimal_rows
+
+    def spy(buf, words, lo, hi, *args):
+        calls.append(hi - lo)
+        return rows(buf, words, lo, hi, *args)
+
+    monkeypatch.setattr(tables, "_decimal_rows", spy)
+    cells = [repr(v) for v in np.random.default_rng(6).normal(0.0, 3.0, 1000).tolist()]
+    assert _table_of(tmp_path / "t.csv", cells) is None
+    assert calls == [len(f"0,{cells[0]},site\n")]
