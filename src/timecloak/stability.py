@@ -44,6 +44,10 @@ WHITE_PHASE_BAND = (-1.15, -0.85)
 RANDOM_WALK_PHASE_BAND = (-0.65, -0.35)
 
 DECORRELATION_THRESHOLD = 1.0 / math.e
+#: eta of Higham's FFT error bound, about 5u (see _rho_error)
+_FFT_ETA = 5 * 2.0**-53
+#: factor by which _rho_error exceeds the derived bound
+_ACF_SAFETY = 16
 
 #: terms per block of _allan_sum, in two float buffers of 512 KiB; on 524,288
 #: samples, 2**16 ran about 2% faster than 2**15 (2-vCPU Xeon VM, numpy 2.4)
@@ -134,10 +138,12 @@ class AdevCurve:
         sig = np.array(self.sigma_adev, dtype=np.float64)
         if not (len(taus) == len(dev) == len(sig)):
             raise ValueError("curve arrays must have equal length")
+        if not np.all(np.isfinite(taus) & (taus > 0)):
+            raise ValueError("taus_s must be finite and > 0")
         if len(taus) and np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
-        if np.any(dev < 0) or np.any(sig < 0):
-            raise ValueError("adev and sigma_adev must be non-negative")
+        if not (np.all(dev >= 0) and np.all(sig >= 0)):  # False for NaN too
+            raise ValueError("adev and sigma_adev must be non-negative, not NaN")
         for name, arr in (("taus_s", taus), ("adev", dev), ("sigma_adev", sig)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -300,6 +306,8 @@ def fit_loglog_slope(curve: AdevCurve, tau_range=None) -> float:
         raise ValueError("need at least 3 curve points in the requested tau range")
     if np.any(devs[mask] <= 0):
         raise ValueError("cannot fit a log-log slope through non-positive adev values")
+    if not np.all(np.isfinite(devs[mask])):
+        raise ValueError("cannot fit a log-log slope through non-finite adev values")
     coeffs = np.polyfit(np.log10(taus[mask]), np.log10(devs[mask]), 1)
     return float(coeffs[0])
 
@@ -317,21 +325,98 @@ def decorrelation_steps(series: TimeErrorSeries) -> int:
     """Smallest lag at which the normalized autocorrelation drops below
     DECORRELATION_THRESHOLD (1/e).
 
-    Uses the biased sample autocorrelation of the mean-removed series. A
-    series whose autocorrelation overflows the float range is a ValueError.
+    Uses the biased sample autocorrelation rho of the mean-removed series.
+    The samples are first scaled by the power of two that puts their largest
+    magnitude in [0.5, 1), exactly for every value in the normal range, so
+    rho is that of the series; the mean-removed series then lies in (-2, 2)
+    and is either all zero or at least 2**-54 somewhere, so no finite series
+    is too small or too large for its autocorrelation.
+
+    The lag is the first crossing of the series zero-padded to 2n points,
+    whose circular autocorrelation holds every linear lag. It is taken from
+    a shorter transform when that one certifies it (_padded_lag); else the
+    2n-point transform runs, and a series without variance is a ValueError.
     """
     n = len(series)
     if n < 100:
         raise ValueError("need at least 100 samples to estimate decorrelation")
-    x = series.samples_ns - series.samples_ns.mean()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        spectrum = np.fft.rfft(x, 2 * n)
-        acf = np.fft.irfft(spectrum * np.conj(spectrum))[:n]
-    if not math.isfinite(acf[0]):
-        raise ValueError("samples_ns are too large: their autocorrelation overflows")
+    x = np.ldexp(series.samples_ns, _unit_exponent(series.samples_ns))
+    x -= x.mean()
+    lag = _padded_lag(x)
+    if lag is not None:
+        return lag
+    acf = _autocorrelation(x, 2 * n, n)
     if acf[0] <= 0:
         raise ValueError("series has zero variance")
     rho = acf / acf[0]
     # lags 1..N-1 sum to -acf[0]/2, as (sum x)**2 == 0, so a lag below N crosses
     # and argmax finds the first True
     return int(np.argmax(rho[1:] < DECORRELATION_THRESHOLD)) + 1
+
+
+def _padded_lag(x: np.ndarray) -> int | None:
+    """The first lag at which rho of x crosses 1/e in the 2n-point transform,
+    found from a transform of M = _smooth_length(n + n // 4) points, or None.
+
+    The circular autocorrelation of x zero-padded to M points holds the
+    exact linear lags 0..M-n. The first lag there whose rho falls below
+    1/e + delta, with delta = _rho_error(M) + _rho_error(2n), is returned
+    when its rho is also below 1/e - delta: each computed rho lies within
+    _rho_error of the exact one, so the 2n-point rho is at or above 1/e at
+    every earlier lag and below it at this one. None when the crossing lies
+    beyond M-n, the margin is thin or acf[0] is not positive.
+    """
+    n = x.size
+    size = _smooth_length(n + n // 4)
+    acf = _autocorrelation(x, size, size - n + 1)
+    if not acf[0] > 0:
+        return None
+    rho = acf / acf[0]
+    margin = _rho_error(size) + _rho_error(2 * n)
+    lag = int(np.argmax(rho[1:] < DECORRELATION_THRESHOLD + margin)) + 1
+    return lag if rho[lag] < DECORRELATION_THRESHOLD - margin else None
+
+
+def _unit_exponent(x: np.ndarray) -> int:
+    """The k for which x * 2**k has its largest magnitude in [0.5, 1); 0 if x is all zero."""
+    return -math.frexp(max(float(x.max()), -float(x.min())))[1]
+
+
+def _smooth_length(target: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= target, a length numpy's FFT runs fast."""
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _autocorrelation(x: np.ndarray, size: int, lags: int) -> np.ndarray:
+    """Lags 0..lags-1 of the circular autocorrelation of x zero-padded to size."""
+    spectrum = np.fft.rfft(x, size)
+    return np.fft.irfft(spectrum * np.conj(spectrum), size)[:lags]
+
+
+def _rho_error(size: int) -> float:
+    """A bound on the error of each rho[k] = acf[k] / acf[0] that _autocorrelation
+    computes at this size, for any x of n <= size points.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 24.2)
+    bounds an FFT's normwise error by L * eta * ||y||, L = log2(size), where
+    eta = mu + gamma_4 * (sqrt(2) + mu) is about 5u for twiddle factors
+    accurate to mu ~ u. With S = sum x**2 = acf[0], the spectrum y has
+    ||y|| = sqrt(size * S) and max|y| <= sqrt(n * S) <= ||y||, so to first
+    order the forward transform errs by L*eta*||y|| in norm, the products
+    y * conj(y) by 2*max|y| times that plus 2u*max|y|*||y||, and the inverse,
+    which divides by size, adds L*eta*max|y|*||y||/sqrt(size) and passes the
+    products' error on over sqrt(size). Each acf[k] then errs by at most
+    (3*L*eta + 2u) * sqrt(size) * S, and rho[k] by twice that over S
+    (|rho| <= 1) plus u, below 7 * sqrt(size) * L * eta as 5u <= L * eta.
+    _ACF_SAFETY covers the mixed-radix real transforms numpy runs in place
+    of Higham's radix 2.
+    """
+    return _ACF_SAFETY * 7.0 * math.sqrt(size) * math.log2(size) * _FFT_ETA

@@ -570,6 +570,15 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog_slope(curve)
 
+    def test_infinite_adev_in_the_window_rejected(self, capfd):
+        # an overflowing Allan sum; polyfit once raised LinAlgError and printed LAPACK lines
+        dev = np.array([1.0, 0.5, 0.25, math.inf])
+        curve = AdevCurve(np.array([1.0, 2.0, 4.0, 8.0]), dev, dev)
+        with pytest.raises(ValueError, match=r"^cannot fit a log-log slope through non-finite adev values$"):
+            fit_loglog_slope(curve)
+        assert fit_loglog_slope(curve, tau_range=(1.0, 4.0)) == pytest.approx(-1.0, abs=1e-9)
+        assert capfd.readouterr().err == ""
+
 
 class TestClassifyNoise:
     @pytest.mark.parametrize(
@@ -585,6 +594,49 @@ class TestClassifyNoise:
     )
     def test_bands(self, slope, expected):
         assert classify_noise(slope) is expected
+
+
+def _lag_from_2n_transform(samples: np.ndarray) -> int:
+    """The decorrelation lag from the full 2n-point FFT autocorrelation."""
+    x = samples - samples.mean()
+    spectrum = np.fft.rfft(x, 2 * len(x))
+    acf = np.fft.irfft(spectrum * np.conj(spectrum))[: len(x)]
+    return int(np.argmax(acf[1:] / acf[0] < 1.0 / math.e)) + 1
+
+
+def _series_of_kind(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "white":
+        return rng.normal(size=n)
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=n))
+    if kind == "mixed":
+        return rng.normal(0.0, 0.05, n) + np.cumsum(rng.normal(0.0, 0.002, n))
+    if kind == "ramp":
+        return np.arange(n) * rng.uniform(0.1, 10.0) + rng.normal(0.0, 0.01, n)
+    samples = np.full(n, rng.uniform(-5.0, 5.0))
+    samples[rng.integers(n)] += rng.uniform(1.0, 100.0)
+    return samples
+
+
+def _rfft_lengths(monkeypatch) -> list:
+    """The lengths of every np.fft.rfft call from now on in this test."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def spy(x, size):
+        lengths.append(size)
+        return rfft(x, size)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return lengths
+
+
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 class TestDecorrelationSteps:
@@ -615,12 +667,82 @@ class TestDecorrelationSteps:
         with pytest.raises(ValueError):
             decorrelation_steps(TimeErrorSeries(np.zeros(200), 1.0))
 
-    def test_overflowing_autocorrelation_rejected(self):
-        # white noise whose spectrum product overflows float64
-        series = TimeErrorSeries(np.random.default_rng(1).normal(size=200) * 1e160, 1.0)
-        message = r"^samples_ns are too large: their autocorrelation overflows$"
-        with pytest.raises(ValueError, match=message):
-            decorrelation_steps(series)
+    def test_tiny_or_huge_series_keeps_its_lag(self):
+        # white noise at 1e-300 once underflowed acf[0] to 0, at 1e160 overflowed it
+        samples = np.random.default_rng(1).normal(size=200)
+        lag = decorrelation_steps(TimeErrorSeries(samples, 1.0))
+        assert decorrelation_steps(TimeErrorSeries(samples * 2.0**530, 1.0)) == lag
+        assert decorrelation_steps(TimeErrorSeries(samples * 2.0**-1000, 1.0)) == lag
+        assert 1 <= decorrelation_steps(TimeErrorSeries(samples * 1e-300, 1.0)) < 200
+        assert 1 <= decorrelation_steps(TimeErrorSeries(samples * 1e160, 1.0)) < 200
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            # the sum behind its mean overflows unless the samples are scaled first
+            np.linspace(-1.0, 1.0, 150) * 1.7e308,
+            np.arange(150) * 5e-324,
+        ],
+        ids=["near_the_largest_double", "subnormals"],
+    )
+    def test_extreme_series_equals_its_unit_scaled_oracle(self, samples):
+        scaled = np.ldexp(samples, stability._unit_exponent(samples))
+        assert decorrelation_steps(TimeErrorSeries(samples, 1.0)) == _lag_from_2n_transform(scaled)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        kind=st.sampled_from(["white", "walk", "mixed", "ramp", "spike"]),
+        n=st.integers(100, 4000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-6, 1e6),
+    )
+    @example(kind="walk", n=100, seed=0, scale=1.0)
+    @example(kind="ramp", n=100, seed=0, scale=1.0)
+    @example(kind="spike", n=101, seed=3, scale=1e-3)
+    @example(kind="mixed", n=4000, seed=7, scale=2.5)
+    @example(kind="white", n=3125, seed=11, scale=1e6)
+    def test_lag_equals_the_2n_transform(self, kind, n, seed, scale):
+        samples = _series_of_kind(kind, n, seed) * scale
+        assert decorrelation_steps(TimeErrorSeries(samples, 1.0)) == _lag_from_2n_transform(samples)
+
+    def test_workload_like_series_runs_only_the_padded_transform(self, monkeypatch):
+        # white phase plus a slow walk, as the adev_512k benchmark's series
+        n = 1 << 16
+        samples = _series_of_kind("mixed", n, 2)
+        expected = _lag_from_2n_transform(samples)
+        lengths = _rfft_lengths(monkeypatch)
+        assert decorrelation_steps(TimeErrorSeries(samples, 1.0)) == expected < n // 4
+        assert lengths == [81_920]  # 2**14 * 5 == n + n // 4
+
+    def test_thin_margin_falls_back_to_the_2n_transform(self, monkeypatch):
+        # no seeded walk of 100 to 256 samples (3,000 seeds each) crosses 1/e beyond
+        # n // 4, so the margin is forced: at 0.5 + 0.5 no lag is certified
+        samples = _series_of_kind("walk", 200, 5)
+        expected = _lag_from_2n_transform(samples)
+        monkeypatch.setattr(stability, "_rho_error", lambda size: 0.5)
+        lengths = _rfft_lengths(monkeypatch)
+        assert decorrelation_steps(TimeErrorSeries(samples, 1.0)) == expected
+        assert lengths == [250, 400]
+
+    def test_crossing_beyond_the_padded_lags_falls_back(self, monkeypatch):
+        # a pad of one point holds lags 0 and 1 alone, and a walk's rho[1] is near 1
+        samples = _series_of_kind("walk", 200, 5)
+        expected = _lag_from_2n_transform(samples)
+        monkeypatch.setattr(stability, "_smooth_length", lambda target: 201)
+        lengths = _rfft_lengths(monkeypatch)
+        assert decorrelation_steps(TimeErrorSeries(samples, 1.0)) == expected > 1
+        assert lengths == [201, 400]
+
+    def test_zero_variance_runs_both_transforms(self, monkeypatch):
+        lengths = _rfft_lengths(monkeypatch)
+        with pytest.raises(ValueError, match=r"^series has zero variance$"):
+            decorrelation_steps(TimeErrorSeries(np.full(200, 3.0), 1.0))
+        assert lengths == [250, 400]
+
+    def test_padded_length_is_the_smallest_smooth_length(self):
+        smooth = [m for m in range(1, 5000) if _is_5_smooth(m)]
+        for target in range(1, 4000):
+            assert stability._smooth_length(target) == min(m for m in smooth if m >= target)
 
     @settings(deadline=None)
     @given(
@@ -643,6 +765,18 @@ class TestAdevCurve:
             AdevCurve(np.array([2.0, 1.0]), np.ones(2), np.ones(2))
         with pytest.raises(ValueError):
             AdevCurve(np.array([1.0, 2.0]), -np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_taus_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match=r"^taus_s must be finite and > 0$"):
+            AdevCurve(np.array([1.0, tau]), np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize("field", [1, 2])
+    def test_nan_deviation_rejected(self, field):
+        arrays = [np.array([1.0, 2.0]), np.ones(2), np.ones(2)]
+        arrays[field][1] = math.nan
+        with pytest.raises(ValueError, match=r"^adev and sigma_adev must be non-negative, not NaN$"):
+            AdevCurve(*arrays)
 
     @pytest.mark.parametrize("short", range(3))
     def test_unequal_arrays_rejected(self, short):
