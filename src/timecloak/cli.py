@@ -211,7 +211,7 @@ def _read_series(path: str, value_column: str, tau0: float | None) -> TimeErrorS
             raise ValueError("need at least two rows to infer tau0")
         first, second = table[:2, 1].tolist()
         name, tau0 = "the time_s step", second - first
-    require_adev_interval(tau0, name)
+    require_adev_interval(tau0, name, len(table))
     try:
         return TimeErrorSeries(table[:, 0], tau0)
     except ValueError:  # tau0 passed above, so the column holds a nan or inf

@@ -52,7 +52,7 @@ class ExperimentConfig:
         for key, seed in (("seed", self.seed), ("key.seed", self.key_seed)):
             if seed < 0:
                 raise ValueError(f"{key} must be >= 0, got {seed!r}")
-        require_adev_interval(self.dwell_s, "dwell_s")
+        require_positive(self.dwell_s, "dwell_s")
         require_positive(self.duration_s, "duration_s")
         _carrier_period_ns(self.carrier_hz)  # refused here, before any key is read
         if self.calib_window_steps < 0:
@@ -72,6 +72,7 @@ class ExperimentConfig:
             raise ValueError(  # the fewest samples an Allan deviation takes
                 f"duration_s / dwell_s must be >= 3, got {self.duration_s!r} / {self.dwell_s!r}"
             )
+        require_adev_interval(self.dwell_s, "dwell_s", round(steps))
         if self.calib_window_steps >= round(steps):
             raise ValueError(
                 "calib.window_steps must leave at least one encrypted step, got "

@@ -26,13 +26,15 @@ the sign it echoes is a product of step signs along stride lag, so every
 increment is known before the running sum. Near a huge phase (1e17
 degrees, where one ulp is 16) a small step can vanish, the echoed sign is
 then 0 instead of the step's, and that schedule is built by rw_lag_step
-itself. The memory walk has its own step-by-step loop. Every bounded
-schedule is bounded in one array pass over its raw phases.
+itself. The memory walk feeds each phase back into the next, so it runs
+step by step; while its window lies between two powers of two, the window's
+sum is one exact subtraction of two phases, and elsewhere its increments are
+added in order. Every bounded schedule is bounded in one array pass over its
+raw phases.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -345,28 +347,57 @@ def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None
 
 
 def _memory_walk(steps: list[float], memory: int, bias_deg: float) -> np.ndarray:
-    """Raw phases of the memory walk, one step at a time.
+    """Raw phases of the memory walk, one step at a time, as rw_mem_step gives them.
 
-    The first `memory` steps are plain walk steps. The window holds the last
-    `memory` increments (state - previous state), newest first, and is summed
-    from 0.0 newest first, as rw_mem_step does; the sum is not telescoped into
-    a difference of two phases, which would round differently.
+    The first `memory` steps are plain walk steps; each later one is
+    prev + (total + step) / memory, total being the last `memory` increments
+    summed from 0.0, newest first. phases holds the bias, then each phase.
+
+    While the window phases[oldest:] lies in one binade, an open interval
+    between two neighbouring powers of two of one sign (the top one ending at
+    inf), total is exactly its newest phase less its oldest: each increment is
+    exact by Sterbenz's lemma, and each partial sum is a multiple of the
+    binade's spacing (2**-1074 among subnormals) below its lower end, so a
+    float. run counts the newest phases inside the binade (lo, hi) of the
+    latest phase to leave the one before. Any other window (across a power of
+    two or a sign, or holding a zero, inf, NaN or a power of two) goes to
+    _window_sum, as there the difference can round differently.
     """
-    window: deque[float] = deque(maxlen=memory)
+    phases = [bias_deg]
+    lo, hi = _binade(bias_deg)
+    run = 1 if lo < bias_deg < hi else 0
     prev = bias_deg
-    phases = []
-    for i, step in enumerate(steps):
-        if i < memory:
+    for oldest, step in enumerate(steps, -memory):
+        if run > memory:
+            value = prev + (prev - phases[oldest] + step) / memory
+        elif oldest < 0:
             value = prev + step
         else:
-            total = 0.0
-            for increment in window:
-                total += increment
-            value = prev + (total + step) / memory
+            value = prev + (_window_sum(phases, memory) + step) / memory
         phases.append(value)
-        window.appendleft(value - prev)
+        if lo < value < hi:
+            run += 1
+        else:
+            lo, hi = _binade(value)
+            run = 1 if lo < value < hi else 0
         prev = value
-    return np.array(phases)
+    return np.array(phases[1:])
+
+
+def _binade(value: float) -> tuple[float, float]:
+    """The open interval between the powers of two on either side of a finite
+    nonzero value, (2**1023, inf) at the top; zero, inf and NaN lie outside theirs."""
+    low = math.ldexp(0.5, math.frexp(value)[1])
+    return (low, 2.0 * low) if value > 0 else (-2.0 * low, -low)
+
+
+def _window_sum(phases: list[float], memory: int) -> float:
+    """The last `memory` increments of phases summed from 0.0, newest first."""
+    total = 0.0
+    newest = len(phases) - 1
+    for j in range(newest, newest - memory, -1):
+        total += phases[j] - phases[j - 1]
+    return total
 
 
 def _carrier_period_ns(carrier_hz: float) -> float:

@@ -260,11 +260,21 @@ def _squared_differences(x: np.ndarray, m: int, start: int, out: np.ndarray) -> 
     out *= out
 
 
-def require_adev_interval(tau0_s: float, name: str) -> None:
-    """Reject what require_positive refuses and an interval below 2**-511 s, where
-    the (m * tau0)**2 that the Allan variance divides by underflows to a subnormal or 0."""
+def require_adev_interval(tau0_s: float, name: str, n_samples: int) -> None:
+    """Reject what require_positive refuses, an interval below 2**-511 s, where
+    the (m * tau0)**2 that the Allan variance divides by underflows to a subnormal
+    or 0, and one whose divisor 2 * (m * tau0)**2 * (N - 2m) overflows at some
+    factor m of N samples, which would give a deviation of 0. That divisor peaks
+    near m = N/3, not always at the largest factor, so every factor is checked."""
     if require_positive(tau0_s, name) < 2.0**-511:
         raise ValueError(f"{name} must be >= 2**-511 s for an Allan deviation, got {tau0_s!r}")
+    for m in default_m_values(n_samples):
+        tau = m * tau0_s
+        if math.isinf(2.0 * tau * tau * (n_samples - 2 * m)):
+            raise ValueError(
+                f"{name} must be small enough that 2 * (m * tau0)**2 * (N - 2m) is finite "
+                f"for an Allan deviation of {n_samples} samples (m = {m}), got {tau0_s!r}"
+            )
 
 
 def overlapping_adev(series: TimeErrorSeries) -> AdevCurve:
@@ -277,7 +287,7 @@ def overlapping_adev(series: TimeErrorSeries) -> AdevCurve:
     n = len(x)
     if n < 3:
         raise ValueError("need at least 3 samples for an Allan deviation")
-    require_adev_interval(series.tau0_s, "tau0_s")
+    require_adev_interval(series.tau0_s, "tau0_s", n)
     size = min(_SUM_CHUNK, n - 2)
     buffers = np.empty(size), np.empty(size)
     taus, devs, sigmas = [], [], []
@@ -335,12 +345,17 @@ def decorrelation_steps(series: TimeErrorSeries) -> int:
     The lag is the first crossing of the series zero-padded to 2n points,
     whose circular autocorrelation holds every linear lag. It is taken from
     a shorter transform when that one certifies it (_padded_lag); else the
-    2n-point transform runs, and a series without variance is a ValueError.
+    2n-point transform runs. A series whose samples are all equal has no
+    variance and is a ValueError before either transform: its mean can round
+    (0.1 * 1000 / 1000), and the constant residue left would decorrelate.
     """
     n = len(series)
     if n < 100:
         raise ValueError("need at least 100 samples to estimate decorrelation")
-    x = np.ldexp(series.samples_ns, _unit_exponent(series.samples_ns))
+    exponent = _unit_exponent(series.samples_ns)
+    if exponent is None:  # a rounded mean would leave a constant residue, not variance
+        raise ValueError("series has zero variance")
+    x = np.ldexp(series.samples_ns, exponent)
     x -= x.mean()
     lag = _padded_lag(x)
     if lag is not None:
@@ -377,9 +392,11 @@ def _padded_lag(x: np.ndarray) -> int | None:
     return lag if rho[lag] < DECORRELATION_THRESHOLD - margin else None
 
 
-def _unit_exponent(x: np.ndarray) -> int:
-    """The k for which x * 2**k has its largest magnitude in [0.5, 1); 0 if x is all zero."""
-    return -math.frexp(max(float(x.max()), -float(x.min())))[1]
+def _unit_exponent(x: np.ndarray) -> int | None:
+    """The k for which x * 2**k has its largest magnitude in [0.5, 1); None if
+    every value of x is the same."""
+    top, bottom = float(x.max()), float(x.min())
+    return None if top == bottom else -math.frexp(max(top, -bottom))[1]
 
 
 def _smooth_length(target: int) -> int:

@@ -761,6 +761,24 @@ class TestAdevIngest:
         err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
         assert err.startswith("error: the time_s step must be >= 2**-511 s")
 
+    def test_tau0_whose_allan_divisor_overflows_named(self, tmp_path, capsys):
+        # 2 * (m * tau0)**2 * (N - 2m) overflowed, and adev read 0.0 at every tau
+        src = tmp_path / "series.csv"
+        src.write_text("time_s,error_ns\n" + "".join(f"{t},{v}\n" for t, v in _ROWS))
+        err = _assert_clean_failure(["adev", "--input", str(src), "--tau0", "1e200"], capsys)
+        assert err == (
+            "error: --tau0 must be small enough that 2 * (m * tau0)**2 * (N - 2m) is finite "
+            "for an Allan deviation of 40 samples (m = 1), got 1e+200"
+        )
+
+    def test_time_step_whose_allan_divisor_overflows_named(self, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        rows = "".join(f"{i}e200,{v}\n" for i, v in enumerate(_VALUES))
+        src.write_text("time_s,error_ns\n" + rows)
+        err = _assert_clean_failure(["adev", "--input", str(src)], capsys)
+        assert err.startswith("error: the time_s step must be small enough that ")
+        assert err.endswith("of 40 samples (m = 1), got 1e+200")
+
     def test_non_finite_time_step_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "series.csv"
         src.write_text("time_s,error_ns\n0,1.0\ninf,2.0\n2,0.5\n")

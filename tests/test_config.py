@@ -265,6 +265,11 @@ FAULTS = {
         {"dwell_s": "1e-170", "duration_s": "1e-167"},
         "dwell_s must be >= 2**-511 s for an Allan deviation, got 1e-170",
     ),
+    "dwell_whose_allan_divisor_overflows": (
+        {"dwell_s": "1e200", "duration_s": "5e202"},
+        "dwell_s must be small enough that 2 * (m * tau0)**2 * (N - 2m) is finite "
+        "for an Allan deviation of 500 samples (m = 1), got 1e+200",
+    ),
     "bad_threshold": ({"model.T": "16"}, "sign_threshold must be a hex digit in [0, 15]"),
     "uneven_duration": ({"duration_s": "12"}, "duration_s must be an integer multiple of dwell_s"),
     "overflowing_step_count": (

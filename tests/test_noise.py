@@ -373,6 +373,62 @@ _EDGE_BIASES = {
 }
 
 
+@st.composite
+def _memory_walks(draw):
+    """A memory walk of 200-3,000 steps and its model: a bias at, next to or
+    opposite a power of two 2**k from the subnormals to the top binade, or a
+    zero, with steps of at most 2**(k - j) degrees. A large j keeps long runs
+    inside one binade, a small one crosses powers of two and signs, and one
+    near the top overflows."""
+    n_steps = draw(st.integers(200, 3000))
+    # the stepwise oracle costs about n_steps * memory, so most depths are small
+    memory = draw(st.one_of(st.integers(2, 40), st.integers(2, n_steps - 2)))
+    k = draw(st.integers(-1074, 1023))
+    power = math.ldexp(1.0, k)
+    bias = draw(
+        st.sampled_from(
+            [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf), 0.0, -0.0]
+        )
+    )
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    j = draw(st.integers(1, 60))
+    model = NoiseModelSpec(
+        kind=NoiseKind.RW_MEMORY,
+        divisor=math.ldexp(255.0, min(j - k, 1015)),
+        sign_threshold=draw(st.sampled_from([8, 8, 0, 15, 4])),
+        memory=memory,
+        bias_deg=sign * bias,
+    )
+    return model, draw(st.integers(0, 2**32 - 1)), n_steps
+
+
+def _windows_across_binades(phases, memory):
+    """The steps i >= memory whose window, entries i - memory .. i of the bias
+    followed by the phases, does not lie inside one open binade (between two
+    neighbouring powers of two, of one sign)."""
+    mantissa, exponent = np.frexp(phases)
+    inside = np.isfinite(phases) & (np.abs(mantissa) > 0.5)  # no zero or power of two
+    sign = np.signbit(phases)
+    same = (exponent[1:] == exponent[:-1]) & (sign[1:] == sign[:-1])
+    joined = inside[1:] & inside[:-1] & same  # entries j and j + 1 share a binade
+    breaks = np.concatenate(([0], np.cumsum(~joined)))  # breaks among the first j pairs
+    steps = np.arange(memory, len(phases) - 1)
+    return (steps[breaks[steps] - breaks[steps - memory] > 0]).tolist()
+
+
+def _spy_on_window_sum(monkeypatch):
+    """Record the step of each call of noise._window_sum, the memory walk's
+    newest-first sum."""
+    window_sum, steps = noise._window_sum, []
+
+    def spy(phases, memory):
+        steps.append(len(phases) - 1)
+        return window_sum(phases, memory)
+
+    monkeypatch.setattr(noise, "_window_sum", spy)
+    return steps
+
+
 class TestArraySchedulesMatchStepwise:
     @given(case=_models_and_digits())
     @example(case=(_ABSORBED_MODELS[0], _ABSORBED_DIGITS))
@@ -455,6 +511,77 @@ class TestArraySchedulesMatchStepwise:
         schedule = generate_schedule(HexKeyStream(digits), model, 5)
         assert schedule.phases_deg[-1] == -110.95555555555558
         assert schedule.phases_deg == tuple(_reference_schedule(HexKeyStream(digits), model, 5))
+
+    @given(case=_memory_walks())
+    @example(case=(NoiseModelSpec(kind=NoiseKind.RW_MEMORY, bias_deg=2.0**40 + 0.5), 1, 200))
+    @example(case=(NoiseModelSpec(kind=NoiseKind.RW_MEMORY, divisor=1e-305), 1, 400))
+    @example(
+        case=(NoiseModelSpec(kind=NoiseKind.RW_MEMORY, divisor=2e307, bias_deg=1e-310), 1, 300)
+    )
+    @example(  # a long run just above 2**1023, in the binade that ends at inf, then overflow
+        case=(
+            NoiseModelSpec(
+                kind=NoiseKind.RW_MEMORY,
+                divisor=math.ldexp(255.0, -1013),
+                sign_threshold=0,
+                bias_deg=math.nextafter(2.0**1023, math.inf),
+            ),
+            1,
+            3000,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_memory_walk_matches_stepwise_across_binades(self, case):
+        model, seed, n_steps = case
+        digits = mock_qkd_source(seed, 3 * n_steps).digits
+        expected = _reference_schedule(HexKeyStream(digits), model, n_steps)
+        if all(math.isfinite(value) for value in expected):
+            schedule = generate_schedule(HexKeyStream(digits), model, n_steps)
+            assert repr(schedule.phases_deg) == repr(tuple(expected))
+        else:
+            message = rf"^divisor {re.escape(repr(model.divisor))} is too small: the phases overflow$"
+            with pytest.raises(ValueError, match=message):
+                generate_schedule(HexKeyStream(digits), model, n_steps)
+
+    def test_default_walk_sums_its_window_only_across_binades(self, monkeypatch):
+        # 32k steps of a seed-1 key at the default depth 10: the newest-first sum runs
+        # only where the window leaves one binade, and inside one the walk subtracts
+        steps = _spy_on_window_sum(monkeypatch)
+        model = NoiseModelSpec(kind=NoiseKind.RW_MEMORY)
+        digits = mock_qkd_source(1, 3 * 32_000).digits
+        schedule = generate_schedule(HexKeyStream(digits), model, 32_000)
+        assert schedule.phases.tolist() == _reference_schedule(HexKeyStream(digits), model, 32_000)
+        assert steps == _windows_across_binades(np.concatenate(([0.0], schedule.phases)), 10)
+        assert 0 < len(steps) < 0.02 * 32_000
+
+    @pytest.mark.parametrize("threshold, expected", [(0, []), (8, [198, 199])])
+    def test_walk_inside_one_binade_never_sums_its_window(self, threshold, expected, monkeypatch):
+        # at depth n - 2 only the last two steps have a window; with every step upward
+        # from just above 2**40 it stays in (2**40, 2**41), and balanced steps dip below
+        steps = _spy_on_window_sum(monkeypatch)
+        model = NoiseModelSpec(
+            kind=NoiseKind.RW_MEMORY, memory=198, sign_threshold=threshold, bias_deg=2.0**40 + 0.5
+        )
+        digits = mock_qkd_source(1, 3 * 200).digits
+        schedule = generate_schedule(HexKeyStream(digits), model, 200)
+        assert schedule.phases.tolist() == _reference_schedule(HexKeyStream(digits), model, 200)
+        assert steps == expected
+
+    def test_subnormal_walk_telescopes_and_matches_stepwise(self, monkeypatch):
+        # magnitudes 0 and 1 over a divisor of 1.7e308 are steps of 0 and 5.9e-309 degrees,
+        # so this walk from a subnormal bias stays subnormal, where doubles are evenly spaced
+        rng = np.random.default_rng(4)
+        digits = np.zeros((200, 3), dtype=np.uint8)
+        digits[:, 0] = rng.integers(0, 16, 200)
+        digits[:, 2] = rng.random(200) < 0.05
+        model = NoiseModelSpec(kind=NoiseKind.RW_MEMORY, divisor=1.7e308, bias_deg=5e-310)
+        steps = _spy_on_window_sum(monkeypatch)
+        schedule = generate_schedule(HexKeyStream(digits.tobytes()), model, 200)
+        expected = tuple(_reference_schedule(HexKeyStream(digits.tobytes()), model, 200))
+        assert repr(schedule.phases_deg) == repr(expected)
+        assert np.all(np.abs(schedule.phases) < 2.0**-1022)
+        assert steps == _windows_across_binades(np.concatenate(([5e-310], schedule.phases)), 10)
+        assert len(steps) < 100  # of the 190 steps past the first 10
 
     def test_no_schedule_calls_math_sin(self, monkeypatch):
         # the bound is one array pass, whatever path built the raw phases

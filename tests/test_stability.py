@@ -432,6 +432,27 @@ class TestOverlappingAdev:
         with pytest.raises(ValueError, match=rf"^tau0_s must be >= 2\*\*-511 s .*, got {tau0!r}$"):
             overlapping_adev(series)
 
+    @pytest.mark.parametrize(
+        "n, tau0, m",
+        [(8, 1e308, 1), (50, 1e200, 1), (50, 1.6e152, 16), (65, 1.2e152, 16)],
+        ids=["largest_double", "every_factor", "largest_factor", "middle_factor"],
+    )
+    def test_interval_whose_divisor_overflows_rejected(self, n, tau0, m):
+        # 2 * (m * tau0)**2 * (N - 2m) would be inf, so the deviation at m would be 0.0;
+        # at 65 samples it overflows at m = 16 but not at the largest factor, 32
+        series = TimeErrorSeries(np.arange(float(n)), tau0)
+        with pytest.raises(ValueError, match=r"^tau0_s must be small enough ") as info:
+            overlapping_adev(series)
+        assert str(info.value).endswith(f" of {n} samples (m = {m}), got {tau0!r}")
+
+    @pytest.mark.parametrize("n, tau0", [(50, 1.3e152), (65, 1e152)])
+    def test_largest_intervals_keep_their_deviation(self, n, tau0):
+        # the second differences of c * i**2 are 2 * m**2 * c at every factor m
+        c = 1e100
+        curve = overlapping_adev(TimeErrorSeries(c * np.arange(float(n)) ** 2, tau0))
+        factors = curve.taus_s / tau0
+        assert curve.adev == pytest.approx(math.sqrt(2.0) * factors * c * 1e-9 / tau0, rel=1e-12)
+
     def test_shortest_interval_accepted(self):
         series = TimeErrorSeries(np.array([0.0, 1.0, 0.0, 1.0, 0.0]), 2.0**-511)
         curve = overlapping_adev(series)
@@ -733,11 +754,29 @@ class TestDecorrelationSteps:
         assert decorrelation_steps(TimeErrorSeries(samples, 1.0)) == expected > 1
         assert lengths == [201, 400]
 
-    def test_zero_variance_runs_both_transforms(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            # the means of the first three round, which once left a lag of about 0.633 n
+            np.full(1000, 0.1),
+            np.full(200, 0.3),
+            np.full(1000, 1e-5),
+            np.full(200, 0.1),
+            np.full(200, 3.0),
+            np.tile([0.0, -0.0], 100),
+            np.full(150, 5e-324),
+            np.full(150, -1.7e308),
+        ],
+        ids=[
+            "0.1x1000", "0.3x200", "1e-5x1000", "0.1x200", "3x200",
+            "signed_zeros", "subnormal", "huge",
+        ],
+    )
+    def test_equal_samples_run_no_transform(self, samples, monkeypatch):
         lengths = _rfft_lengths(monkeypatch)
         with pytest.raises(ValueError, match=r"^series has zero variance$"):
-            decorrelation_steps(TimeErrorSeries(np.full(200, 3.0), 1.0))
-        assert lengths == [250, 400]
+            decorrelation_steps(TimeErrorSeries(samples, 1.0))
+        assert lengths == []
 
     def test_padded_length_is_the_smallest_smooth_length(self):
         smooth = [m for m in range(1, 5000) if _is_5_smooth(m)]
