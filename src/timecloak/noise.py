@@ -18,7 +18,8 @@ Bounded walks emit bound_deg * sin(raw phase) while the recursion keeps
 evolving on the raw, unbounded state. Phases are carried in degrees
 throughout; radians appear only inside the sine bound.
 
-generate_schedule decodes the digits of a schedule once and gives the same
+generate_schedule decodes the digits of a schedule once, gathering every
+phase or step from one table of signed magnitudes, and gives the same
 values, bit for bit, as the single-step functions (white_phase, rw_step,
 rw_lag_step, rw_mem_step, bound_phase), which stay as the reference. The
 white model and the plain walk are array operations. So is the lag walk:
@@ -28,7 +29,8 @@ degrees, where one ulp is 16) a small step can vanish, the echoed sign is
 then 0 instead of the step's, and that schedule is built by rw_lag_step
 itself. The memory walk feeds each phase back into the next, so it runs
 step by step; while its window lies between two powers of two, the window's
-sum is one exact subtraction of two phases, and elsewhere its increments are
+sum is one exact subtraction of two phases, and those steps run in a tight
+loop that breaks at the first phase to leave; elsewhere its increments are
 added in order. Every bounded schedule is bounded in one array pass over its
 raw phases.
 """
@@ -290,32 +292,50 @@ def generate_schedule(
 
 
 def _emitted_phases(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
-    """Phases from decoded digits: exact integer magnitudes divided once, signed steps
-    summed by array operations, by rw_lag_step or by _memory_walk, raw phases bounded
-    in one array pass."""
-    pairs = digits[:, -2:].astype(np.float64)
-    magnitudes = (16.0 * pairs[:, 0] + pairs[:, 1]) / model.divisor
+    """Phases from decoded digits: steps from _table_steps, summed by array operations,
+    by rw_lag_step or by _memory_walk, raw phases bounded in one array pass."""
+    steps = _table_steps(digits, model)
     bound = model.bound_deg
     if model.kind is NoiseKind.WHITE:
-        raw = magnitudes
+        raw = steps
+    elif model.kind is NoiseKind.RANDOM_WALK:
+        raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
+    elif model.kind is NoiseKind.RW_LAG:
+        raw = _lag_walk(steps, model.lag, model.bias_deg)
+        if raw is None:  # a step vanished into a huge phase: build it step by step
+            args = (model.lag, model.divisor, model.sign_threshold, model.bias_deg)
+            history: list[float] = []
+            for i, triplet in enumerate(digits.tolist()):
+                history.append(rw_lag_step(history, i, triplet, *args))
+            raw = np.array(history)
     else:
-        steps = np.where(digits[:, 0] >= model.sign_threshold, magnitudes, -magnitudes)
-        if model.kind is NoiseKind.RANDOM_WALK:
-            raw = np.cumsum(np.concatenate(([model.bias_deg], steps)))[1:]
-        elif model.kind is NoiseKind.RW_LAG:
-            raw = _lag_walk(steps, model.lag, model.bias_deg)
-            if raw is None:  # a step vanished into a huge phase: build it step by step
-                args = (model.lag, model.divisor, model.sign_threshold, model.bias_deg)
-                history: list[float] = []
-                for i, triplet in enumerate(digits.tolist()):
-                    history.append(rw_lag_step(history, i, triplet, *args))
-                raw = np.array(history)
-        else:
-            raw = _memory_walk(steps.tolist(), model.memory, model.bias_deg)
+        raw = _memory_walk(steps.tolist(), model.memory, model.bias_deg)
     if bound is not None:  # as bound_phase, in place: numpy's radians and sin round as math's
         np.sin(np.radians(raw, out=raw), out=raw)
         raw *= bound
     return raw
+
+
+def _table_steps(digits: np.ndarray, model: NoiseModelSpec) -> np.ndarray:
+    """The white phases, or a walk's signed steps, of decoded digits, each
+    gathered from one table.
+
+    The table holds -v / divisor for v = 0..255, then +v / divisor. A pair's
+    value 16 * hi + lo is an exact integer, so each entry is the division
+    white_phase and _signed_magnitude perform, and its negation is exact (-0.0
+    for v = 0). The white model gathers from the positive half by the pair's
+    value (uint8), a walk from the whole table by 256 * (sign digit >=
+    threshold) + 16 * hi + lo (uint16).
+    """
+    magnitudes = np.arange(256.0) / model.divisor
+    if model.kind is NoiseKind.WHITE:
+        return magnitudes.take((digits[:, 0] << 4) | digits[:, 1])
+    index = (digits[:, 0] >= model.sign_threshold).astype(np.uint16)
+    index <<= 4
+    index |= digits[:, 1]
+    index <<= 4
+    index |= digits[:, 2]
+    return np.concatenate((-magnitudes, magnitudes)).take(index)
 
 
 def _lag_walk(steps: np.ndarray, lag: int, bias_deg: float) -> np.ndarray | None:
@@ -362,26 +382,41 @@ def _memory_walk(steps: list[float], memory: int, bias_deg: float) -> np.ndarray
     latest phase to leave the one before. Any other window (across a power of
     two or a sign, or holding a zero, inf, NaN or a power of two) goes to
     _window_sum, as there the difference can round differently.
+
+    Once run exceeds memory, the telescoped steps run in a loop of their own
+    that keeps no count and breaks at the first phase outside (lo, hi). Each
+    phase inside moves the window on inside, and the one that leaves was
+    computed from a window still inside, so every telescoped phase is exact;
+    the step after it is summed in order. old is one iterator over phases,
+    advanced once per step from step memory on, so it yields the oldest
+    phase of each window; the list grows under it, which a list iterator sees.
     """
     phases = [bias_deg]
+    append = phases.append
+    old = iter(phases)
+    todo = iter(steps)
     lo, hi = _binade(bias_deg)
     run = 1 if lo < bias_deg < hi else 0
     prev = bias_deg
-    for oldest, step in enumerate(steps, -memory):
-        if run > memory:
-            value = prev + (prev - phases[oldest] + step) / memory
-        elif oldest < 0:
-            value = prev + step
+    for step in todo:
+        if len(phases) > memory:
+            next(old)
+            prev += (_window_sum(phases, memory) + step) / memory
         else:
-            value = prev + (_window_sum(phases, memory) + step) / memory
-        phases.append(value)
-        if lo < value < hi:
+            prev += step
+        append(prev)
+        if lo < prev < hi:
             run += 1
-        else:
-            lo, hi = _binade(value)
-            run = 1 if lo < value < hi else 0
-        prev = value
-    return np.array(phases[1:])
+            if run <= memory:
+                continue
+            for older, step in zip(old, todo):
+                prev += (prev - older + step) / memory
+                append(prev)
+                if not lo < prev < hi:
+                    break
+        lo, hi = _binade(prev)
+        run = 1 if lo < prev < hi else 0
+    return np.fromiter(phases, np.float64, len(phases))[1:]
 
 
 def _binade(value: float) -> tuple[float, float]:

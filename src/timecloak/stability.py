@@ -281,7 +281,9 @@ def overlapping_adev(series: TimeErrorSeries) -> AdevCurve:
     """Overlapping Allan deviation of a series at the factors default_m_values(N).
 
     The one-sigma uncertainty uses the plain white-noise approximation with
-    N-2m degrees of freedom.
+    N-2m degrees of freedom. A variance below the normal range (2**-1022)
+    would have lost digits its deviation keeps, so there the root of the sum
+    over 2 * (N - 2m) is divided by tau instead.
     """
     x = series.samples_ns
     n = len(x)
@@ -296,7 +298,10 @@ def overlapping_adev(series: TimeErrorSeries) -> AdevCurve:
             total = _allan_sum(x, m, buffers)
         tau = m * series.tau0_s
         avar = total / (2.0 * tau * tau * (n - 2 * m))
-        dev = math.sqrt(avar)
+        if avar < 2.0**-1022:  # subnormal: root first (a zero sum still gives 0.0)
+            dev = math.sqrt(total / (2.0 * (n - 2 * m))) / tau
+        else:
+            dev = math.sqrt(avar)
         taus.append(tau)
         devs.append(dev)
         sigmas.append(dev / math.sqrt(n - 2 * m))
@@ -361,8 +366,6 @@ def decorrelation_steps(series: TimeErrorSeries) -> int:
     if lag is not None:
         return lag
     acf = _autocorrelation(x, 2 * n, n)
-    if acf[0] <= 0:
-        raise ValueError("series has zero variance")
     rho = acf / acf[0]
     # lags 1..N-1 sum to -acf[0]/2, as (sum x)**2 == 0, so a lag below N crosses
     # and argmax finds the first True
@@ -379,13 +382,11 @@ def _padded_lag(x: np.ndarray) -> int | None:
     when its rho is also below 1/e - delta: each computed rho lies within
     _rho_error of the exact one, so the 2n-point rho is at or above 1/e at
     every earlier lag and below it at this one. None when the crossing lies
-    beyond M-n, the margin is thin or acf[0] is not positive.
+    beyond M-n or the margin is thin.
     """
     n = x.size
     size = _smooth_length(n + n // 4)
     acf = _autocorrelation(x, size, size - n + 1)
-    if not acf[0] > 0:
-        return None
     rho = acf / acf[0]
     margin = _rho_error(size) + _rho_error(2 * n)
     lag = int(np.argmax(rho[1:] < DECORRELATION_THRESHOLD + margin)) + 1

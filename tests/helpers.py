@@ -11,7 +11,9 @@ def brute_force_adev(samples_ns, tau0_s, m):
 
     Mirrors the defining sum term by term: second differences of the
     time-error samples in ns, converted to seconds, squared, accumulated
-    exactly, normalized by 2*(m*tau0)^2*(N-2m).
+    exactly, normalized by 2*(m*tau0)^2*(N-2m). A variance below the normal
+    range would have lost digits the deviation can hold, so there the root of
+    the sum over 2*(N-2m) is divided by m*tau0 instead.
     """
     x = [float(v) for v in samples_ns]
     n = len(x)
@@ -21,7 +23,10 @@ def brute_force_adev(samples_ns, tau0_s, m):
         terms.append(d * d)
     total = math.fsum(terms)
     tau = m * tau0_s
-    return math.sqrt(total / (2.0 * tau * tau * (n - 2 * m)))
+    variance = total / (2.0 * tau * tau * (n - 2 * m))
+    if variance < 2.0**-1022:
+        return math.sqrt(total / (2.0 * (n - 2 * m))) / tau
+    return math.sqrt(variance)
 
 
 def quartet_from_parameters(offset_ns, delay_fwd_ns, delay_bwd_ns, turnaround_ns, epoch_ns=0):

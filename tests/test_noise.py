@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -292,6 +293,30 @@ class TestGenerateSchedule:
         assert slope == pytest.approx(per_step, rel=0.3)
 
 
+_EVERY_TRIPLET = np.array(list(itertools.product(range(16), repeat=3)), dtype=np.uint8)
+_EVERY_PAIR = np.array(list(itertools.product(range(16), repeat=2)), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("threshold", [0, 8, 15])
+@pytest.mark.parametrize("divisor", [4.0, 3.0, 0.1, 1e-300, 1e300])
+def test_table_steps_match_the_single_step_decoders(divisor, threshold):
+    # bits compared, so a zero magnitude under a sign digit below the threshold must be -0.0
+    walk = [noise._signed_magnitude(t, divisor, threshold) for t in _EVERY_TRIPLET.tolist()]
+    white = [white_phase(pair, divisor) for pair in _EVERY_PAIR.tolist()]
+    zeros = np.flatnonzero(~_EVERY_TRIPLET[:, 1:].any(axis=1))  # pair digits 0, 0
+    for kind in NoiseKind:
+        model = NoiseModelSpec(kind=kind, divisor=divisor, sign_threshold=threshold)
+        if kind is NoiseKind.WHITE:
+            steps = noise._table_steps(_EVERY_PAIR, model)
+            assert steps.dtype == np.float64 and steps.tobytes() == np.array(white).tobytes()
+            continue
+        steps = noise._table_steps(_EVERY_TRIPLET, model)
+        assert steps.dtype == np.float64 and steps.tobytes() == np.array(walk).tobytes(), kind
+        negative = _EVERY_TRIPLET[zeros, 0] < threshold
+        assert np.all(steps[zeros] == 0.0)
+        assert np.signbit(steps[zeros]).tolist() == negative.tolist()
+
+
 def _reference_schedule(stream, model, n_steps):
     """Every schedule built step by step from white_phase, rw_step,
     rw_lag_step, rw_mem_step and bound_phase, the walks indexing a growing
@@ -566,6 +591,33 @@ class TestArraySchedulesMatchStepwise:
         schedule = generate_schedule(HexKeyStream(digits), model, 200)
         assert schedule.phases.tolist() == _reference_schedule(HexKeyStream(digits), model, 200)
         assert steps == expected
+
+    @pytest.mark.parametrize(
+        "tail, summed",
+        [
+            # window phases b, b + 0.25, b + 0.5 inside (2**40, 2**41); the first telescoped
+            # step, -3.5, lands on 2**40 itself, outside the open binade, and the three
+            # windows holding it are summed in order
+            ([(0, 0, 14)] + [(8, 0, 1)] * 6, [3, 4, 5]),
+            # eleven steps of +0.25 stay inside; the walk's last step, -63.75, leaves
+            ([(8, 0, 1)] * 9 + [(0, 15, 15)], []),
+        ],
+        ids=["leaves_on_the_first_telescoped_step", "leaves_on_the_last_step"],
+    )
+    def test_walk_leaving_its_binade_from_the_telescoped_loop(self, tail, summed, monkeypatch):
+        digits = bytes(np.array([(8, 0, 1)] * 2 + tail, dtype=np.uint8).ravel())
+        n_steps = len(digits) // 3
+        model = NoiseModelSpec(kind=NoiseKind.RW_MEMORY, memory=2, bias_deg=2.0**40 + 1.0)
+        steps = _spy_on_window_sum(monkeypatch)
+        schedule = generate_schedule(HexKeyStream(digits), model, n_steps)
+        expected = tuple(_reference_schedule(HexKeyStream(digits), model, n_steps))
+        assert repr(schedule.phases_deg) == repr(expected)
+        phases = np.concatenate(([model.bias_deg], schedule.phases))
+        assert steps == summed == _windows_across_binades(phases, 2)
+        left = 2 if summed else n_steps - 1  # the step whose phase left the binade
+        assert np.all(phases[1 : left + 1] > 2.0**40) and phases[left + 1] <= 2.0**40
+        if summed:
+            assert phases[left + 1] == 2.0**40
 
     def test_subnormal_walk_telescopes_and_matches_stepwise(self, monkeypatch):
         # magnitudes 0 and 1 over a divisor of 1.7e308 are steps of 0 and 5.9e-309 degrees,

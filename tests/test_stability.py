@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -363,7 +363,7 @@ class TestOverlappingAdev:
         assert curve.adev[0] == pytest.approx(expected, rel=0.10)
         # the same value must come out of the literal double-loop evaluation
         brute = brute_force_adev(series.samples_ns, tau0, 1)
-        assert curve.adev[0] == pytest.approx(brute, rel=1e-15)
+        assert curve.adev[0] == pytest.approx(brute, rel=1e-15, abs=0)
 
     def test_matches_brute_force_on_small_series(self):
         rng = np.random.default_rng(12)
@@ -451,7 +451,19 @@ class TestOverlappingAdev:
         c = 1e100
         curve = overlapping_adev(TimeErrorSeries(c * np.arange(float(n)) ** 2, tau0))
         factors = curve.taus_s / tau0
-        assert curve.adev == pytest.approx(math.sqrt(2.0) * factors * c * 1e-9 / tau0, rel=1e-12)
+        expected = math.sqrt(2.0) * factors * c * 1e-9 / tau0
+        assert curve.adev == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("tau0", [1e150, 1.3e152])
+    def test_deviation_whose_variance_is_subnormal_keeps_its_digits(self, tau0):
+        # adev = sqrt(2) * m * 1e-12 s / tau0 is a normal double, its square is not:
+        # forming the variance first gave 0.0 at m = 1 and 3.14e-162 at m = 2 for 1e150,
+        # and 0.0 at every factor for 1.3e152, the largest interval 50 samples accept
+        curve = overlapping_adev(TimeErrorSeries(1e-3 * np.arange(50.0) ** 2, tau0))
+        factors = curve.taus_s / tau0
+        assert factors.tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
+        expected = math.sqrt(2.0) * factors * 1e-12 / tau0
+        assert curve.adev == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_shortest_interval_accepted(self):
         series = TimeErrorSeries(np.array([0.0, 1.0, 0.0, 1.0, 0.0]), 2.0**-511)
@@ -660,6 +672,26 @@ def _is_5_smooth(m: int) -> bool:
     return m == 1
 
 
+_EXTREME_SAMPLES = [0.0, 5e-324, -5e-324, 2.0**-1022, 1.7e308, -1.7e308, 1.0, -0.5]
+
+
+@st.composite
+def _distinct_series(draw):
+    """100-400 finite samples holding at least two distinct values: any floats,
+    extremes (subnormals, +-1.7e308), or one value and its neighbours 1 ulp away."""
+    n = draw(st.integers(100, 400))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        pool = draw(st.lists(finite | st.sampled_from(_EXTREME_SAMPLES), min_size=2, max_size=5))
+    else:
+        value = draw(finite | st.sampled_from(_EXTREME_SAMPLES))
+        pool = [value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf)]
+        pool = [v for v in pool if math.isfinite(v)]
+    samples = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    assume(samples.max() != samples.min())
+    return samples
+
+
 class TestDecorrelationSteps:
     def test_iid_white_is_one(self):
         rng = np.random.default_rng(15)
@@ -777,6 +809,23 @@ class TestDecorrelationSteps:
         with pytest.raises(ValueError, match=r"^series has zero variance$"):
             decorrelation_steps(TimeErrorSeries(samples, 1.0))
         assert lengths == []
+
+    @settings(deadline=None, max_examples=300)
+    @given(samples=_distinct_series())
+    @example(samples=np.array([5e-324, 0.0] * 50))
+    @example(samples=np.array([1.7e308, -1.7e308] + [0.0] * 98))
+    @example(samples=np.array([0.75] * 99 + [math.nextafter(0.75, 1.0)]))
+    @example(samples=np.array([-1.7e308] * 99 + [math.nextafter(-1.7e308, 0.0)]))
+    def test_distinct_samples_leave_a_positive_lag_zero(self, samples):
+        # why decorrelation_steps needs no acf[0] > 0 check once equal samples are refused:
+        # the scaled, mean-removed series keeps a value of at least 2**-54, and lag 0 of
+        # both transforms is positive
+        n = len(samples)
+        x = np.ldexp(samples, stability._unit_exponent(samples))
+        x -= x.mean()
+        assert np.abs(x).max() >= 2.0**-54
+        for size in (stability._smooth_length(n + n // 4), 2 * n):
+            assert stability._autocorrelation(x, size, 1)[0] > 0, size
 
     def test_padded_length_is_the_smallest_smooth_length(self):
         smooth = [m for m in range(1, 5000) if _is_5_smooth(m)]
